@@ -480,7 +480,6 @@ void BM_ExactKthScan(benchmark::State& state) {
     const size_t row = rng.NextBounded(n);
     geometry::kernels::ScanOptions opts;
     opts.exclude_row = row;
-    opts.exclude_row_only_if_zero = true;
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(geometry::kernels::KthDistanceScan(
         data.row(row), data.data(), dim, 21, opts, mode));
@@ -548,10 +547,7 @@ void BM_SlabBuild(benchmark::State& state) {
 BENCHMARK(BM_SlabBuild)->Apply(ModeDimSweep)->Iterations(2000);
 
 // ---------------------------------------------------------------------------
-// Serving-path throughput: the same request batch through a
-// PredictionService, cold (caches cleared every iteration) vs. warm (all
-// mini-index cache hits). The requests_per_s counter is the number future
-// PRs watch for serving regressions; warm/cold is the cache's payoff.
+// The service the saturation sweep below serves from.
 
 /// A 2-shard service over two registered 20k x 16 datasets.
 service::PredictionService& SweepService() {
@@ -589,29 +585,6 @@ std::vector<service::ServiceRequest> ServiceBatch() {
   }
   return requests;
 }
-
-void BM_ServiceBatch(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
-  service::PredictionService& svc = SweepService();
-  const auto batch = ServiceBatch();
-  svc.ClearCaches();
-  if (warm) benchmark::DoNotOptimize(svc.ProcessBatch(batch));
-  for (auto _ : state) {
-    if (!warm) svc.ClearCaches();
-    benchmark::DoNotOptimize(svc.ProcessBatch(batch));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch.size()));
-  state.counters["requests_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(batch.size()),
-      benchmark::Counter::kIsRate);
-  state.counters["warm_cache"] = warm ? 1.0 : 0.0;
-}
-BENCHMARK(BM_ServiceBatch)
-    ->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
 
 // ---------------------------------------------------------------------------
 // Async-server saturation: an open-loop arrival sweep against the epoll
@@ -677,7 +650,10 @@ void BM_ServiceSaturation(benchmark::State& state) {
   // Every request in the open-loop stream cycles through this batch, so
   // one warm pass makes the serving path pure cache hits.
   const auto batch = ServiceBatch();
-  benchmark::DoNotOptimize(svc.ProcessBatch(batch));
+  for (const service::ServiceRequest& request : batch) {
+    benchmark::DoNotOptimize(
+        svc.ServeOnShard(svc.registry().ShardOf(request.dataset), request));
+  }
 
   service::AsyncServerOptions options;
   options.shard_queue_capacity = 16;

@@ -130,11 +130,14 @@ void ThreadPool::RunChunks(uint32_t epoch, size_t num_chunks) {
     const uint32_t claim_epoch = static_cast<uint32_t>(claim >> 32);
     const size_t chunk = static_cast<size_t>(claim & 0xffffffffULL);
     if (claim_epoch != epoch) {
-      // A fresh job was published since our last claim (an old epoch can
-      // only surface after its job drained, and a publication can only
-      // follow a drain). The acquiring fetch_add synchronized with the
-      // publication's releasing store, so the job fields we read below are
-      // the new job's — serving its chunk here is valid work.
+      // A fresh job was published since our last claim. A claim past its
+      // end holds nothing that stops it from draining and being replaced
+      // by the next publication, so its chunk count is read under mu_, and
+      // a claim on an already replaced job (necessarily past its end)
+      // stops. A claim inside it keeps it from draining, so the job fields
+      // read below stay put.
+      MutexLock lock(&mu_);
+      if (job_epoch_ != claim_epoch) break;
       epoch = claim_epoch;
       num_chunks = num_chunks_;
     }

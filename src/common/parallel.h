@@ -90,9 +90,11 @@ class ThreadPool {
   /// with the newer publication through the acquiring claim.
   ///
   /// Reads the mu_-guarded job fields without holding mu_: the releasing
-  /// store of claim_ in ParallelFor publishes them, and the acquiring
-  /// fetch_add here synchronizes with that publication — a happens-before
-  /// edge the lock-based analysis cannot express, hence the opt-out.
+  /// store of claim_ in ParallelFor publishes them, the acquiring fetch_add
+  /// here synchronizes with that publication, and the held chunk keeps the
+  /// job from draining and being rewritten — a happens-before edge the
+  /// lock-based analysis cannot express, hence the opt-out. A newly seen
+  /// epoch's chunk count is read under mu_ (it holds no chunk yet).
   void RunChunks(uint32_t epoch, size_t num_chunks)
       HDIDX_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -116,8 +118,9 @@ class ThreadPool {
   // epoch: a straggler from the previous job either sees its own epoch with
   // an exhausted chunk index (and stops), or the new epoch (and, having
   // synchronized with the publication through the acquire claim, validly
-  // executes the chunk it just claimed — see RunChunks). No claim is ever
-  // lost or run with stale job state.
+  // executes the chunk it just claimed, or stops if that index is past
+  // the new job's end — see RunChunks). No claim is ever lost or run with
+  // stale job state.
   uint32_t job_epoch_ HDIDX_GUARDED_BY(mu_) = 0;
   const std::function<void(size_t, size_t)>* job_fn_ HDIDX_GUARDED_BY(mu_) =
       nullptr;

@@ -123,7 +123,7 @@ PredictionResult PredictWithCutoffTree(io::PagedFile* file,
   // Steps 8-9: intersection counting (the only parallel section — all I/O
   // charging above runs serially on this thread). Runs on the batched
   // geometry kernels: one SoA slab over the synthesized leaves, shared by
-  // all query chunks (HDIDX_KERNEL=scalar falls back to per-box tests).
+  // all query chunks.
   CountLeafIntersections(leaves, queries, &result, ctx);
   result.io = file->stats();
   result.io.page_seeks -= before.page_seeks;

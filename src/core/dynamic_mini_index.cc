@@ -52,7 +52,7 @@ PredictionResult PredictDynamicRStar(const data::Dataset& data,
   }
   // Intersection counting runs on the batched geometry kernels: one SoA
   // slab over the mini R*-tree's (optionally compensated) leaves, shared by
-  // all query chunks (HDIDX_KERNEL=scalar falls back to per-box tests).
+  // all query chunks.
   CountLeafIntersections(leaves, queries, &result, ctx);
   return result;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/compensation.h"
-#include "geometry/distance.h"
 #include "geometry/kernels.h"
 #include "index/bulk_loader.h"
 #include "index/rtree.h"
@@ -18,18 +17,12 @@ void CountLeafIntersections(
   result->per_query_accesses.assign(q, 0.0);
   result->num_predicted_leaves = leaf_boxes.size();
   // One SoA slab over the predicted leaf layout, built once per prediction
-  // and read concurrently by every query chunk. On the scalar escape hatch
-  // (HDIDX_KERNEL=scalar) the slab stays empty and CountIntersections falls
-  // back to the retained per-box Intersects loop.
-  geometry::kernels::BoxSlab slab;
-  if (geometry::kernels::ActiveKernelMode() !=
-      geometry::kernels::KernelMode::kScalar) {
-    slab = geometry::kernels::BoxSlab(std::span(leaf_boxes));
-  }
+  // and read concurrently by every query chunk.
+  const geometry::kernels::BoxSlab slab{std::span(leaf_boxes)};
   ctx.ParallelFor(0, q, /*grain=*/0, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      result->per_query_accesses[i] = static_cast<double>(
-          queries.CountIntersections(i, leaf_boxes, slab));
+      result->per_query_accesses[i] =
+          static_cast<double>(queries.CountIntersections(i, slab));
     }
   });
   // Serial reduction in query order: the same floating-point additions, in

@@ -2,54 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/check.h"
 #include "core/compensation.h"
 #include "core/hupper.h"
-#include "geometry/distance.h"
 #include "geometry/kernels.h"
 #include "index/bulk_loader.h"
 #include "index/rtree.h"
 
 namespace hdidx::core {
-
-namespace {
-
-/// Index of the grown upper leaf a point belongs to: the first box
-/// containing it, else the box with minimal MINDIST (squared, with early
-/// abandoning against the best so far). Retained scalar reference for the
-/// batched kernels::NearestBox, which computes the identical index (same
-/// accumulation order, same strict-< tie-break) from the SoA slab.
-size_t AssignToBox(std::span<const float> point,
-                   const std::vector<geometry::BoundingBox>& boxes) {
-  size_t best = 0;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  for (size_t b = 0; b < boxes.size(); ++b) {
-    const auto& lo = boxes[b].lo();
-    const auto& hi = boxes[b].hi();
-    double d2 = 0.0;
-    for (size_t k = 0; k < point.size(); ++k) {
-      double diff = 0.0;
-      if (point[k] < lo[k]) {
-        diff = static_cast<double>(lo[k]) - point[k];
-      } else if (point[k] > hi[k]) {
-        diff = static_cast<double>(point[k]) - hi[k];
-      }
-      d2 += diff * diff;
-      if (d2 >= best_d2) break;
-    }
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = b;
-      if (d2 == 0.0) break;  // containment: no closer box exists
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 PredictionResult PredictWithResampledTree(
     io::PagedFile* file, const index::TreeTopology& topology,
@@ -99,13 +61,11 @@ PredictionResult PredictWithResampledTree(
   const auto raw = file->raw();
 
   // One SoA slab over the grown upper leaves (never empty boxes), reused by
-  // every chunk's point assignment below; scalar mode keeps AssignToBox.
+  // every chunk's point assignment below: each point goes to the first box
+  // containing it, else the box with minimal MINDIST.
+  const geometry::kernels::BoxSlab leaf_slab{std::span(upper.grown_leaves)};
   const geometry::kernels::KernelMode kernel_mode =
       geometry::kernels::ActiveKernelMode();
-  geometry::kernels::BoxSlab leaf_slab;
-  if (kernel_mode != geometry::kernels::KernelMode::kScalar) {
-    leaf_slab = geometry::kernels::BoxSlab(std::span(upper.grown_leaves));
-  }
 
   size_t next = 0;
   std::vector<std::vector<float>> chunk_groups(k);
@@ -121,9 +81,7 @@ PredictionResult PredictWithResampledTree(
       const size_t row = resample_rows[next + i];
       const std::span<const float> point = raw.subspan(row * dim, dim);
       const size_t box =
-          kernel_mode != geometry::kernels::KernelMode::kScalar
-              ? geometry::kernels::NearestBox(point, leaf_slab, kernel_mode)
-              : AssignToBox(point, upper.grown_leaves);
+          geometry::kernels::NearestBox(point, leaf_slab, kernel_mode);
       chunk_groups[box].insert(chunk_groups[box].end(), point.begin(),
                                point.end());
     }

@@ -184,20 +184,15 @@ void ScanRows(std::span<const float> query, std::span<const float> rows,
   const size_t n = rows.size() / dim;
   const float* base_ptr = rows.data();
 
+  // The excluded row (the query's own) is skipped outright; duplicates of
+  // the query point still count as neighbors.
   const auto consider = [&](size_t row, double d2) {
-    if (row == opts.exclude_row) {
-      // Unconditional exclusion (the query's own row), or the accounted
-      // scan's rule: only skip the row when it sits at distance zero, so
-      // duplicates of the query point still count as neighbors.
-      if (!opts.exclude_row_only_if_zero) return;
-      if (d2 <= 0.0) return;
-    }
-    if (d2 <= opts.exclude_within_sq) return;
+    if (row == opts.exclude_row || d2 <= opts.exclude_within_sq) return;
     heap->Push(d2, row);
   };
 
   const auto scalar_row = [&](size_t row) {
-    if (row == opts.exclude_row && !opts.exclude_row_only_if_zero) return;
+    if (row == opts.exclude_row) return;
     const float* p = base_ptr + row * dim;
     double d2 = 0.0;
     for (size_t d = 0; d < dim; ++d) {

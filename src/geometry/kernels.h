@@ -116,8 +116,7 @@ class BoxSlab {
   /// every lo/hi plane is cacheline-aligned inside the arena block.
   static constexpr size_t kPlaneStride = 16;
 
-  /// An empty slab (size() == 0). Dispatching call sites use this as the
-  /// "no slab built" placeholder on the scalar path.
+  /// An empty slab (size() == 0), e.g. a leaf node's in RTree.
   BoxSlab() = default;
 
   BoxSlab(const BoxSlab&) = delete;
@@ -212,14 +211,11 @@ HDIDX_CONCURRENT_READ void BatchedSquaredL2(std::span<const float> query,
                                             size_t dim, double* out,
                                             KernelMode mode);
 
-/// Row-exclusion rules shared by the k-NN scan kernels; mirrors the three
-/// scalar loops the kernels replace.
+/// Row-exclusion rules shared by the k-NN scan kernels.
 struct ScanOptions {
-  /// This row is skipped (kNoRow: none). With exclude_row_only_if_zero the
-  /// row is only skipped when its squared distance is <= 0 — the accounted
-  /// workload scan's "exclude the query itself, keep duplicates" rule.
+  /// This row is skipped (kNoRow: none) — the workload's "exclude the query
+  /// itself, keep its duplicates" rule.
   size_t exclude_row = kNoRow;
-  bool exclude_row_only_if_zero = false;
   /// Rows at squared distance <= this are skipped (ExactKthDistance's
   /// exclusion band). The default excludes nothing.
   double exclude_within_sq = -std::numeric_limits<double>::infinity();

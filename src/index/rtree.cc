@@ -76,47 +76,29 @@ RTree::AccessCount RTree::CountSphereAccesses(std::span<const float> center,
   }
   count.dir_accesses = root_node.pages;
   if (!root_hit) return count;
+  // DFS over hit directory nodes; each pop tests all children against the
+  // node's SoA slab at once (SquaredMinDist <= r2 per child, in any kernel
+  // mode). Page totals are integer sums, so visit order cannot matter.
   const geometry::kernels::KernelMode mode =
       geometry::kernels::ActiveKernelMode();
-  if (mode != geometry::kernels::KernelMode::kScalar) {
-    // DFS over hit directory nodes; each pop tests all children against the
-    // node's SoA slab at once. Membership (SquaredMinDist <= r2 per child)
-    // matches the scalar DFS exactly, and page totals are integer sums, so
-    // the counts are identical in either mode.
-    std::vector<uint32_t> stack = {root_};
-    std::vector<uint32_t> hits;
-    while (!stack.empty()) {
-      const uint32_t id = stack.back();
-      stack.pop_back();
-      const RTreeNode& n = nodes_[id];
-      hits.clear();
-      geometry::kernels::AppendSphereHits(center, r2, child_slabs_[id], &hits,
-                                          mode);
-      for (const uint32_t hit : hits) {
-        const uint32_t child_id = n.children[hit];
-        const RTreeNode& child = nodes_[child_id];
-        if (child.is_leaf()) {
-          count.leaf_accesses += child.pages;
-        } else {
-          count.dir_accesses += child.pages;
-          stack.push_back(child_id);
-        }
-      }
-    }
-    return count;
-  }
-  std::vector<uint32_t> stack(root_node.children.begin(),
-                              root_node.children.end());
+  std::vector<uint32_t> stack = {root_};
+  std::vector<uint32_t> hits;
   while (!stack.empty()) {
     const uint32_t id = stack.back();
     stack.pop_back();
     const RTreeNode& n = nodes_[id];
-    if (geometry::SquaredMinDist(center, n.box) > r2) continue;
-    if (n.is_leaf()) {
-      count.leaf_accesses += n.pages;
-    } else {
-      count.dir_accesses += n.pages;
-      for (uint32_t child : n.children) stack.push_back(child);
+    hits.clear();
+    geometry::kernels::AppendSphereHits(center, r2, child_slabs_[id], &hits,
+                                        mode);
+    for (const uint32_t hit : hits) {
+      const uint32_t child_id = n.children[hit];
+      const RTreeNode& child = nodes_[child_id];
+      if (child.is_leaf()) {
+        count.leaf_accesses += child.pages;
+      } else {
+        count.dir_accesses += child.pages;
+        stack.push_back(child_id);
+      }
     }
   }
   return count;

@@ -109,11 +109,10 @@ class RTree {
   /// read). Returns (leaf accesses, directory accesses). Requires
   /// radius >= 0 (a NaN radius used to silently count zero pages).
   ///
-  /// In every non-scalar kernel mode (the default) each visited directory
-  /// node tests all its children at once against the SoA slab built at
-  /// AddDirectory time; scalar mode runs the original one-box-at-a-time
-  /// DFS. Both count exactly the nodes with SquaredMinDist <= radius², so
-  /// the result is identical in every mode.
+  /// Each visited directory node tests all its children at once against
+  /// the SoA slab built at AddDirectory time; every kernel mode counts
+  /// exactly the nodes with SquaredMinDist <= radius², so the result is
+  /// identical in every mode.
   struct AccessCount {
     size_t leaf_accesses = 0;
     size_t dir_accesses = 0;

@@ -66,9 +66,6 @@ class PagedFile {
   /// Same charging rule as Read.
   void Write(size_t start, size_t count, const float* src);
 
-  /// Reads one point (point-granular convenience over Read).
-  void ReadPoint(size_t index, float* out) { Read(index, 1, out); }
-
   /// Reads the whole file as a Dataset, charged as one sequential scan.
   data::Dataset ReadAll();
 

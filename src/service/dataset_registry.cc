@@ -62,11 +62,4 @@ size_t DatasetRegistry::ShardOf(const std::string& name) const {
   return static_cast<size_t>(h % num_shards_);
 }
 
-std::vector<std::string> DatasetRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(datasets_.size());
-  for (const auto& [name, unused] : datasets_) names.push_back(name);
-  return names;
-}
-
 }  // namespace hdidx::service

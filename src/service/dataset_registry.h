@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/thread_annotations.h"
 #include "data/dataset.h"
@@ -23,8 +22,9 @@ namespace hdidx::service {
 /// on load order — keeping routing reproducible across restarts.
 ///
 /// Thread-safety: registration (LoadFile/Add) must happen on the control
-/// thread between batches; Find() is safe to call concurrently from shard
-/// workers because entries are immutable once registered and never removed.
+/// thread while no request is in flight; Find() is safe to call
+/// concurrently from shard workers because entries are immutable once
+/// registered and never removed.
 class DatasetRegistry {
  public:
   /// Registry routing across `num_shards` shards (clamped to >= 1).
@@ -52,9 +52,6 @@ class DatasetRegistry {
 
   size_t num_shards() const { return num_shards_; }
   size_t size() const { return datasets_.size(); }
-
-  /// Registered names in sorted order.
-  std::vector<std::string> Names() const;
 
  private:
   size_t num_shards_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -76,22 +75,18 @@ size_t PredictionService::threads_per_shard() const {
   return shards_.front()->pool.num_threads();
 }
 
-ServiceResponse PredictionService::Serve(size_t shard_index,
-                                         const ServiceRequest& request) {
-  Shard* shard = shards_[shard_index].get();
-  ServiceResponse response = Compute(shard, request);
-  response.shard = shard_index;
-  common::MutexLock lock(&shard->mu);
-  shard->latencies_ms.push_back(response.latency_ms);
-  return response;
-}
-
 ServiceResponse PredictionService::ServeOnShard(size_t shard_index,
                                                 const ServiceRequest& request) {
   HDIDX_CHECK(shard_index == registry_.ShardOf(request.dataset))
       << "request for '" << request.dataset << "' routed to wrong shard "
       << shard_index;
-  ServiceResponse response = Serve(shard_index, request);
+  Shard* shard = shards_[shard_index].get();
+  ServiceResponse response = Compute(shard, request);
+  response.shard = shard_index;
+  {
+    common::MutexLock lock(&shard->mu);
+    shard->latencies_ms.push_back(response.latency_ms);
+  }
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (!response.ok) errors_.fetch_add(1, std::memory_order_relaxed);
   return response;
@@ -116,6 +111,21 @@ ServiceResponse PredictionService::Compute(Shard* shard,
   if (request.num_queries == 0 || request.k == 0 || request.memory == 0 ||
       request.page_bytes == 0) {
     response.error = "num_queries, k, memory, and page_bytes must be > 0";
+    return response;
+  }
+  // A query's own row is excluded from its neighbors, so only N - 1 remain.
+  if (request.k >= dataset->size()) {
+    response.error = "k must be < the dataset's " +
+                     std::to_string(dataset->size()) + " points";
+    return response;
+  }
+  // A data page must hold two records (dim floats + a 4-byte id each), or
+  // the modeled tree has no fan-out to predict.
+  const size_t min_page_bytes = 2 * (dataset->dim() * sizeof(float) + 4);
+  if (request.page_bytes < min_page_bytes) {
+    response.error = "page_bytes must be >= " +
+                     std::to_string(min_page_bytes) +
+                     " (two data records at this dimensionality)";
     return response;
   }
 
@@ -213,61 +223,10 @@ ServiceResponse PredictionService::Compute(Shard* shard,
   return response;
 }
 
-std::vector<ServiceResponse> PredictionService::ProcessBatch(
-    const std::vector<ServiceRequest>& requests) {
-  std::vector<ServiceResponse> responses(requests.size());
-  if (requests.empty()) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    return responses;
-  }
-
-  // Partition by owning shard, keeping arrival order within a shard.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    by_shard[registry_.ShardOf(requests[i].dataset)].push_back(i);
-  }
-
-  // One worker thread per nonempty shard; each serves its queue serially
-  // and fans out internally on its own pool. Responses land in their
-  // original batch slots, so output order is arrival order.
-  auto run_shard = [&](size_t s) {
-    for (const size_t i : by_shard[s]) {
-      responses[i] = Serve(s, requests[i]);
-    }
-  };
-  std::vector<std::thread> workers;
-  size_t last_nonempty = shards_.size();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!by_shard[s].empty()) last_nonempty = s;
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty() || s == last_nonempty) continue;
-    workers.emplace_back(run_shard, s);
-  }
-  if (last_nonempty < shards_.size()) run_shard(last_nonempty);
-  for (auto& w : workers) w.join();
-
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  requests_.fetch_add(requests.size(), std::memory_order_relaxed);
-  for (const auto& response : responses) {
-    if (!response.ok) errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return responses;
-}
-
-ServiceResponse PredictionService::Process(const ServiceRequest& request) {
-  return ProcessBatch({request}).front();
-}
-
 ServiceMetrics PredictionService::Metrics() const {
   ServiceMetrics m;
   m.requests = requests_.load(std::memory_order_relaxed);
-  m.batches = batches_.load(std::memory_order_relaxed);
   m.errors = errors_.load(std::memory_order_relaxed);
-  m.mean_batch_size =
-      m.batches == 0 ? 0.0
-                     : static_cast<double>(m.requests) /
-                           static_cast<double>(m.batches);
   for (const auto& shard : shards_) {
     common::MutexLock lock(&shard->mu);
     m.result_hits += shard->results.hits();

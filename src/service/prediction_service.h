@@ -73,7 +73,6 @@ struct ServiceResponse {
 /// Point-in-time counters for monitoring.
 struct ServiceMetrics {
   uint64_t requests = 0;
-  uint64_t batches = 0;
   uint64_t errors = 0;
   uint64_t result_hits = 0;
   uint64_t result_misses = 0;
@@ -81,9 +80,8 @@ struct ServiceMetrics {
   uint64_t workload_hits = 0;
   uint64_t workload_misses = 0;
   uint64_t workload_evictions = 0;
-  double mean_batch_size = 0.0;
-  /// Requests refused by async admission control (always 0 for the
-  /// synchronous ProcessBatch path; filled in by AsyncServer).
+  /// Requests refused by async admission control (always 0 from Metrics()
+  /// itself; filled in by AsyncServer).
   uint64_t shed_total = 0;
 
   struct Shard {
@@ -91,7 +89,7 @@ struct ServiceMetrics {
     double p50_ms = 0.0;
     double p90_ms = 0.0;
     double p99_ms = 0.0;
-    /// Async admission-queue gauges (0 on the synchronous path).
+    /// Async admission-queue gauges (filled in by AsyncServer).
     size_t queue_depth = 0;
     size_t peak_queue_depth = 0;
     uint64_t shed = 0;
@@ -116,8 +114,9 @@ struct ServiceOptions {
 /// Datasets are partitioned across shards by the registry's stable hash;
 /// each shard owns a ThreadPool-backed ExecutionContext (threads split
 /// evenly) plus an LRU cache of built prediction results and generated
-/// workloads. ProcessBatch routes each request to its dataset's shard, runs
-/// the shards concurrently, and returns responses in request order.
+/// workloads. ServeOnShard is the one serving path: every transport (the
+/// async wire server's per-shard workers, the JSON line loop) routes each
+/// request to `registry().ShardOf(dataset)` and calls it once.
 ///
 /// Determinism contract: every response's `result` is derived only from the
 /// request fields and the registered dataset — workloads are seeded with
@@ -130,10 +129,9 @@ struct ServiceOptions {
 /// Thread-safety: each shard's caches and latency records are guarded by a
 /// per-shard mutex, and the global counters are atomic, so ServeOnShard may
 /// be called concurrently from any number of threads (the async server's
-/// per-shard workers). ProcessBatch remains a single-control-thread batch
-/// front-end (its internal shard fan-out is the service's own). Registry
-/// mutation (LoadFile/Add) must still be externally quiesced against
-/// in-flight serving — see DatasetRegistry's phase contract.
+/// per-shard workers). Registry mutation (LoadFile/Add) must still be
+/// externally quiesced against in-flight serving — see DatasetRegistry's
+/// phase contract.
 class PredictionService {
  public:
   explicit PredictionService(const ServiceOptions& options);
@@ -148,19 +146,10 @@ class PredictionService {
   size_t num_shards() const { return shards_.size(); }
   size_t threads_per_shard() const;
 
-  /// Serves a batch: partitions requests per shard (preserving arrival
-  /// order within a shard), runs all shards concurrently, and returns one
-  /// response per request in the batch's original order.
-  std::vector<ServiceResponse> ProcessBatch(
-      const std::vector<ServiceRequest>& requests);
-
-  /// Convenience for single requests (a batch of one).
-  ServiceResponse Process(const ServiceRequest& request);
-
-  /// Serves one request directly on shard `shard_index`, which must be
-  /// `registry().ShardOf(request.dataset)` (checked). Safe to call
-  /// concurrently; does not count toward batch statistics. This is the
-  /// async server's entry point — one call per dequeued request.
+  /// Serves one request on shard `shard_index`, which must be
+  /// `registry().ShardOf(request.dataset)` (checked): computes or retrieves
+  /// the response, records its latency, and counts it. Safe to call
+  /// concurrently. The service's only serving entry point.
   ServiceResponse ServeOnShard(size_t shard_index,
                                const ServiceRequest& request);
 
@@ -173,17 +162,12 @@ class PredictionService {
  private:
   struct Shard;
 
-  /// Computes or retrieves the response for one request on shard
-  /// `shard_index` and records its latency (thread-safe).
-  ServiceResponse Serve(size_t shard_index, const ServiceRequest& request);
-
   /// The cache-or-compute body; takes the shard mutex only around cache
   /// and latency accesses, never across a prediction.
   ServiceResponse Compute(Shard* shard, const ServiceRequest& request);
 
   DatasetRegistry registry_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> errors_{0};
 };

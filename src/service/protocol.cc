@@ -324,9 +324,7 @@ std::string SerializePredictResponse(const ServiceResponse& response,
 std::string SerializeMetrics(const ServiceMetrics& metrics) {
   std::string out = "{\"op\":\"stats\",\"ok\":true";
   out += ",\"requests\":" + std::to_string(metrics.requests);
-  out += ",\"batches\":" + std::to_string(metrics.batches);
   out += ",\"errors\":" + std::to_string(metrics.errors);
-  out += ",\"mean_batch_size\":" + FormatDouble(metrics.mean_batch_size);
   out += ",\"result_cache\":{\"hits\":" + std::to_string(metrics.result_hits) +
          ",\"misses\":" + std::to_string(metrics.result_misses) +
          ",\"evictions\":" + std::to_string(metrics.result_evictions) + "}";

@@ -25,8 +25,8 @@ namespace hdidx::service {
 ///
 /// Every numeric request field is optional and defaults to the
 /// ServiceRequest defaults; "dataset" is required for load/predict, "path"
-/// for load. Consecutive predict lines form one batch, flushed by a blank
-/// line, a non-predict op, or end of input.
+/// for load. Each predict line is served as it arrives; blank lines are
+/// ignored.
 ///
 /// The predict response nests the deterministic payload under "result":
 ///   {"op":"predict","id":7,"ok":true,"cache":"hit","shard":0,

@@ -3,7 +3,6 @@
 #include <istream>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "service/protocol.h"
 
@@ -11,7 +10,7 @@ namespace hdidx::service {
 
 namespace {
 
-/// True if the line is whitespace only (a batch flush marker).
+/// True if the line is whitespace only (accepted and ignored).
 bool IsBlank(const std::string& line) {
   for (const char c : line) {
     if (c != ' ' && c != '\t' && c != '\r') return false;
@@ -23,49 +22,34 @@ bool IsBlank(const std::string& line) {
 
 size_t RunServer(std::istream& in, std::ostream& out,
                  PredictionService* service) {
-  std::vector<ServiceRequest> pending;
-  std::vector<bool> pending_per_query;
   size_t served = 0;
   uint64_t next_id = 1;
 
-  const auto flush = [&] {
-    if (pending.empty()) return;
-    const std::vector<ServiceResponse> responses =
-        service->ProcessBatch(pending);
-    for (size_t i = 0; i < responses.size(); ++i) {
-      out << SerializePredictResponse(responses[i], pending_per_query[i])
-          << "\n";
-      out.flush();
-    }
-    served += pending.size();
-    pending.clear();
-    pending_per_query.clear();
-  };
-
   std::string line;
   while (std::getline(in, line)) {
-    if (IsBlank(line)) {
-      flush();
-      continue;
-    }
+    if (IsBlank(line)) continue;
     RequestLine request;
     std::string error;
     if (!ParseRequestLine(line, &request, &error)) {
-      flush();
       out << "{\"op\":\"error\",\"ok\":false,\"error\":" << JsonQuote(error)
           << "}\n";
       out.flush();
       continue;
     }
     switch (request.op) {
-      case RequestLine::Op::kPredict:
+      case RequestLine::Op::kPredict: {
         if (!request.has_id) request.predict.id = next_id;
         ++next_id;
-        pending.push_back(request.predict);
-        pending_per_query.push_back(request.predict.per_query);
+        const ServiceResponse response = service->ServeOnShard(
+            service->registry().ShardOf(request.predict.dataset),
+            request.predict);
+        out << SerializePredictResponse(response, request.predict.per_query)
+            << "\n";
+        out.flush();
+        ++served;
         break;
+      }
       case RequestLine::Op::kLoad: {
-        flush();
         std::string load_error;
         const bool ok = service->registry().LoadFile(
             request.load_dataset, request.load_path, &load_error);
@@ -85,19 +69,16 @@ size_t RunServer(std::istream& in, std::ostream& out,
         break;
       }
       case RequestLine::Op::kStats:
-        flush();
         out << SerializeMetrics(service->Metrics()) << "\n";
         out.flush();
         break;
       case RequestLine::Op::kShutdown:
-        flush();
         out << "{\"op\":\"shutdown\",\"ok\":true,\"served\":" << served
             << "}\n";
         out.flush();
         return served;
     }
   }
-  flush();
   return served;
 }
 

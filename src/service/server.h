@@ -11,16 +11,15 @@ namespace hdidx::service {
 /// reads request lines from `in`, writes one response line per request to
 /// `out`, until a shutdown op or end of input.
 ///
-/// Batching: consecutive predict lines accumulate into one batch, flushed
-/// by a blank line, by any non-predict op, or by end of input — so a client
-/// that pipes N predict lines plus a terminator gets them served as one
-/// ProcessBatch (amortizing shard fan-out), with responses in request
-/// order. Predict lines without an explicit "id" get a running sequence
-/// number starting at 1.
+/// Each predict line is served as it arrives through the service's one
+/// serving path, ServeOnShard on `registry().ShardOf(dataset)` — the same
+/// call the async wire server's shard workers make — so responses come back
+/// in request order and their `result` bytes match the wire transport's.
+/// Predict lines without an explicit "id" get a running sequence number
+/// starting at 1. Blank lines are accepted and ignored.
 ///
-/// Malformed lines produce {"op":"error",...} responses (after flushing
-/// the pending batch, to keep response order aligned with request order)
-/// and do not kill the server.
+/// Malformed lines produce {"op":"error",...} responses and do not kill the
+/// server.
 ///
 /// Returns the number of predict requests served. `out` is flushed after
 /// every response line, so interactive clients see answers promptly.

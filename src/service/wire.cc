@@ -382,9 +382,7 @@ std::string EncodeShutdownResponse(uint64_t id, uint64_t served) {
 std::string EncodeStatsResponse(uint64_t id, const ServiceMetrics& metrics) {
   std::string payload;
   AppendU64(&payload, metrics.requests);
-  AppendU64(&payload, metrics.batches);
   AppendU64(&payload, metrics.errors);
-  AppendF64(&payload, metrics.mean_batch_size);
   AppendU64(&payload, metrics.result_hits);
   AppendU64(&payload, metrics.result_misses);
   AppendU64(&payload, metrics.result_evictions);
@@ -518,9 +516,7 @@ bool DecodeStatsResponse(const FrameHeader& header, std::string_view payload,
   *out = ServiceMetrics{};
   WireReader reader(payload);
   uint64_t num_shards = 0;
-  if (!reader.ReadU64(&out->requests) || !reader.ReadU64(&out->batches) ||
-      !reader.ReadU64(&out->errors) ||
-      !reader.ReadF64(&out->mean_batch_size) ||
+  if (!reader.ReadU64(&out->requests) || !reader.ReadU64(&out->errors) ||
       !reader.ReadU64(&out->result_hits) ||
       !reader.ReadU64(&out->result_misses) ||
       !reader.ReadU64(&out->result_evictions) ||

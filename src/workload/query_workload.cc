@@ -9,16 +9,6 @@
 
 namespace hdidx::workload {
 
-size_t QueryRegions::CountIntersections(
-    size_t i, std::span<const geometry::BoundingBox> boxes,
-    const geometry::kernels::BoxSlab& /*slab*/) const {
-  size_t hits = 0;
-  for (const auto& box : boxes) {
-    if (Intersects(i, box)) ++hits;
-  }
-  return hits;
-}
-
 QueryWorkload::QueryWorkload(data::Dataset queries, std::vector<double> radii,
                              std::vector<size_t> rows, size_t k)
     : queries_(std::move(queries)),
@@ -33,17 +23,9 @@ bool QueryWorkload::Intersects(size_t i,
 }
 
 size_t QueryWorkload::CountIntersections(
-    size_t i, std::span<const geometry::BoundingBox> boxes,
-    const geometry::kernels::BoxSlab& slab) const {
-  if (slab.size() != boxes.size() || slab.size() == 0) {
-    return QueryRegions::CountIntersections(i, boxes, slab);
-  }
-  // The caller built the slab, so it already chose a batched path; every
-  // non-scalar mode returns identical counts, so re-reading the active mode
-  // here cannot change results even if the override flips mid-prediction.
+    size_t i, const geometry::kernels::BoxSlab& slab) const {
   return geometry::kernels::CountSphereHits(queries_.row(i),
-                                            radii_[i] * radii_[i], slab,
-                                            geometry::kernels::ActiveKernelMode());
+                                            radii_[i] * radii_[i], slab);
 }
 
 QueryWorkload QueryWorkload::Create(const data::Dataset& data, size_t q,
@@ -67,72 +49,6 @@ QueryWorkload QueryWorkload::Create(const data::Dataset& data, size_t q,
   });
   return QueryWorkload(std::move(queries), std::move(radii), std::move(rows),
                        k);
-}
-
-ScanResult ScanForWorkloadAndSample(io::PagedFile* file, size_t q, size_t k,
-                                    size_t sample_size, common::Rng* rng,
-                                    const common::ExecutionContext& ctx) {
-  const size_t n = file->size();
-  const size_t dim = file->dim();
-  HDIDX_CHECK(n > 0);
-
-  // Step 1: q random point reads (Equation 2: q * (t_seek + t_xfer)).
-  // PagedFile charges a seek per non-adjacent access automatically; reading
-  // each query point touches one page.
-  std::vector<size_t> rows(q);
-  data::Dataset queries(dim);
-  queries.Reserve(q);
-  std::vector<float> point(dim);
-  for (size_t i = 0; i < q; ++i) {
-    rows[i] = static_cast<size_t>(rng->NextBounded(n));
-    file->ReadPoint(rows[i], point.data());
-    queries.Append(point);
-  }
-
-  // Choose the sample positions up front so the sequential pass can pick
-  // them up in order.
-  std::vector<size_t> sample_rows;
-  rng->SampleIndices(n, sample_size, &sample_rows);
-
-  // Step 2: one sequential scan feeding every query's k-NN heap and
-  // collecting the sample. Memory-chunked in reality; charging the scan as
-  // one sequential access is I/O-equivalent (1 seek + N/B transfers). The
-  // charge happens serially here, before any compute fans out — the
-  // simulated disk sees the exact same accesses as the serial code.
-  file->ChargeAccess(0, n);
-  const auto raw = file->raw();
-
-  // Sample collection (sample_rows is ascending, so this is the file-order
-  // pass the interleaved loop performed).
-  data::Dataset sample(dim);
-  sample.Reserve(sample_rows.size());
-  for (size_t row : sample_rows) {
-    sample.Append(raw.subspan(row * dim, dim));
-  }
-
-  // The in-memory distance loop, parallel over queries: each query's scan
-  // is independent and streams the dataset in row order on the batched
-  // kernel (early-terminating against its heap threshold), so every radius
-  // is bit-identical to the serial scalar pass for any thread count. The
-  // exclusion rule is the original one: the query's own row is skipped only
-  // at distance zero, so duplicates of the query point still count.
-  std::vector<double> radii(q);
-  ctx.ParallelFor(0, q, /*grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) {
-      geometry::kernels::ScanOptions opts;
-      opts.exclude_row = rows[j];
-      opts.exclude_row_only_if_zero = true;
-      radii[j] = std::sqrt(
-          geometry::kernels::KthDistanceScan(queries.row(j), raw, dim, k,
-                                             opts));
-    }
-  });
-
-  ScanResult result{
-      QueryWorkload(std::move(queries), std::move(radii), std::move(rows), k),
-      std::move(sample),
-      std::min(1.0, static_cast<double>(sample_size) / static_cast<double>(n))};
-  return result;
 }
 
 }  // namespace hdidx::workload

@@ -2,7 +2,6 @@
 #define HDIDX_WORKLOAD_QUERY_WORKLOAD_H_
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "common/parallel.h"
@@ -10,7 +9,6 @@
 #include "common/thread_annotations.h"
 #include "data/dataset.h"
 #include "geometry/bounding_box.h"
-#include "io/paged_file.h"
 
 namespace hdidx::geometry::kernels {
 class BoxSlab;
@@ -36,14 +34,11 @@ class QueryRegions {
   HDIDX_CONCURRENT_READ virtual bool Intersects(
       size_t i, const geometry::BoundingBox& box) const = 0;
 
-  /// Number of `boxes` query i's region intersects. `slab` is a BoxSlab the
-  /// caller built over the same boxes — or an empty slab on the scalar
-  /// path, in which case (and for workload types without a batched kernel)
-  /// the default per-box Intersects loop runs. Overrides are
-  /// decision-identical to that loop for every box.
+  /// Number of `slab` boxes query i's region intersects, counted by the
+  /// dispatching kernel in ActiveKernelMode() — decision-identical to
+  /// Intersects on every box in every mode.
   HDIDX_CONCURRENT_READ virtual size_t CountIntersections(
-      size_t i, std::span<const geometry::BoundingBox> boxes,
-      const geometry::kernels::BoxSlab& slab) const;
+      size_t i, const geometry::kernels::BoxSlab& slab) const = 0;
 };
 
 /// A density-biased k-NN query workload: q query points drawn uniformly from
@@ -58,10 +53,10 @@ class QueryRegions {
 class QueryWorkload : public QueryRegions {
  public:
   /// Builds a workload of `q` k-NN queries over an in-memory dataset
-  /// (no I/O accounting). Exactly the query's own row is excluded from its
-  /// neighbor set — duplicates of the query point still count as neighbors —
-  /// matching ScanForWorkloadAndSample, so both constructors produce
-  /// identical radii for the same query rows.
+  /// (no I/O accounting; the predictors charge the query-point reads in
+  /// core::ChargeScanAndDrawSample). Exactly the query's own row is excluded
+  /// from its neighbor set — duplicates of the query point still count as
+  /// neighbors.
   ///
   /// `rng` is consumed serially (the row draws), so the random stream is
   /// identical for every thread count; only the per-query exact k-NN scans
@@ -75,8 +70,7 @@ class QueryWorkload : public QueryRegions {
   size_t size() const override { return queries_.size(); }
   bool Intersects(size_t i, const geometry::BoundingBox& box) const override;
   size_t CountIntersections(
-      size_t i, std::span<const geometry::BoundingBox> boxes,
-      const geometry::kernels::BoxSlab& slab) const override;
+      size_t i, const geometry::kernels::BoxSlab& slab) const override;
 
   size_t num_queries() const { return queries_.size(); }
   size_t k() const { return k_; }
@@ -87,45 +81,17 @@ class QueryWorkload : public QueryRegions {
   /// Row indices in the source dataset the queries were drawn from.
   const std::vector<size_t>& query_rows() const { return query_rows_; }
 
-  /// Direct constructor for callers that computed radii themselves (the
-  /// accounted scan); prefer Create() elsewhere.
+  /// Direct constructor for callers that computed radii themselves; prefer
+  /// Create() elsewhere.
   QueryWorkload(data::Dataset queries, std::vector<double> radii,
                 std::vector<size_t> rows, size_t k);
 
  private:
- data::Dataset queries_;
+  data::Dataset queries_;
   std::vector<double> radii_;
   std::vector<size_t> query_rows_;
   size_t k_;
 };
-
-/// Result of the predictors' combined first pass (Figures 5 and 7, steps
-/// 2-4): the query workload plus the upper-tree sample, with all I/O charged
-/// to `file`.
-struct ScanResult {
-  QueryWorkload workload;
-  data::Dataset sample;
-  /// The sampling ratio actually used: min(sample_size / N, 1).
-  double sampling_ratio = 1.0;
-};
-
-/// Executes the accounted workload-and-sample pass over the simulated disk
-/// file:
-///   1. reads `q` query points at random positions — q random accesses,
-///      the paper's cost_ReadQueryPoints (Equation 2);
-///   2. scans the whole dataset sequentially once — cost_ScanDataset —
-///      feeding every query's k-NN heap and extracting a uniform sample of
-///      min(sample_size, N) points.
-///
-/// All I/O charging (the q random reads and the one sequential scan) happens
-/// serially on the calling thread exactly as before — the simulated disk's
-/// seek/transfer accounting is byte-identical for every thread count. Only
-/// the in-memory distance loop fans out on `ctx`, over queries (each query's
-/// heap is private to its chunk), so radii are bit-identical too.
-ScanResult ScanForWorkloadAndSample(
-    io::PagedFile* file, size_t q, size_t k, size_t sample_size,
-    common::Rng* rng,
-    const common::ExecutionContext& ctx = common::DefaultExecutionContext());
 
 }  // namespace hdidx::workload
 

@@ -86,13 +86,8 @@ bool RangeWorkload::Intersects(size_t i,
 }
 
 size_t RangeWorkload::CountIntersections(
-    size_t i, std::span<const geometry::BoundingBox> boxes,
-    const geometry::kernels::BoxSlab& slab) const {
-  if (slab.size() != boxes.size() || slab.size() == 0) {
-    return QueryRegions::CountIntersections(i, boxes, slab);
-  }
-  return geometry::kernels::CountBoxHits(
-      boxes_[i], slab, geometry::kernels::ActiveKernelMode());
+    size_t i, const geometry::kernels::BoxSlab& slab) const {
+  return geometry::kernels::CountBoxHits(boxes_[i], slab);
 }
 
 }  // namespace hdidx::workload

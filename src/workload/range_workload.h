@@ -38,8 +38,7 @@ class RangeWorkload : public QueryRegions {
   bool Intersects(size_t i,
                   const geometry::BoundingBox& box) const override;
   size_t CountIntersections(
-      size_t i, std::span<const geometry::BoundingBox> boxes,
-      const geometry::kernels::BoxSlab& slab) const override;
+      size_t i, const geometry::kernels::BoxSlab& slab) const override;
 
   const geometry::BoundingBox& box(size_t i) const { return boxes_[i]; }
 

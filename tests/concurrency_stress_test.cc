@@ -127,10 +127,10 @@ TEST(ConcurrencyStressTest, PerWorkerKeyedCaches) {
   });
 }
 
-// The full service under batching pressure: shards run concurrently inside
-// ProcessBatch, each owning its caches and ExecutionContext. Every batch
-// must reproduce the single-shard serial reference bit for bit, cold or
-// cached, in any arrival order.
+// The full service under concurrent serving: one thread per shard calls
+// ServeOnShard on its share of a batch, as the async server's workers do.
+// Every batch must reproduce the single-shard serial reference bit for bit,
+// cold or cached, in any arrival order.
 TEST(ConcurrencyStressTest, ServiceBatchingStaysBitIdentical) {
   service::ServiceOptions reference_options;
   reference_options.num_shards = 1;
@@ -170,16 +170,26 @@ TEST(ConcurrencyStressTest, ServiceBatchingStaysBitIdentical) {
       batch.push_back(request(name, s));
     }
   }
-  const std::vector<service::ServiceResponse> expected =
-      reference.ProcessBatch(batch);
+  std::vector<service::ServiceResponse> expected;
+  for (const service::ServiceRequest& r : batch) {
+    expected.push_back(reference.ServeOnShard(0, r));
+  }
 
   for (size_t round = 0; round < 6; ++round) {
-    // Rotate arrival order every round; responses come back in batch order,
-    // so rotate the expectation the same way.
+    // Rotate arrival order every round; responses land in batch slots, so
+    // rotate the expectation the same way.
     std::rotate(batch.begin(), batch.begin() + 1, batch.end());
-    const std::vector<service::ServiceResponse> responses =
-        service.ProcessBatch(batch);
-    ASSERT_EQ(responses.size(), batch.size());
+    std::vector<service::ServiceResponse> responses(batch.size());
+    std::vector<std::thread> workers;
+    for (size_t shard = 0; shard < service.num_shards(); ++shard) {
+      workers.emplace_back([&, shard] {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          if (service.registry().ShardOf(batch[i].dataset) != shard) continue;
+          responses[i] = service.ServeOnShard(shard, batch[i]);
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
     for (size_t i = 0; i < responses.size(); ++i) {
       const size_t e = (i + round + 1) % expected.size();
       ASSERT_TRUE(responses[i].ok) << responses[i].error;

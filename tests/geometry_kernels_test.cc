@@ -319,11 +319,7 @@ double ReferenceKth(std::span<const float> query, std::span<const float> rows,
   for (size_t row = 0; row < n; ++row) {
     const double d2 =
         SquaredL2(query, std::span<const float>(rows.data() + row * dim, dim));
-    if (row == opts.exclude_row &&
-        (!opts.exclude_row_only_if_zero || d2 <= 0.0)) {
-      continue;
-    }
-    if (d2 <= opts.exclude_within_sq) continue;
+    if (row == opts.exclude_row || d2 <= opts.exclude_within_sq) continue;
     kept.emplace_back(d2, row);
   }
   if (kept.size() < k) return kInf;
@@ -368,16 +364,10 @@ TEST(KernelScanTest, ExclusionRules) {
     EXPECT_EQ(KthDistanceScan(query, rows, dim, 1, skip_row, mode), 0.0);
     EXPECT_EQ(KthDistanceScan(query, rows, dim, 2, skip_row, mode), near_d2);
 
-    // Zero-only exclusion: identical here (row 0 is at distance zero)...
-    ScanOptions skip_self = skip_row;
-    skip_self.exclude_row_only_if_zero = true;
-    EXPECT_EQ(KthDistanceScan(query, rows, dim, 1, skip_self, mode), 0.0);
-    // ...but keeps the excluded row when it is not at distance zero.
-    ScanOptions skip_far = skip_self;
-    skip_far.exclude_row = 2;  // (5,5) is far from the query: kept
-    EXPECT_EQ(KthDistanceScan(query, rows, dim, 5, skip_far, mode), 50.0);
+    // A far excluded row is dropped too: row 2 gone, only 4 rows left.
     ScanOptions drop_far;
-    drop_far.exclude_row = 2;  // unconditional: row 2 gone, only 4 rows left
+    drop_far.exclude_row = 2;
+    EXPECT_EQ(KthDistanceScan(query, rows, dim, 4, drop_far, mode), 8.0);
     EXPECT_EQ(KthDistanceScan(query, rows, dim, 5, drop_far, mode), kInf);
 
     // Distance-band exclusion drops both zero-distance rows.

@@ -54,34 +54,6 @@ TEST(ParallelDeterminismTest, WorkloadCreateBitIdentical) {
   }
 }
 
-TEST(ParallelDeterminismTest, ScanForWorkloadAndSampleBitIdentical) {
-  const auto data = hdidx::testing::SmallClustered(1500, 6, 23);
-  struct Run {
-    workload::ScanResult scan;
-    io::IoStats io;
-  };
-  const auto runs = RunAtThreadCounts([&](const common::ExecutionContext& ctx) {
-    io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
-    common::Rng rng(6);
-    Run run{workload::ScanForWorkloadAndSample(&file, 25, 5, 200, &rng, ctx),
-            file.stats()};
-    return run;
-  });
-  for (size_t r = 1; r < runs.size(); ++r) {
-    // Simulated I/O accounting stays serial and must be byte-identical.
-    EXPECT_EQ(runs[r].io.page_seeks, runs[0].io.page_seeks);
-    EXPECT_EQ(runs[r].io.page_transfers, runs[0].io.page_transfers);
-    ASSERT_EQ(runs[r].scan.workload.num_queries(),
-              runs[0].scan.workload.num_queries());
-    for (size_t i = 0; i < runs[0].scan.workload.num_queries(); ++i) {
-      EXPECT_EQ(runs[r].scan.workload.radius(i),
-                runs[0].scan.workload.radius(i));
-    }
-    ASSERT_EQ(runs[r].scan.sample.size(), runs[0].scan.sample.size());
-    EXPECT_EQ(runs[r].scan.sampling_ratio, runs[0].scan.sampling_ratio);
-  }
-}
-
 TEST(ParallelDeterminismTest, PredictWithMiniIndexBitIdentical) {
   const auto data = hdidx::testing::SmallClustered(3000, 8, 25);
   const index::TreeTopology topo(data.size(), 33, 16);

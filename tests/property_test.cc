@@ -313,7 +313,6 @@ TEST_P(KernelEquivalenceProperty, ScanKernelsBitIdentical) {
         break;
       case 1:
         opts.exclude_row = rng.NextBounded(n);
-        opts.exclude_row_only_if_zero = (trial % 2) == 1;
         break;
       default:
         opts.exclude_within_sq = 0.0;

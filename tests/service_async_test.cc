@@ -12,8 +12,10 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -21,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "service/prediction_service.h"
 #include "service/protocol.h"
+#include "service/server.h"
 #include "service/wire.h"
 #include "test_util.h"
 
@@ -182,15 +185,54 @@ std::vector<ServiceRequest> BatteryRequests() {
   return requests;
 }
 
+/// Pipes `requests` as predict lines through the JSON line loop
+/// (RunServer) on a fresh `shards`-shard service and returns its response
+/// lines, in order.
+std::vector<std::string> RunJson(const std::vector<ServiceRequest>& requests,
+                                 size_t shards) {
+  std::string script;
+  for (const ServiceRequest& r : requests) {
+    script += "{\"op\":\"predict\",\"id\":" + std::to_string(r.id) +
+              ",\"dataset\":" + JsonQuote(r.dataset) +
+              ",\"method\":" + JsonQuote(r.method) +
+              ",\"memory\":" + std::to_string(r.memory) +
+              ",\"num_queries\":" + std::to_string(r.num_queries) +
+              ",\"k\":" + std::to_string(r.k) +
+              ",\"seed\":" + std::to_string(r.seed) +
+              ",\"page_bytes\":" + std::to_string(r.page_bytes) +
+              ",\"per_query\":" + (r.per_query ? "true" : "false") + "}\n";
+  }
+  auto svc = MakeService(shards);
+  std::istringstream in(script);
+  std::ostringstream out;
+  EXPECT_EQ(RunServer(in, out, svc.get()), requests.size());
+  std::vector<std::string> lines;
+  std::istringstream responses(out.str());
+  for (std::string line; std::getline(responses, line);) lines.push_back(line);
+  return lines;
+}
+
+/// The start of the JSON response line answering request `id`.
+std::string ResponsePrefix(uint64_t id, bool ok) {
+  return "{\"op\":\"predict\",\"id\":" + std::to_string(id) +
+         (ok ? ",\"ok\":true" : ",\"ok\":false");
+}
+
 /// Serialized `result` payloads by request id, as the JSON transport
 /// serves them — the cross-transport reference.
 std::map<uint64_t, std::string> JsonReference(
     const std::vector<ServiceRequest>& requests) {
-  auto svc = MakeService(1);
+  const std::vector<std::string> lines = RunJson(requests, 1);
   std::map<uint64_t, std::string> reference;
-  for (const ServiceResponse& response : svc->ProcessBatch(requests)) {
-    EXPECT_TRUE(response.ok) << response.error;
-    reference[response.id] = SerializeResult(response, /*per_query=*/true);
+  const std::string key = ",\"result\":";
+  for (size_t i = 0; i < lines.size(); ++i) {
+    // Lines come back in request order; the wrapper's last member,
+    // "result", holds SerializeResult's bytes verbatim.
+    EXPECT_EQ(lines[i].rfind(ResponsePrefix(requests[i].id, true), 0), 0u)
+        << lines[i];
+    const size_t begin = lines[i].find(key) + key.size();
+    reference[requests[i].id] =
+        lines[i].substr(begin, lines[i].size() - 1 - begin);
   }
   return reference;
 }
@@ -340,6 +382,52 @@ TEST(AsyncServerTest, LoadStatsAndCacheHitsOverSocket) {
 
   EXPECT_EQ(ShutdownAndWait(&client, &server), 2u);
   std::remove(path.c_str());
+}
+
+TEST(AsyncServerTest, DegenerateRequestsRejectedOnBothTransports) {
+  // Requests whose only possible answer is a meaningless "ok": k >= N = 3000
+  // (the query's own row leaves N - 1 neighbors) and pages too small for two
+  // 8-d records (< 2 * (4 * 8 + 4) = 72 bytes). Each (even index) is
+  // answered with an error echoing its id; the valid request after it
+  // (odd index) still serves.
+  std::vector<ServiceRequest> requests;
+  for (const auto& [k, page_bytes] : std::vector<std::pair<size_t, size_t>>{
+           {5000, kPageBytes}, {3000, kPageBytes}, {5, 16}, {5, 71}}) {
+    ServiceRequest bad = Req("alpha", "mini", 1, 40 + requests.size());
+    bad.k = k;
+    bad.page_bytes = page_bytes;
+    requests.push_back(bad);
+    requests.push_back(Req("alpha", "mini", 1, 40 + requests.size()));
+  }
+
+  const std::vector<std::string> lines = RunJson(requests, 2);
+  ASSERT_EQ(lines.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const bool valid = i % 2 == 1;
+    EXPECT_EQ(lines[i].rfind(ResponsePrefix(requests[i].id, valid), 0), 0u)
+        << lines[i];
+    EXPECT_EQ(lines[i].find("\"error\"") != std::string::npos, !valid);
+  }
+
+  auto svc = MakeService(2);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(client.Send(wire::EncodePredictRequest(requests[i])));
+    wire::FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
+    wire::PredictReply reply;
+    ASSERT_TRUE(wire::DecodePredictResponse(header, payload, &reply, &error))
+        << error;
+    EXPECT_EQ(reply.response.id, requests[i].id);
+    EXPECT_EQ(reply.response.ok, i % 2 == 1) << reply.response.error;
+    EXPECT_EQ(reply.response.error.empty(), i % 2 == 1);
+  }
+  EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());
 }
 
 TEST(AsyncServerTest, BackpressureShedsExactlyTheOverflow) {

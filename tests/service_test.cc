@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "geometry/kernels.h"
 #include "gtest/gtest.h"
 #include "service/protocol.h"
+#include "service/server.h"
 #include "test_util.h"
 
 namespace hdidx::service {
@@ -28,6 +31,19 @@ ServiceRequest Req(const std::string& dataset, const std::string& method,
   r.seed = seed;
   r.page_bytes = kPageBytes;
   return r;
+}
+
+/// Serves one request on the shard that owns its dataset.
+ServiceResponse Serve(PredictionService* svc, const ServiceRequest& request) {
+  return svc->ServeOnShard(svc->registry().ShardOf(request.dataset), request);
+}
+
+/// Serves `requests` one after another, in order.
+std::vector<ServiceResponse> ServeAll(
+    PredictionService* svc, const std::vector<ServiceRequest>& requests) {
+  std::vector<ServiceResponse> responses;
+  for (const ServiceRequest& r : requests) responses.push_back(Serve(svc, r));
+  return responses;
 }
 
 std::unique_ptr<PredictionService> MakeService(size_t shards,
@@ -51,14 +67,14 @@ TEST(PredictionServiceTest, CacheHitIsBitIdenticalAndCheaper) {
   auto svc = MakeService(1);
   const ServiceRequest request = Req("alpha", "resampled", 3);
 
-  const ServiceResponse cold = svc->Process(request);
+  const ServiceResponse cold = Serve(svc.get(), request);
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_FALSE(cold.cache_hit);
   // The resampled predictor pays for query-point reads, the scan, the
   // resampling pass, and the area reads.
   EXPECT_GT(cold.served_io.page_transfers, 0u);
 
-  const ServiceResponse warm = svc->Process(request);
+  const ServiceResponse warm = Serve(svc.get(), request);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.cache_hit);
   // Strictly lower simulated serving cost: a hit charges nothing.
@@ -94,7 +110,7 @@ TEST(PredictionServiceTest, ResponsesInvariantAcrossShardCountsAndOrder) {
 
   // Reference: one shard, arrival order.
   auto reference_svc = MakeService(1);
-  const auto reference = reference_svc->ProcessBatch(requests);
+  const auto reference = ServeAll(reference_svc.get(), requests);
   for (const auto& response : reference) {
     ASSERT_TRUE(response.ok) << response.error;
   }
@@ -112,7 +128,7 @@ TEST(PredictionServiceTest, ResponsesInvariantAcrossShardCountsAndOrder) {
 
   for (const size_t shards : {2, 4}) {
     auto svc = MakeService(shards);
-    expect_same(svc->ProcessBatch(requests));
+    expect_same(ServeAll(svc.get(), requests));
   }
 
   // Shuffled arrival order on a fresh 2-shard service: a deterministic
@@ -121,7 +137,7 @@ TEST(PredictionServiceTest, ResponsesInvariantAcrossShardCountsAndOrder) {
   std::rotate(shuffled.begin(), shuffled.begin() + shuffled.size() / 3,
               shuffled.end());
   auto shuffled_svc = MakeService(2);
-  expect_same(shuffled_svc->ProcessBatch(shuffled));
+  expect_same(ServeAll(shuffled_svc.get(), shuffled));
 }
 
 TEST(PredictionServiceTest, TinyCacheEvictsButStaysCorrect) {
@@ -129,10 +145,10 @@ TEST(PredictionServiceTest, TinyCacheEvictsButStaysCorrect) {
   const ServiceRequest a = Req("alpha", "resampled", 5);
   const ServiceRequest b = Req("alpha", "resampled", 6);
 
-  const ServiceResponse a1 = svc->Process(a);
-  const ServiceResponse b1 = svc->Process(b);  // evicts a
-  const ServiceResponse a2 = svc->Process(a);  // recomputed, evicts b
-  const ServiceResponse b2 = svc->Process(b);  // recomputed
+  const ServiceResponse a1 = Serve(svc.get(), a);
+  const ServiceResponse b1 = Serve(svc.get(), b);  // evicts a
+  const ServiceResponse a2 = Serve(svc.get(), a);  // recomputed, evicts b
+  const ServiceResponse b2 = Serve(svc.get(), b);  // recomputed
 
   for (const auto* r : {&a1, &b1, &a2, &b2}) ASSERT_TRUE(r->ok) << r->error;
   EXPECT_FALSE(a2.cache_hit);
@@ -151,9 +167,10 @@ TEST(PredictionServiceTest, WorkloadCacheSharedAcrossMemoryBudgets) {
   auto svc = MakeService(1);
   // Same (dataset, q, k, seed) under different memory budgets and methods:
   // the workload is drawn once and reused.
-  const ServiceResponse first = svc->Process(Req("beta", "mini", 9, 300));
-  const ServiceResponse second = svc->Process(Req("beta", "mini", 9, 900));
-  const ServiceResponse third = svc->Process(Req("beta", "resampled", 9, 600));
+  const ServiceResponse first = Serve(svc.get(), Req("beta", "mini", 9, 300));
+  const ServiceResponse second = Serve(svc.get(), Req("beta", "mini", 9, 900));
+  const ServiceResponse third =
+      Serve(svc.get(), Req("beta", "resampled", 9, 600));
   ASSERT_TRUE(first.ok && second.ok && third.ok);
   EXPECT_FALSE(first.workload_cache_hit);
   EXPECT_TRUE(second.workload_cache_hit);
@@ -166,25 +183,34 @@ TEST(PredictionServiceTest, WorkloadCacheSharedAcrossMemoryBudgets) {
 }
 
 TEST(PredictionServiceTest, BatchKeepsArrivalOrderAcrossShards) {
-  auto svc = MakeService(4);
-  std::vector<ServiceRequest> requests;
-  uint64_t id = 100;
-  for (const char* dataset : {"gamma", "alpha", "beta", "alpha", "gamma"}) {
-    ServiceRequest r = Req(dataset, "mini", 1);
-    r.id = id++;
-    requests.push_back(r);
+  // Predict lines piped to the JSON loop over 2 shards come back one
+  // response per line, in request order, each from its dataset's shard.
+  auto svc = MakeService(2);
+  const std::vector<std::string> datasets = {"gamma", "alpha", "beta",
+                                             "alpha", "gamma"};
+  std::string script;
+  std::vector<std::string> expected;
+  std::set<size_t> shards_used;
+  for (size_t i = 0; i < datasets.size(); ++i) {
+    const size_t shard = svc->registry().ShardOf(datasets[i]);
+    shards_used.insert(shard);
+    const std::string id = std::to_string(100 + i);
+    script += "{\"op\":\"predict\",\"method\":\"mini\",\"page_bytes\":1024,"
+              "\"dataset\":\"" + datasets[i] + "\",\"id\":" + id + "}\n";
+    expected.push_back("{\"op\":\"predict\",\"id\":" + id +
+                       ",\"ok\":true,\"shard\":" + std::to_string(shard));
   }
-  const auto responses = svc->ProcessBatch(requests);
-  ASSERT_EQ(responses.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(responses[i].id, requests[i].id);
-    EXPECT_EQ(responses[i].shard,
-              svc->registry().ShardOf(requests[i].dataset));
+  ASSERT_EQ(shards_used.size(), 2u);  // the lines really span both shards
+  std::istringstream in(script);
+  std::ostringstream out;
+  EXPECT_EQ(RunServer(in, out, svc.get()), datasets.size());
+  std::istringstream lines(out.str());
+  std::string line;
+  for (const std::string& prefix : expected) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.rfind(prefix, 0), 0u) << line;
   }
-  const ServiceMetrics metrics = svc->Metrics();
-  EXPECT_EQ(metrics.batches, 1u);
-  EXPECT_EQ(metrics.requests, 5u);
-  EXPECT_DOUBLE_EQ(metrics.mean_batch_size, 5.0);
+  EXPECT_FALSE(std::getline(lines, line));
 }
 
 TEST(PredictionServiceKernelTest, ResponsesInvariantAcrossKernelModes) {
@@ -204,7 +230,7 @@ TEST(PredictionServiceKernelTest, ResponsesInvariantAcrossKernelModes) {
 
   gk::SetKernelMode(gk::KernelMode::kScalar);
   auto scalar_svc = MakeService(2);
-  const auto scalar = scalar_svc->ProcessBatch(requests);
+  const auto scalar = ServeAll(scalar_svc.get(), requests);
 
   // Every batched lane the host can run, not just the generic one: the
   // serialized responses must match the scalar service byte for byte.
@@ -212,7 +238,7 @@ TEST(PredictionServiceKernelTest, ResponsesInvariantAcrossKernelModes) {
     if (mode == gk::KernelMode::kScalar) continue;
     gk::SetKernelMode(mode);
     auto batched_svc = MakeService(2);
-    const auto batched = batched_svc->ProcessBatch(requests);
+    const auto batched = ServeAll(batched_svc.get(), requests);
     ASSERT_EQ(batched.size(), scalar.size());
     for (size_t i = 0; i < scalar.size(); ++i) {
       ASSERT_TRUE(scalar[i].ok) << scalar[i].error;
@@ -228,17 +254,18 @@ TEST(PredictionServiceKernelTest, ResponsesInvariantAcrossKernelModes) {
 
 TEST(PredictionServiceTest, ErrorsAreDeterministicResponses) {
   auto svc = MakeService(2);
-  const ServiceResponse unknown_ds = svc->Process(Req("nope", "mini", 1));
+  const ServiceResponse unknown_ds = Serve(svc.get(), Req("nope", "mini", 1));
   EXPECT_FALSE(unknown_ds.ok);
   EXPECT_NE(unknown_ds.error.find("unknown dataset"), std::string::npos);
 
-  const ServiceResponse unknown_method = svc->Process(Req("alpha", "vaft", 1));
+  const ServiceResponse unknown_method =
+      Serve(svc.get(), Req("alpha", "vaft", 1));
   EXPECT_FALSE(unknown_method.ok);
   EXPECT_NE(unknown_method.error.find("unknown method"), std::string::npos);
 
   ServiceRequest zero_k = Req("alpha", "mini", 1);
   zero_k.k = 0;
-  EXPECT_FALSE(svc->Process(zero_k).ok);
+  EXPECT_FALSE(Serve(svc.get(), zero_k).ok);
 
   EXPECT_EQ(svc->Metrics().errors, 3u);
 }

@@ -305,9 +305,7 @@ TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
   // Stats: every counter including the new queue gauges.
   ServiceMetrics metrics;
   metrics.requests = 10;
-  metrics.batches = 2;
   metrics.errors = 1;
-  metrics.mean_batch_size = 5.0;
   metrics.result_hits = 4;
   metrics.result_misses = 6;
   metrics.result_evictions = 1;
@@ -327,6 +325,9 @@ TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
   ASSERT_EQ(NextFrame(stats, kDefaultMaxPayload, &consumed, &header, &payload,
                       &error),
             FrameStatus::kFrame);
+  // Payload size pins the layout: 10 fixed 8-byte fields (9 counters plus
+  // the shard count), then 7 per shard.
+  EXPECT_EQ(payload.size(), 10u * 8u + 2u * 56u);
   ServiceMetrics decoded_metrics;
   ASSERT_TRUE(DecodeStatsResponse(header, payload, &decoded_metrics, &error))
       << error;

@@ -1,12 +1,16 @@
 #include "workload/query_workload.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/random.h"
+#include "core/predictor.h"
 #include "data/generators.h"
 #include "geometry/distance.h"
 #include "gtest/gtest.h"
 #include "index/knn.h"
+#include "io/paged_file.h"
 #include "test_util.h"
 
 namespace hdidx::workload {
@@ -41,7 +45,7 @@ TEST(QueryWorkloadTest, DuplicatePointsCountAsNeighbors) {
   // Regression for the duplicate-radius unification: only the query's own
   // row is excluded from its neighbor set, so a duplicate of the query point
   // is a valid neighbor at distance 0 — a 1-NN radius of exactly 0 on a
-  // fully duplicated dataset, from both workload constructors.
+  // fully duplicated dataset.
   data::Dataset base = hdidx::testing::SmallClustered(100, 3, 17);
   data::Dataset data(3);
   for (size_t i = 0; i < base.size(); ++i) {
@@ -55,19 +59,11 @@ TEST(QueryWorkloadTest, DuplicatePointsCountAsNeighbors) {
   for (size_t i = 0; i < created.num_queries(); ++i) {
     EXPECT_EQ(created.radius(i), 0.0) << "query " << i;
   }
-
-  io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
-  common::Rng rng_b(18);
-  const ScanResult scan = ScanForWorkloadAndSample(&file, 20, 1, 50, &rng_b);
-  ASSERT_EQ(scan.workload.num_queries(), created.num_queries());
-  for (size_t i = 0; i < scan.workload.num_queries(); ++i) {
-    EXPECT_EQ(scan.workload.radius(i), 0.0) << "query " << i;
-  }
 }
 
 TEST(QueryWorkloadTest, CreateAndScanAgreeOnDuplicatedData) {
-  // Both construction paths must produce identical radii for the same query
-  // rows even when the dataset contains exact duplicates (k > 1 so the
+  // Create's radii must equal a plain sort over every row but the query's
+  // own, even when the dataset contains exact duplicates (k > 1 so the
   // neighbor set mixes zero- and nonzero-distance points).
   data::Dataset base = hdidx::testing::SmallClustered(150, 4, 19);
   data::Dataset data(4);
@@ -77,15 +73,17 @@ TEST(QueryWorkloadTest, CreateAndScanAgreeOnDuplicatedData) {
     if (i % 3 == 0) data.Append(std::vector<float>(row.begin(), row.end()));
   }
 
-  common::Rng rng_a(20);
-  const QueryWorkload created = QueryWorkload::Create(data, 15, 4, &rng_a);
-  io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
-  common::Rng rng_b(20);
-  const ScanResult scan = ScanForWorkloadAndSample(&file, 15, 4, 60, &rng_b);
-  // Identical rng seeds draw identical query rows in both paths.
-  ASSERT_EQ(scan.workload.query_rows(), created.query_rows());
+  common::Rng rng(20);
+  const QueryWorkload created = QueryWorkload::Create(data, 15, 4, &rng);
   for (size_t i = 0; i < created.num_queries(); ++i) {
-    EXPECT_EQ(scan.workload.radius(i), created.radius(i)) << "query " << i;
+    std::vector<double> d2;
+    for (size_t row = 0; row < data.size(); ++row) {
+      if (row == created.query_rows()[i]) continue;
+      d2.push_back(
+          geometry::SquaredL2(created.queries().row(i), data.row(row)));
+    }
+    std::sort(d2.begin(), d2.end());
+    EXPECT_EQ(created.radius(i), std::sqrt(d2[3])) << "query " << i;
   }
 }
 
@@ -99,33 +97,22 @@ TEST(QueryWorkloadTest, LargerKLargerRadius) {
   }
 }
 
-TEST(ScanForWorkloadTest, MatchesUnaccountedCreate) {
-  // The accounted scan must produce the same radii the direct computation
-  // does for the same query set.
-  const auto data = hdidx::testing::SmallClustered(800, 5, 7);
-  io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
-  common::Rng rng(8);
-  const ScanResult scan = ScanForWorkloadAndSample(&file, 12, 4, 100, &rng);
-  ASSERT_EQ(scan.workload.num_queries(), 12u);
-  for (size_t i = 0; i < 12; ++i) {
-    const double expected = index::ExactKthDistance(
-        data, scan.workload.queries().row(i), 4, 0.0);
-    EXPECT_NEAR(scan.workload.radius(i), expected, 1e-9);
-  }
-}
+// The predictors' accounted first pass over the workload's query points
+// (Figures 5 and 7, steps 2-4), as core::ChargeScanAndDrawSample charges it.
 
 TEST(ScanForWorkloadTest, SampleSizeAndMembership) {
   const auto data = hdidx::testing::SmallClustered(600, 3, 9);
   io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
   common::Rng rng(10);
-  const ScanResult scan = ScanForWorkloadAndSample(&file, 5, 2, 50, &rng);
-  ASSERT_EQ(scan.sample.size(), 50u);
-  EXPECT_NEAR(scan.sampling_ratio, 50.0 / 600.0, 1e-12);
+  const data::Dataset sample =
+      core::ChargeScanAndDrawSample(&file, 5, 50, &rng);
+  ASSERT_EQ(sample.size(), 50u);
+  ASSERT_EQ(sample.dim(), 3u);
   // Every sample point exists in the dataset.
-  for (size_t i = 0; i < scan.sample.size(); ++i) {
+  for (size_t i = 0; i < sample.size(); ++i) {
     bool found = false;
     for (size_t j = 0; j < data.size() && !found; ++j) {
-      found = geometry::SquaredL2(scan.sample.row(i), data.row(j)) == 0.0;
+      found = geometry::SquaredL2(sample.row(i), data.row(j)) == 0.0;
     }
     EXPECT_TRUE(found) << "sample row " << i;
   }
@@ -135,24 +122,22 @@ TEST(ScanForWorkloadTest, SampleLargerThanDataTruncates) {
   const auto data = hdidx::testing::SmallClustered(40, 3, 11);
   io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
   common::Rng rng(12);
-  const ScanResult scan = ScanForWorkloadAndSample(&file, 3, 2, 1000, &rng);
-  EXPECT_EQ(scan.sample.size(), 40u);
-  EXPECT_DOUBLE_EQ(scan.sampling_ratio, 1.0);
+  const data::Dataset sample =
+      core::ChargeScanAndDrawSample(&file, 3, 1000, &rng);
+  EXPECT_EQ(sample.size(), 40u);
 }
 
 TEST(ScanForWorkloadTest, IoChargesMatchEquations) {
   // Equation 2 + cost_ScanDataset: q random reads then one sequential scan.
+  // The head is invalidated before every query read and before the scan,
+  // so each of the q + 1 accesses pays exactly one seek.
   const auto data = hdidx::testing::SmallClustered(4096, 2, 13);
   io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
   common::Rng rng(14);
   const size_t q = 7;
-  ScanForWorkloadAndSample(&file, q, 2, 100, &rng);
-  // q single-point reads cost at most q seeks + q transfers (adjacent hits
-  // can save a seek), plus the scan: 1 seek + ceil(N/B) transfers.
-  const size_t scan_pages = file.num_pages();
-  EXPECT_LE(file.stats().page_seeks, q + 1);
-  EXPECT_GE(file.stats().page_seeks, 2u);
-  EXPECT_EQ(file.stats().page_transfers, q + scan_pages);
+  core::ChargeScanAndDrawSample(&file, q, 100, &rng);
+  EXPECT_EQ(file.stats().page_seeks, q + 1);
+  EXPECT_EQ(file.stats().page_transfers, q + file.num_pages());
 }
 
 TEST(QueryWorkloadTest, DensityBias) {

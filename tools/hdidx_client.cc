@@ -88,7 +88,6 @@ std::vector<std::string> ComposeLines(const SessionSpec& spec) {
           ",\"num_queries\":" + std::to_string(spec.queries) +
           ",\"seed\":" + std::to_string(spec.seed + i) + "}");
     }
-    out->push_back("");  // flush the batch
   };
   batch(&lines);
   if (spec.repeat) batch(&lines);  // warm pass: must hit the cache

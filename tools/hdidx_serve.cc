@@ -8,7 +8,10 @@
 //
 // Debug transport: --json speaks the original line-delimited flat-JSON
 // protocol over stdin/stdout (see src/service/protocol.h) — handy for
-// manual sessions and `hdidx_client --json`.
+// manual sessions and `hdidx_client --json`. Each predict line is served as
+// it arrives, through the same PredictionService::ServeOnShard call the
+// wire server's shard workers make, so both transports return the same
+// result bytes; blank lines are ignored.
 //
 // Usage:
 //   hdidx_serve [--shards 2] [--threads 8] [--cache-entries 64]
@@ -29,7 +32,6 @@
 //   {"op":"load","dataset":"d","path":"data.hdx"}
 //   {"op":"predict","dataset":"d","method":"resampled","memory":1000,"k":5}
 //   {"op":"predict","dataset":"d","method":"resampled","memory":1000,"k":5}
-//
 //   {"op":"stats"}
 //   {"op":"shutdown"}
 //   EOF
