@@ -500,6 +500,35 @@ BENCHMARK(BM_ExactKthScan)
     ->Apply(ModeDimSweep)
     ->Iterations(2000);
 
+// The whole workload on one thread: q=100 exact 21-NN radii over 20k rows,
+// which QueryWorkload::Create runs as one query tile of the exact scan.
+// Cost model (Schneider-style, counting cache-line fetches from memory):
+// each 512-row chunk stays in L2 while every query of the tile scans it, so
+// the tile fetches the dataset's N·d·4/64 lines once, where a
+// query-at-a-time scan fetches them q times. bytes_touched is that model's
+// N·d·4 bytes per iteration, a constant of the shape (it does not observe
+// the tiling); EXPERIMENTS.md E12 sets it next to the measured time.
+void BM_WorkloadCreate(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const size_t n = 20000;
+  const size_t q = 100;
+  const auto data = MakeData(n, dim);
+  common::ThreadPool pool(1);
+  const common::ExecutionContext ctx(&pool);
+  for (auto _ : state) {
+    common::Rng rng(7);
+    benchmark::DoNotOptimize(
+        workload::QueryWorkload::Create(data, q, 21, &rng, ctx));
+  }
+  state.counters["bytes_touched"] =
+      static_cast<double>(n * dim * sizeof(float)) *
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_WorkloadCreate)
+    ->Arg(16)->Arg(60)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(5);
+
 // Slab construction cost — the one-off price a prediction pays before the
 // batched counting starts (transpose of all leaf MBRs into arena-backed SoA
 // planes). The transpose itself is mode-independent; sweeping the mode

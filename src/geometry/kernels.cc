@@ -111,27 +111,39 @@ double LaneSquaredMinDist(std::span<const float> center, const BoxSlab& slab,
 }
 
 /// KnnHeap's exact semantics (bounded max-heap of the k smallest squared
-/// distances), local so the geometry layer does not depend on index/.
+/// distances), local so the geometry layer does not depend on index/. It
+/// runs std::priority_queue's push_heap/pop_heap steps over borrowed
+/// storage of HeapSlots() doubles, so a tile's heaps share one allocation.
 class BoundedDistanceHeap {
  public:
-  explicit BoundedDistanceHeap(size_t k) : k_(k) {}
+  BoundedDistanceHeap(double* storage, size_t k) : heap_(storage), k_(k) {}
 
-  void Push(double d2) {
-    if (heap_.size() < k_) {
-      heap_.push(d2);
-    } else if (d2 < heap_.top()) {
-      heap_.pop();
-      heap_.push(d2);
+  void Push(double d2, size_t /*row*/) {
+    if (size_ < k_) {
+      heap_[size_++] = d2;
+      std::push_heap(heap_, heap_ + size_);
+    } else if (d2 < heap_[0]) {
+      std::pop_heap(heap_, heap_ + size_);
+      heap_[size_ - 1] = d2;
+      std::push_heap(heap_, heap_ + size_);
     }
   }
 
   /// Current k-th smallest squared distance; +inf until k were collected.
-  double Threshold() const { return heap_.size() == k_ ? heap_.top() : kInf; }
+  double Threshold() const { return size_ == k_ ? heap_[0] : kInf; }
 
  private:
+  double* heap_;
   size_t k_;
-  std::priority_queue<double> heap_;
+  size_t size_ = 0;
 };
+
+/// Storage slots a k-NN heap needs over `rows`: a heap never holds more
+/// entries than the rows it saw.
+size_t HeapSlots(size_t k, std::span<const float> rows, size_t dim) {
+  HDIDX_CHECK(dim > 0);
+  return std::min(k, rows.size() / dim);
+}
 
 /// Bounded max-heap of the k smallest (squared distance, row) pairs under
 /// pair ordering — retains exactly the first k elements a partial_sort of
@@ -168,65 +180,74 @@ class BoundedPairHeap {
   std::priority_queue<std::pair<double, size_t>> heap_;
 };
 
-/// Shared skeleton of the two k-NN scan kernels: streams rows in order,
-/// applies the exclusion rules, and feeds `push(d2, row)`. `threshold()`
-/// returns the current no-op-push bound (k-th distance once k rows were
-/// collected); a batched block abandons once every lane's partial sum
-/// exceeds the bound captured at block start — the bound only shrinks, so
-/// an abandoned row's push would have been a no-op.
+static_assert(kScanChunkRows % kBlock == 0,
+              "scan chunks must hold whole kernel blocks");
+
+/// One query of a scan tile: its point, its exclusion rules and its heap.
 template <typename Heap>
-void ScanRows(std::span<const float> query, std::span<const float> rows,
-              size_t dim, const ScanOptions& opts, KernelMode mode,
-              Heap* heap) {
+struct ScanEntry {
+  const float* query;
+  ScanOptions opts;
+  Heap heap;
+};
+
+/// Shared skeleton of the k-NN scan kernels, tiled over queries: walks the
+/// rows in chunks of kScanChunkRows and runs every query of `tile` over each
+/// chunk before moving on, so the rows are streamed from memory once per
+/// tile instead of once per query. Per query it applies the exclusion rules
+/// and feeds `heap.Push(d2, row)` in ascending row order — exactly the
+/// pushes of a one-query scan, since no heap is shared between queries.
+/// `heap.Threshold()` is the current no-op-push bound (k-th distance once k
+/// rows were collected); a batched block abandons once every lane's partial
+/// sum exceeds the bound captured at block start — the bound only shrinks,
+/// so an abandoned row's push would have been a no-op. The result of every
+/// query is therefore independent of the tile it rides in.
+template <typename Heap>
+void ScanRows(std::span<ScanEntry<Heap>> tile,
+              std::span<const float> rows, size_t dim, KernelMode mode) {
   HDIDX_CHECK(dim > 0);
   HDIDX_CHECK(rows.size() % dim == 0);
-  HDIDX_CHECK(query.size() == dim);
   const size_t n = rows.size() / dim;
   const float* base_ptr = rows.data();
+  const isa::BlockOps* ops = OpsFor(mode);  // null: the scalar oracle
+  std::array<double, kBlock> acc;
 
-  // The excluded row (the query's own) is skipped outright; duplicates of
-  // the query point still count as neighbors.
-  const auto consider = [&](size_t row, double d2) {
-    if (row == opts.exclude_row || d2 <= opts.exclude_within_sq) return;
-    heap->Push(d2, row);
-  };
-
-  const auto scalar_row = [&](size_t row) {
-    if (row == opts.exclude_row) return;
-    const float* p = base_ptr + row * dim;
-    double d2 = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff = static_cast<double>(p[d]) - query[d];
-      d2 += diff * diff;
-    }
-    consider(row, d2);
-  };
-
-  size_t next = 0;
-  if (mode != KernelMode::kScalar) {
-    const isa::BlockOps* ops = OpsFor(mode);
-    std::array<double, kBlock> acc;
-    for (; next + kBlock <= n; next += kBlock) {
-      // Abandonment needs a full heap (threshold < +inf), so the skipped
-      // pushes were no-ops and the exclusion rules are moot for them too:
-      // every abandoned lane has d2 > threshold >= 0.
-      if (!ops->row_block(query.data(), base_ptr + next * dim, dim,
-                          heap->Threshold(), acc.data())) {
-        continue;
+  for (size_t chunk = 0; chunk < n; chunk += kScanChunkRows) {
+    const size_t chunk_end = std::min(n, chunk + kScanChunkRows);
+    for (ScanEntry<Heap>& entry : tile) {
+      const ScanOptions& opts = entry.opts;
+      // The excluded row (the query's own) is skipped outright; duplicates
+      // of the query point still count as neighbors.
+      const auto consider = [&](size_t row, double d2) {
+        if (row == opts.exclude_row || d2 <= opts.exclude_within_sq) return;
+        entry.heap.Push(d2, row);
+      };
+      size_t next = chunk;
+      if (ops != nullptr) {
+        for (; next + kBlock <= chunk_end; next += kBlock) {
+          // Abandonment needs a full heap (threshold < +inf), so the
+          // skipped pushes were no-ops and the exclusion rules are moot for
+          // them too: every abandoned lane has d2 > threshold >= 0.
+          if (!ops->row_block(entry.query, base_ptr + next * dim, dim,
+                              entry.heap.Threshold(), acc.data())) {
+            continue;
+          }
+          for (size_t l = 0; l < kBlock; ++l) consider(next + l, acc[l]);
+        }
       }
-      for (size_t l = 0; l < kBlock; ++l) consider(next + l, acc[l]);
+      for (; next < chunk_end; ++next) {
+        if (next == opts.exclude_row) continue;
+        const float* p = base_ptr + next * dim;
+        double d2 = 0.0;
+        for (size_t d = 0; d < dim; ++d) {
+          const double diff = static_cast<double>(p[d]) - entry.query[d];
+          d2 += diff * diff;
+        }
+        consider(next, d2);
+      }
     }
   }
-  for (; next < n; ++next) scalar_row(next);
 }
-
-/// Adapter so BoundedDistanceHeap fits the ScanRows push signature.
-struct DistanceHeapAdapter {
-  BoundedDistanceHeap heap;
-  explicit DistanceHeapAdapter(size_t k) : heap(k) {}
-  void Push(double d2, size_t) { heap.Push(d2); }
-  double Threshold() const { return heap.Threshold(); }
-};
 
 }  // namespace
 
@@ -587,9 +608,53 @@ double KthDistanceScan(std::span<const float> query,
                        std::span<const float> rows, size_t dim, size_t k,
                        const ScanOptions& opts, KernelMode mode) {
   HDIDX_CHECK(k > 0);
-  DistanceHeapAdapter heap(k);
-  ScanRows(query, rows, dim, opts, ResolveKernelMode(mode), &heap);
-  return heap.Threshold();
+  HDIDX_CHECK(query.size() == dim);
+  std::vector<double> storage(HeapSlots(k, rows, dim));
+  ScanEntry<BoundedDistanceHeap> entry{query.data(), opts,
+                                       {storage.data(), k}};
+  ScanRows(std::span(&entry, 1), rows, dim, ResolveKernelMode(mode));
+  return entry.heap.Threshold();
+}
+
+void KthDistanceScans(std::span<const float> queries,
+                      std::span<const size_t> exclude_rows,
+                      std::span<const float> rows, size_t dim, size_t k,
+                      std::span<double> out) {
+  KthDistanceScans(queries, exclude_rows, rows, dim, k, out,
+                   ActiveKernelMode());
+}
+
+void KthDistanceScans(std::span<const float> queries,
+                      std::span<const size_t> exclude_rows,
+                      std::span<const float> rows, size_t dim, size_t k,
+                      std::span<double> out, KernelMode mode) {
+  HDIDX_CHECK(k > 0);
+  const size_t q = exclude_rows.size();
+  HDIDX_CHECK(queries.size() == q * dim);
+  HDIDX_CHECK(out.size() == q);
+  const KernelMode resolved = ResolveKernelMode(mode);
+  // One allocation holds every heap of a sub-tile, capped at
+  // kScanTileHeapBytes; each sub-tile streams the rows once.
+  const size_t slots = HeapSlots(k, rows, dim);
+  const size_t width = std::max<size_t>(
+      1, kScanTileHeapBytes / (sizeof(double) * std::max<size_t>(slots, 1)));
+  std::vector<double> storage(std::min(q, width) * slots);
+  std::vector<ScanEntry<BoundedDistanceHeap>> tile;
+  tile.reserve(std::min(q, width));
+  for (size_t begin = 0; begin < q; begin += width) {
+    const size_t end = std::min(q, begin + width);
+    tile.clear();
+    for (size_t i = begin; i < end; ++i) {
+      ScanOptions opts;
+      opts.exclude_row = exclude_rows[i];
+      tile.push_back({queries.data() + i * dim, opts,
+                      {storage.data() + (i - begin) * slots, k}});
+    }
+    ScanRows(std::span(tile), rows, dim, resolved);
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = tile[i - begin].heap.Threshold();
+    }
+  }
 }
 
 std::vector<std::pair<double, size_t>> TopKNeighborScan(
@@ -602,9 +667,10 @@ std::vector<std::pair<double, size_t>> TopKNeighborScan(
     std::span<const float> query, std::span<const float> rows, size_t dim,
     size_t k, const ScanOptions& opts, KernelMode mode) {
   if (k == 0) return {};
-  BoundedPairHeap heap(k);
-  ScanRows(query, rows, dim, opts, ResolveKernelMode(mode), &heap);
-  return heap.TakeSortedAscending();
+  HDIDX_CHECK(query.size() == dim);
+  ScanEntry<BoundedPairHeap> entry{query.data(), opts, BoundedPairHeap(k)};
+  ScanRows(std::span(&entry, 1), rows, dim, ResolveKernelMode(mode));
+  return entry.heap.TakeSortedAscending();
 }
 
 }  // namespace hdidx::geometry::kernels

@@ -211,6 +211,18 @@ HDIDX_CONCURRENT_READ void BatchedSquaredL2(std::span<const float> query,
                                             size_t dim, double* out,
                                             KernelMode mode);
 
+/// Rows per chunk of the query-tiled k-NN scan: a whole number of kernel
+/// blocks (BoxSlab::kBlock), so chunk boundaries fall on block boundaries
+/// and every query walks the same block partition as an untiled scan. 512
+/// rows stay L2-resident while a tile's queries reuse them (120 KB at d=60).
+inline constexpr size_t kScanChunkRows = 512;
+
+/// Heap storage one query tile of the k-NN scan may hold. A tile wider than
+/// kScanTileHeapBytes / (8 · min(k, n)) queries runs as several sub-tiles,
+/// each streaming the rows once, so no q · k product sizes an allocation. A
+/// q=100, k=21 tile needs 17 KB and runs whole.
+inline constexpr size_t kScanTileHeapBytes = size_t{1} << 20;
+
 /// Row-exclusion rules shared by the k-NN scan kernels.
 struct ScanOptions {
   /// This row is skipped (kNoRow: none) — the workload's "exclude the query
@@ -225,7 +237,8 @@ struct ScanOptions {
 /// dim row-major rows that pass `opts` (+inf when fewer than k qualify).
 /// Heap semantics and accumulation order match the scalar KnnHeap loop
 /// exactly; the batched paths abandon a row once its partial sum exceeds
-/// the current k-th threshold (a no-op push either way).
+/// the current k-th threshold (a no-op push either way). Runs as a
+/// one-query tile of the scan behind KthDistanceScans.
 HDIDX_CONCURRENT_READ double KthDistanceScan(std::span<const float> query,
                                              std::span<const float> rows,
                                              size_t dim, size_t k,
@@ -235,6 +248,28 @@ HDIDX_CONCURRENT_READ double KthDistanceScan(std::span<const float> query,
                                              size_t dim, size_t k,
                                              const ScanOptions& opts,
                                              KernelMode mode);
+
+/// KthDistanceScan for a tile of q = exclude_rows.size() queries in one
+/// pass: `queries` holds q row-major query points, and out[i] is bit for bit
+/// KthDistanceScan(query i, rows, dim, k, {.exclude_row = exclude_rows[i]}).
+/// The scan walks `rows` in L2-sized chunks and runs every query of the
+/// tile over a chunk before the next, so the rows are streamed once per
+/// tile rather than once per query. Each query keeps its own heap, sees its
+/// rows in ascending order and captures its abandonment threshold at each
+/// block start exactly as a one-query scan does, so its result does not
+/// depend on the tile it rides in. Tiles whose heaps would outgrow
+/// kScanTileHeapBytes are split into sub-tiles.
+HDIDX_CONCURRENT_READ void KthDistanceScans(std::span<const float> queries,
+                                            std::span<const size_t> exclude_rows,
+                                            std::span<const float> rows,
+                                            size_t dim, size_t k,
+                                            std::span<double> out);
+HDIDX_CONCURRENT_READ void KthDistanceScans(std::span<const float> queries,
+                                            std::span<const size_t> exclude_rows,
+                                            std::span<const float> rows,
+                                            size_t dim, size_t k,
+                                            std::span<double> out,
+                                            KernelMode mode);
 
 /// The k nearest rows as (squared distance, row) pairs in ascending order
 /// (ties towards the lower row index — identical to partial_sort over all

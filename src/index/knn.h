@@ -14,9 +14,10 @@
 
 namespace hdidx::index {
 
-/// Bounded max-heap of the k smallest distances seen so far. The workload
-/// scan streams the whole dataset once while feeding one heap per query —
-/// this is the paper's "full scan of the data to compute the query shapes".
+/// Bounded max-heap of the k smallest distances seen so far — the semantics
+/// every exact k-th-distance scan keeps per query. The scans themselves run
+/// in geometry::kernels, which holds its own copy of this heap so the
+/// geometry layer does not depend on index/.
 class KnnHeap {
  public:
   explicit KnnHeap(size_t k);
@@ -86,6 +87,9 @@ double ExactKthDistance(const data::Dataset& data, std::span<const float> query,
 /// neighbors, so on datasets with repeated points this matches the
 /// semantics of the accounted workload scan. Pass exclude_row >= data.size()
 /// to exclude nothing.
+///
+/// This is the one-query reference: QueryWorkload::Create's query-tiled
+/// radii equal it bit for bit (DESIGN.md §4).
 double ExactKthDistanceExcludingRow(const data::Dataset& data,
                                     std::span<const float> query, size_t k,
                                     size_t exclude_row);

@@ -34,8 +34,9 @@ using ResultKey = std::tuple<std::string /*dataset*/, std::string /*method*/,
 using WorkloadKey = std::tuple<std::string /*dataset*/, size_t /*num_queries*/,
                                size_t /*k*/, uint64_t /*seed*/>;
 
-ResultKey KeyOf(const ServiceRequest& r) {
-  return {r.dataset, r.method, r.memory, r.num_queries, r.k, r.seed,
+/// `memory` is the request's budget after clamping to the dataset size.
+ResultKey KeyOf(const ServiceRequest& r, size_t memory) {
+  return {r.dataset, r.method, memory, r.num_queries, r.k, r.seed,
           r.page_bytes};
 }
 
@@ -119,6 +120,17 @@ ServiceResponse PredictionService::Compute(Shard* shard,
                      std::to_string(dataset->size()) + " points";
     return response;
   }
+  // Queries are drawn from the dataset, and their q·d floats are allocated
+  // up front, so q is bounded by N.
+  if (request.num_queries > dataset->size()) {
+    response.error = "num_queries must be <= the dataset's " +
+                     std::to_string(dataset->size()) + " points";
+    return response;
+  }
+  // A budget of N points already holds the whole dataset, so larger budgets
+  // are served as N: same result, same cache entry. Unclamped, the resample
+  // pass would size its k·M areas file by the request.
+  const size_t memory = std::min(request.memory, dataset->size());
   // A data page must hold two records (dim floats + a 4-byte id each), or
   // the modeled tree has no fan-out to predict.
   const size_t min_page_bytes = 2 * (dataset->dim() * sizeof(float) + 4);
@@ -129,7 +141,7 @@ ServiceResponse PredictionService::Compute(Shard* shard,
     return response;
   }
 
-  const ResultKey key = KeyOf(request);
+  const ResultKey key = KeyOf(request, memory);
   std::shared_ptr<const core::PredictionResult> cached;
   {
     common::MutexLock lock(&shard->mu);
@@ -188,7 +200,7 @@ ServiceResponse PredictionService::Compute(Shard* shard,
   if (request.method == "mini") {
     core::MiniIndexParams params;
     params.sampling_fraction =
-        std::min(1.0, static_cast<double>(request.memory) /
+        std::min(1.0, static_cast<double>(memory) /
                           static_cast<double>(dataset->size()));
     params.seed = prediction_seed;
     response.result = core::PredictWithMiniIndex(*dataset, topology,
@@ -196,16 +208,16 @@ ServiceResponse PredictionService::Compute(Shard* shard,
   } else if (request.method == "cutoff") {
     io::PagedFile file = io::PagedFile::FromDataset(*dataset, disk);
     core::CutoffParams params;
-    params.memory_points = request.memory;
-    params.h_upper = core::ChooseHupper(topology, request.memory);
+    params.memory_points = memory;
+    params.h_upper = core::ChooseHupper(topology, memory);
     params.seed = prediction_seed;
     response.result =
         core::PredictWithCutoffTree(&file, topology, *workload, params, ctx);
   } else {
     io::PagedFile file = io::PagedFile::FromDataset(*dataset, disk);
     core::ResampledParams params;
-    params.memory_points = request.memory;
-    params.h_upper = core::ChooseHupper(topology, request.memory);
+    params.memory_points = memory;
+    params.h_upper = core::ChooseHupper(topology, memory);
     params.seed = prediction_seed;
     response.result = core::PredictWithResampledTree(&file, topology,
                                                      *workload, params, ctx);

@@ -27,7 +27,8 @@ struct ServiceRequest {
   std::string dataset;
   /// Prediction technique: "mini", "cutoff", or "resampled".
   std::string method = "resampled";
-  /// Memory budget M in points (mini: sampling fraction min(M/N, 1)).
+  /// Memory budget M in points, served as min(M, N) (mini: sampling
+  /// fraction M/N).
   size_t memory = 10000;
   /// Number of density-biased k-NN queries in the workload.
   size_t num_queries = 100;

@@ -1,11 +1,11 @@
 #include "workload/query_workload.h"
 
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "geometry/distance.h"
 #include "geometry/kernels.h"
-#include "index/knn.h"
 
 namespace hdidx::workload {
 
@@ -39,13 +39,17 @@ QueryWorkload QueryWorkload::Create(const data::Dataset& data, size_t q,
     rows[i] = static_cast<size_t>(rng->NextBounded(data.size()));
   }
   data::Dataset queries = data.Select(rows);
-  // Each query's exact scan is independent and writes only its own slot.
+  // Each ParallelFor chunk is one tile of the exact scan: the data is
+  // streamed once per tile, and every query writes only its own slot.
   std::vector<double> radii(q);
-  ctx.ParallelFor(0, q, /*grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      radii[i] =
-          index::ExactKthDistanceExcludingRow(data, queries.row(i), k, rows[i]);
-    }
+  const size_t dim = data.dim();
+  ctx.ParallelFor(0, q, /*grain=*/0, [&](size_t begin, size_t end) {
+    const size_t count = end - begin;
+    geometry::kernels::KthDistanceScans(
+        queries.data().subspan(begin * dim, count * dim),
+        std::span<const size_t>(rows).subspan(begin, count), data.data(), dim,
+        k, std::span<double>(radii).subspan(begin, count));
+    for (size_t i = begin; i < end; ++i) radii[i] = std::sqrt(radii[i]);
   });
   return QueryWorkload(std::move(queries), std::move(radii), std::move(rows),
                        k);

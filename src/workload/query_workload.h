@@ -59,9 +59,13 @@ class QueryWorkload : public QueryRegions {
   /// neighbors.
   ///
   /// `rng` is consumed serially (the row draws), so the random stream is
-  /// identical for every thread count; only the per-query exact k-NN scans
-  /// fan out on `ctx`, each writing its own radius slot. Radii are therefore
-  /// bit-identical to the single-threaded run.
+  /// identical for every thread count. The exact k-NN radii are computed by
+  /// the query-tiled scan (geometry::kernels::KthDistanceScans): each
+  /// ParallelFor chunk of queries on `ctx` is one tile, which streams the
+  /// dataset once for all of its queries — the whole workload is one tile on
+  /// a 1-thread pool. Each query keeps its own heap and writes its own
+  /// radius slot, and its result does not depend on its tile, so radii are
+  /// bit-identical to the single-threaded, one-query-at-a-time run.
   static QueryWorkload Create(
       const data::Dataset& data, size_t q, size_t k, common::Rng* rng,
       const common::ExecutionContext& ctx = common::DefaultExecutionContext());

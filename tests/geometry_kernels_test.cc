@@ -408,6 +408,111 @@ TEST(KernelScanTest, TopKMatchesSortTruncate) {
                   .empty());
 }
 
+/// The query-tiled scan against per-query KthDistanceScan, bit for bit, in
+/// every mode and against the scalar oracle: tile widths {1, 3, 8, 100}, n
+/// on no block or chunk boundary, the excluded row in the first chunk, the
+/// last full chunk and the scalar tail, and a point duplicated across every
+/// chunk.
+TEST(KernelScanTest, TiledKthScansMatchPerQueryScans) {
+  const size_t n = 2 * kScanChunkRows + 3 * BoxSlab::kBlock + 5;
+  ASSERT_NE(n % BoxSlab::kBlock, 0u);
+  const size_t first_chunk_row = 3;
+  const size_t last_full_chunk_row = kScanChunkRows + 100;
+  const size_t tail_row = n - 2;  // past the last whole block
+  ASSERT_GE(tail_row, n - n % BoxSlab::kBlock);
+  const std::vector<size_t> special = {first_chunk_row, last_full_chunk_row,
+                                       tail_row, kNoRow};
+  common::Rng rng(43);
+  for (const size_t dim : {3u, 16u, 60u}) {
+    std::vector<float> rows(n * dim);
+    for (auto& v : rows) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    // Every 7th row and the tail row repeat the first-chunk row's point.
+    for (size_t row = 7; row < n; row += 7) {
+      std::copy_n(rows.begin() + first_chunk_row * dim, dim,
+                  rows.begin() + row * dim);
+    }
+    std::copy_n(rows.begin() + first_chunk_row * dim, dim,
+                rows.begin() + tail_row * dim);
+    for (const size_t width : {1u, 3u, 8u, 100u}) {
+      // A one-query tile runs once per special row; wider tiles start with
+      // the special rows and fill up with random ones.
+      const size_t trials = width == 1 ? special.size() : 1;
+      for (size_t trial = 0; trial < trials; ++trial) {
+        std::vector<float> queries;
+        std::vector<size_t> exclude;
+        for (size_t i = 0; i < width; ++i) {
+          const size_t row = i + trial < special.size() ? special[i + trial]
+                                                        : rng.NextBounded(n);
+          const size_t source = row == kNoRow ? rng.NextBounded(n) : row;
+          exclude.push_back(row);
+          queries.insert(queries.end(), rows.begin() + source * dim,
+                         rows.begin() + (source + 1) * dim);
+        }
+        for (const size_t k : {size_t{1}, size_t{21}, n}) {
+          for (const KernelMode mode : AllModes()) {
+            std::vector<double> out(width);
+            KthDistanceScans(queries, exclude, rows, dim, k, out, mode);
+            for (size_t i = 0; i < width; ++i) {
+              ScanOptions opts;
+              opts.exclude_row = exclude[i];
+              const std::span<const float> query(queries.data() + i * dim,
+                                                 dim);
+              EXPECT_EQ(out[i], KthDistanceScan(query, rows, dim, k, opts,
+                                                KernelMode::kScalar))
+                  << KernelModeName(mode) << ", d=" << dim << ", width "
+                  << width << ", query " << i << ", k=" << k;
+              EXPECT_EQ(out[i],
+                        KthDistanceScan(query, rows, dim, k, opts, mode))
+                  << KernelModeName(mode);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A tile whose heaps outgrow kScanTileHeapBytes runs as sub-tiles; the
+/// radii across the split are still those of per-query scans, bit for bit.
+TEST(KernelScanTest, TiledKthScansSplitIntoSubTiles) {
+  const size_t n = 3 * kScanChunkRows + 29;
+  const size_t dim = 3;
+  const size_t k = n - 1;
+  const size_t q = 100;
+  ASSERT_LT(kScanTileHeapBytes / (sizeof(double) * k), q);  // >= 2 sub-tiles
+  common::Rng rng(47);
+  std::vector<float> rows(n * dim);
+  for (auto& v : rows) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+  std::vector<float> queries;
+  std::vector<size_t> exclude;
+  for (size_t i = 0; i < q; ++i) {
+    const size_t row = rng.NextBounded(n);
+    exclude.push_back(i % 2 == 0 ? row : kNoRow);
+    queries.insert(queries.end(), rows.begin() + row * dim,
+                   rows.begin() + (row + 1) * dim);
+  }
+  for (const KernelMode mode : AllModes()) {
+    std::vector<double> out(q);
+    KthDistanceScans(queries, exclude, rows, dim, k, out, mode);
+    for (size_t i = 0; i < q; ++i) {
+      ScanOptions opts;
+      opts.exclude_row = exclude[i];
+      EXPECT_EQ(out[i],
+                KthDistanceScan(std::span<const float>(queries.data() + i * dim,
+                                                       dim),
+                                rows, dim, k, opts, KernelMode::kScalar))
+          << KernelModeName(mode) << ", query " << i;
+    }
+  }
+}
+
+TEST(KernelScanTest, EmptyTileIsANoOp) {
+  const std::vector<float> rows = {0.f, 1.f, 2.f};
+  for (const KernelMode mode : AllModes()) {
+    KthDistanceScans({}, {}, rows, 1, 1, {}, mode);
+  }
+}
+
 TEST(KernelModeTest, OverrideWinsAndClears) {
   ModeOverrideGuard guard;
   SetKernelMode(KernelMode::kScalar);

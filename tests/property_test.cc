@@ -348,6 +348,46 @@ TEST_P(KernelEquivalenceProperty, ScanKernelsBitIdentical) {
   }
 }
 
+// The query-tiled scan at tile widths {1, 3, 8, 100} equals one-query
+// scalar scans bit for bit, on random and on all-duplicate rows.
+TEST_P(KernelEquivalenceProperty, TiledKthScansBitIdentical) {
+  namespace gk = geometry::kernels;
+  const auto [dim, n] = GetParam();
+  common::Rng rng(dim * 389 + n);
+  std::vector<float> random_rows(n * dim);
+  for (auto& v : random_rows) {
+    v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+  }
+  const std::vector<float> same_rows(n * dim, 0.25f);
+  const size_t k = 1 + rng.NextBounded(n + 2);  // occasionally k > n
+  for (const bool duplicates : {false, true}) {
+    const std::vector<float>& rows = duplicates ? same_rows : random_rows;
+    for (const size_t width : {1u, 3u, 8u, 100u}) {
+      std::vector<float> queries;
+      std::vector<size_t> exclude;
+      for (size_t i = 0; i < width; ++i) {
+        const size_t row = rng.NextBounded(n);
+        exclude.push_back(i % 4 == 3 ? gk::kNoRow : row);
+        queries.insert(queries.end(), rows.begin() + row * dim,
+                       rows.begin() + (row + 1) * dim);
+      }
+      for (const gk::KernelMode mode : gk::SupportedKernelModes()) {
+        SCOPED_TRACE(std::string(gk::KernelModeName(mode)));
+        std::vector<double> out(width);
+        gk::KthDistanceScans(queries, exclude, rows, dim, k, out, mode);
+        for (size_t i = 0; i < width; ++i) {
+          gk::ScanOptions opts;
+          opts.exclude_row = exclude[i];
+          EXPECT_EQ(out[i],
+                    gk::KthDistanceScan(
+                        std::span<const float>(queries.data() + i * dim, dim),
+                        rows, dim, k, opts, gk::KernelMode::kScalar));
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     DimSlabGrid, KernelEquivalenceProperty,
     ::testing::Combine(::testing::Values(1, 3, 60, 617),

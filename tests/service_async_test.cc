@@ -385,17 +385,24 @@ TEST(AsyncServerTest, LoadStatsAndCacheHitsOverSocket) {
 }
 
 TEST(AsyncServerTest, DegenerateRequestsRejectedOnBothTransports) {
-  // Requests whose only possible answer is a meaningless "ok": k >= N = 3000
-  // (the query's own row leaves N - 1 neighbors) and pages too small for two
-  // 8-d records (< 2 * (4 * 8 + 4) = 72 bytes). Each (even index) is
-  // answered with an error echoing its id; the valid request after it
-  // (odd index) still serves.
+  // Requests whose only possible answer is a meaningless "ok", on N = 3000
+  // 8-d points: k >= N (the query's own row leaves N - 1 neighbors), pages
+  // too small for two 8-d records (< 2 * (4 * 8 + 4) = 72 bytes), and more
+  // queries than points. Each (even index) is answered with an error
+  // echoing its id; the valid request after it (odd index) still serves.
+  struct Degenerate {
+    size_t k, page_bytes, num_queries;
+  };
   std::vector<ServiceRequest> requests;
-  for (const auto& [k, page_bytes] : std::vector<std::pair<size_t, size_t>>{
-           {5000, kPageBytes}, {3000, kPageBytes}, {5, 16}, {5, 71}}) {
+  for (const Degenerate& d : std::vector<Degenerate>{{5000, kPageBytes, 25},
+                                                     {3000, kPageBytes, 25},
+                                                     {5, 16, 25},
+                                                     {5, 71, 25},
+                                                     {5, kPageBytes, 3001}}) {
     ServiceRequest bad = Req("alpha", "mini", 1, 40 + requests.size());
-    bad.k = k;
-    bad.page_bytes = page_bytes;
+    bad.k = d.k;
+    bad.page_bytes = d.page_bytes;
+    bad.num_queries = d.num_queries;
     requests.push_back(bad);
     requests.push_back(Req("alpha", "mini", 1, 40 + requests.size()));
   }
@@ -426,6 +433,51 @@ TEST(AsyncServerTest, DegenerateRequestsRejectedOnBothTransports) {
     EXPECT_EQ(reply.response.id, requests[i].id);
     EXPECT_EQ(reply.response.ok, i % 2 == 1) << reply.response.error;
     EXPECT_EQ(reply.response.error.empty(), i % 2 == 1);
+  }
+  EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());
+}
+
+TEST(AsyncServerTest, MemoryBeyondDatasetServedAsDatasetSize) {
+  // A budget of N = 3000 points already holds the whole dataset, so every
+  // method serves M = 3001 and M = 1e9 exactly as M = N, from the same
+  // cache entry. For method=resampled a budget of 1e9 points would
+  // otherwise size the resample pass's k·M areas file until
+  // std::bad_alloc.
+  std::vector<ServiceRequest> requests;
+  for (const char* method : {"mini", "cutoff", "resampled"}) {
+    for (const size_t memory : {size_t{3000}, size_t{3001},
+                                size_t{1'000'000'000}}) {
+      ServiceRequest r = Req("alpha", method, 1, 60 + requests.size());
+      r.memory = memory;
+      requests.push_back(r);
+    }
+  }
+  const std::map<uint64_t, std::string> reference = JsonReference(requests);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(reference.at(requests[i].id),
+              reference.at(requests[i - i % 3].id))
+        << requests[i].method << ", memory " << requests[i].memory;
+  }
+
+  auto svc = MakeService(2);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(client.Send(wire::EncodePredictRequest(requests[i])));
+    wire::FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
+    wire::PredictReply reply;
+    ASSERT_TRUE(wire::DecodePredictResponse(header, payload, &reply, &error))
+        << error;
+    ASSERT_TRUE(reply.response.ok) << reply.response.error;
+    EXPECT_EQ(reply.response.id, requests[i].id);
+    EXPECT_EQ(reply.response.cache_hit, i % 3 != 0);
+    EXPECT_EQ(SerializeResult(reply.response, reply.per_query),
+              reference.at(requests[i].id));
   }
   EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());
 }

@@ -1,9 +1,12 @@
 #include "workload/query_workload.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/predictor.h"
 #include "data/generators.h"
@@ -26,6 +29,33 @@ TEST(QueryWorkloadTest, QueriesComeFromData) {
     const size_t row = w.query_rows()[i];
     EXPECT_DOUBLE_EQ(
         geometry::SquaredL2(w.queries().row(i), data.row(row)), 0.0);
+  }
+}
+
+/// Peak resident set of this process so far, in KiB.
+long PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(QueryWorkloadTest, WideTileHeapMemoryStaysBounded) {
+  // q = 4000 queries with k = 3999 neighbors each would hold 4000 · 3999 ·
+  // 8 bytes = 128 MB of heaps in one tile; the scan splits the tile so its
+  // heaps stay under kScanTileHeapBytes (1 MB), and the peak resident set
+  // grows by far less than the unsplit tile.
+  const auto data = hdidx::testing::SmallClustered(4000, 2, 9);
+  common::ThreadPool pool(1);
+  const common::ExecutionContext ctx(&pool);
+  const long before_kb = PeakRssKb();
+  common::Rng rng(10);
+  const QueryWorkload w = QueryWorkload::Create(data, 4000, 3999, &rng, ctx);
+  EXPECT_LT(PeakRssKb() - before_kb, 32 * 1024);
+  ASSERT_EQ(w.num_queries(), 4000u);
+  for (const size_t i : {size_t{0}, size_t{1234}, size_t{3999}}) {
+    EXPECT_EQ(w.radius(i),
+              index::ExactKthDistanceExcludingRow(data, w.queries().row(i),
+                                                  3999, w.query_rows()[i]));
   }
 }
 

@@ -10,6 +10,11 @@ BM_ExactKthScan, BM_SlabBuild) with their custom counters:
       of the input shape, so any drift means the kernel started reading a
       different working set, not that the machine got slower.
 
+BM_WorkloadCreate/{16,60} pins bytes_touched = N·d·4 per iteration: the
+cost model's bytes for one query tile of the workload scan (one tile on one
+thread). Like BM_ExactKthScan's, it is a constant of the benchmark's shape;
+it records the model's prediction and does not observe the tiling itself.
+
 It also pins the external-build I/O counters (BM_ExternalBuild):
 
   data_passes / pages_read — the simulated page transfers of an on-disk
