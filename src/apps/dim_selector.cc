@@ -69,7 +69,7 @@ std::vector<DimPoint> EvaluateIndexDims(const data::Dataset& data,
     point.measured_accesses = sum / static_cast<double>(measured.size());
 
     // Prediction.
-    io::PagedFile file = io::PagedFile::FromDataset(projected, disk);
+    io::PagedFile file = io::PagedFile::View(projected, disk);
     if (topology.height() >= 3) {
       core::ResampledParams params;
       params.memory_points = config.memory_points;

@@ -46,7 +46,7 @@ std::vector<PageSizePoint> TunePageSize(const data::Dataset& data,
 
     // Prediction: the resampled technique when the tree is tall enough for
     // an upper/lower split, the basic mini-index model otherwise.
-    io::PagedFile file = io::PagedFile::FromDataset(data, disk);
+    io::PagedFile file = io::PagedFile::View(data, disk);
     if (topology.height() >= 3) {
       core::ResampledParams params;
       params.memory_points = config.memory_points;

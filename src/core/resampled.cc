@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -10,6 +12,7 @@
 #include "geometry/kernels.h"
 #include "index/bulk_loader.h"
 #include "index/rtree.h"
+#include "io/page_accountant.h"
 
 namespace hdidx::core {
 
@@ -47,7 +50,10 @@ PredictionResult PredictWithResampledTree(
   // Steps 6-7: the resampling pass (Figure 8). Sample positions are chosen
   // up front; the pass reads the file sequentially in chunks of M sampled
   // points, distributes each chunk among the k consecutive disk areas, and
-  // pays Equation 4's seeks/transfers through the PagedFile charging.
+  // pays Equation 4's seeks/transfers. The areas are never materialized:
+  // a bare accountant of k·M points charges their writes and reads, and
+  // each area's points are gathered straight from the data file when its
+  // lower tree is built.
   std::vector<size_t> resample_rows;
   rng.SampleIndices(
       n,
@@ -55,9 +61,7 @@ PredictionResult PredictWithResampledTree(
           std::llround(sigma_lower * static_cast<double>(n))),
       &resample_rows);
 
-  io::PagedFile areas(dim, file->disk());
-  areas.Resize(k * m);
-  std::vector<size_t> area_fill(k, 0);  // points stored per area
+  io::PageAccountant areas(file->points_per_page(), k * m);
   const auto raw = file->raw();
 
   // One SoA slab over the grown upper leaves (never empty boxes), reused by
@@ -67,8 +71,15 @@ PredictionResult PredictWithResampledTree(
   const geometry::kernels::KernelMode kernel_mode =
       geometry::kernels::ActiveKernelMode();
 
+  // Pass 1: assign every resampled row to its area and charge the pass. An
+  // area keeps the first M rows assigned to it in resample order; the rest
+  // overflow and are discarded (footnote 5).
+  constexpr uint32_t kDiscarded = std::numeric_limits<uint32_t>::max();
+  HDIDX_CHECK(k < kDiscarded);
+  std::vector<uint32_t> area_of(resample_rows.size());
+  std::vector<size_t> area_fill(k, 0);   // rows kept per area so far
+  std::vector<size_t> chunk_kept(k, 0);  // of which from the current chunk
   size_t next = 0;
-  std::vector<std::vector<float>> chunk_groups(k);
   while (next < resample_rows.size()) {
     const size_t chunk_begin_row = resample_rows[next];
     const size_t chunk_count = std::min<size_t>(m, resample_rows.size() - next);
@@ -76,26 +87,23 @@ PredictionResult PredictWithResampledTree(
     // Sequential read over the file span covering this chunk's samples.
     file->ChargeAccess(chunk_begin_row, chunk_end_row - chunk_begin_row);
 
-    for (auto& group : chunk_groups) group.clear();
-    for (size_t i = 0; i < chunk_count; ++i) {
-      const size_t row = resample_rows[next + i];
-      const std::span<const float> point = raw.subspan(row * dim, dim);
-      const size_t box =
-          geometry::kernels::NearestBox(point, leaf_slab, kernel_mode);
-      chunk_groups[box].insert(chunk_groups[box].end(), point.begin(),
-                               point.end());
-    }
-    // Write each group to its area; overflow beyond M points per area is
-    // discarded (footnote 5).
-    for (size_t b = 0; b < k; ++b) {
-      const size_t group_points = chunk_groups[b].size() / dim;
-      if (group_points == 0) continue;
-      const size_t space = m - area_fill[b];
-      const size_t take = std::min(group_points, space);
-      if (take > 0) {
-        areas.Write(b * m + area_fill[b], take, chunk_groups[b].data());
-        area_fill[b] += take;
+    for (size_t i = next; i < next + chunk_count; ++i) {
+      const size_t box = geometry::kernels::NearestBox(
+          raw.subspan(resample_rows[i] * dim, dim), leaf_slab, kernel_mode);
+      if (area_fill[box] + chunk_kept[box] < m) {
+        area_of[i] = static_cast<uint32_t>(box);
+        ++chunk_kept[box];
+      } else {
+        area_of[i] = kDiscarded;
       }
+    }
+    // Each area's kept share of the chunk is written after the points the
+    // area already holds.
+    for (size_t b = 0; b < k; ++b) {
+      if (chunk_kept[b] == 0) continue;
+      areas.ChargeAccess(b * m + area_fill[b], chunk_kept[b]);
+      area_fill[b] += chunk_kept[b];
+      chunk_kept[b] = 0;
     }
     // The head returns to the data file for the next chunk: next chunk's
     // read pays its seek.
@@ -103,11 +111,30 @@ PredictionResult PredictWithResampledTree(
     next += chunk_count;
   }
 
-  // Steps 8-11: read each area back (k random area reads) and bulk-load the
-  // lower tree in memory; grow its data pages for sigma_lower.
+  // Stable counting sort of the kept rows by area: area b's rows, in
+  // resample order (the order the area file would hold them), are
+  // area_rows[area_begin[b], area_begin[b + 1]).
+  std::vector<size_t> area_begin(k + 1, 0);
+  for (size_t b = 0; b < k; ++b) {
+    area_begin[b + 1] = area_begin[b] + area_fill[b];
+  }
+  std::vector<size_t> area_rows(area_begin[k]);
+  {
+    std::vector<size_t> cursor(area_begin.begin(), area_begin.end() - 1);
+    for (size_t i = 0; i < resample_rows.size(); ++i) {
+      if (area_of[i] != kDiscarded) {
+        area_rows[cursor[area_of[i]]++] = resample_rows[i];
+      }
+    }
+  }
+
+  // Pass 2 (steps 8-11): read each area back (k random area reads) and
+  // bulk-load the lower tree in memory; grow its data pages for
+  // sigma_lower. One gather buffer of at most M points serves every area.
   std::vector<geometry::BoundingBox> leaves;
   leaves.reserve(topology.NumLeaves());
-  std::vector<float> area_points;
+  data::Dataset lower_points(dim);
+  lower_points.Reserve(*std::max_element(area_fill.begin(), area_fill.end()));
   for (size_t b = 0; b < k; ++b) {
     const size_t count = area_fill[b];
     if (count == 0) {
@@ -116,10 +143,12 @@ PredictionResult PredictWithResampledTree(
       leaves.push_back(upper.grown_leaves[b]);
       continue;
     }
-    area_points.resize(count * dim);
     areas.InvalidateHead();
-    areas.Read(b * m, count, area_points.data());
-    const data::Dataset lower_points(area_points, dim);
+    areas.ChargeAccess(b * m, count);
+    lower_points.Clear();
+    for (size_t j = area_begin[b]; j < area_begin[b + 1]; ++j) {
+      lower_points.Append(raw.subspan(area_rows[j] * dim, dim));
+    }
 
     // Effective sampling ratio of THIS lower tree: what its area actually
     // holds over the upper tree's estimate of the subtree's full

@@ -54,6 +54,13 @@ class Dataset {
   /// Reserves capacity for `n` points.
   void Reserve(size_t n);
 
+  /// Removes every point and keeps the capacity, so a gather buffer can be
+  /// refilled without reallocating.
+  void Clear() {
+    values_.clear();
+    size_ = 0;
+  }
+
   /// MBR of all points.
   geometry::BoundingBox Bounds() const;
 

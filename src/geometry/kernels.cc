@@ -545,14 +545,28 @@ size_t NearestBox(std::span<const float> point, const BoxSlab& slab,
     return best;
   }
   const isa::BlockOps* ops = OpsFor(mode);
+  // Containment first: a box is at MINDIST exactly 0 iff no coordinate of
+  // the point lies outside it (lo > p or p > hi; a float difference never
+  // squares to 0 unless it is 0), and the oracle stops at the first such
+  // box. box_block over the degenerate query box [point, point] is exactly
+  // that test; padding lanes are skipped by index bound.
+  std::array<bool, kBlock> inside;
+  for (size_t base = 0; base < slab.size(); base += kBlock) {
+    const size_t lanes = std::min(kBlock, slab.size() - base);
+    ops->box_block(point.data(), point.data(), slab, base, inside.data());
+    for (size_t l = 0; l < lanes; ++l) {
+      if (inside[l]) return base + l;
+    }
+  }
+  // Outside every box: every MINDIST is positive.
   std::array<double, kBlock> acc;
   for (size_t base = 0; base < slab.size(); base += kBlock) {
     const size_t lanes = std::min(kBlock, slab.size() - base);
     // A lane whose partial sum already reaches best_d2 cannot win (the
     // update is strict <). sphere_block abandons on partial > threshold,
     // so pass the largest double still allowed to win: nextafter(best_d2,
-    // 0) — for positive finite best_d2 (0 returns early), acc >
-    // nextafter(best_d2, 0) iff acc >= best_d2.
+    // 0) — for positive finite best_d2, acc > nextafter(best_d2, 0) iff
+    // acc >= best_d2.
     const double threshold =
         best_d2 == kInf ? kInf : std::nextafter(best_d2, 0.0);
     if (!ops->sphere_block(point.data(), slab, base, threshold, acc.data())) {
@@ -562,7 +576,6 @@ size_t NearestBox(std::span<const float> point, const BoxSlab& slab,
       if (acc[l] < best_d2) {
         best_d2 = acc[l];
         best = base + l;
-        if (best_d2 == 0.0) return best;
       }
     }
   }

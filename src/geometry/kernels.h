@@ -191,10 +191,11 @@ HDIDX_CONCURRENT_READ size_t CountBoxHits(const BoundingBox& query,
                                           KernelMode mode);
 
 /// Index of the first slab box attaining the minimal SquaredMinDist to
-/// `point` (ties broken towards the lowest index; containment — distance
-/// exactly 0 — short-circuits). Empty boxes are infinitely far and are
-/// never chosen unless every box is empty (then index 0). Requires
-/// slab.size() > 0.
+/// `point` (ties broken towards the lowest index). Containment — distance
+/// exactly 0 — short-circuits: the batched modes first look for the
+/// lowest-index box containing the point and scan MINDISTs only when none
+/// does. Empty boxes are infinitely far and are never chosen unless every
+/// box is empty (then index 0). Requires slab.size() > 0.
 HDIDX_CONCURRENT_READ size_t NearestBox(std::span<const float> point,
                                         const BoxSlab& slab);
 HDIDX_CONCURRENT_READ size_t NearestBox(std::span<const float> point,

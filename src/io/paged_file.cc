@@ -1,78 +1,62 @@
 #include "io/paged_file.h"
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 
 namespace hdidx::io {
 
 PagedFile::PagedFile(size_t dim, const DiskModel& disk)
-    : dim_(dim), disk_(disk), points_per_page_(disk.PointsPerPage(dim)) {
+    : dim_(dim), disk_(disk), accountant_(disk.PointsPerPage(dim), 0) {
   HDIDX_CHECK(dim > 0);
 }
 
 PagedFile PagedFile::FromDataset(const data::Dataset& data,
                                  const DiskModel& disk) {
   PagedFile file(data.dim(), disk);
-  file.num_points_ = data.size();
+  file.accountant_.Resize(data.size());
   file.store_.assign(data.data().begin(), data.data().end());
   return file;
 }
 
-size_t PagedFile::num_pages() const {
-  return (num_points_ + points_per_page_ - 1) / points_per_page_;
+PagedFile PagedFile::View(const data::Dataset& data, const DiskModel& disk) {
+  PagedFile file(data.dim(), disk);
+  file.accountant_.Resize(data.size());
+  file.is_view_ = true;
+  file.view_ = data.data();
+  return file;
 }
 
 void PagedFile::Resize(size_t n) {
-  num_points_ = n;
+  HDIDX_CHECK(!is_view_) << "Resize on a read-only PagedFile view";
+  accountant_.Resize(n);
   store_.resize(n * dim_, 0.0f);
 }
 
-void PagedFile::Charge(size_t start, size_t count) {
-  if (count == 0) return;
-  const size_t first_page = start / points_per_page_;
-  const size_t last_page = (start + count - 1) / points_per_page_;
-  if (first_page != next_sequential_page_) {
-    ++stats_.page_seeks;
-  }
-  stats_.page_transfers += last_page - first_page + 1;
-  next_sequential_page_ = last_page + 1;
+std::span<float> PagedFile::raw_mutable() {
+  HDIDX_CHECK(!is_view_) << "raw_mutable on a read-only PagedFile view";
+  return store_;
 }
 
 void PagedFile::Read(size_t start, size_t count, float* out) {
-  HDIDX_CHECK(start + count <= num_points_);
-  Charge(start, count);
-  std::memcpy(out, store_.data() + start * dim_,
-              count * dim_ * sizeof(float));
+  HDIDX_CHECK(start + count <= size());
+  accountant_.ChargeAccess(start, count);
+  std::memcpy(out, raw().data() + start * dim_, count * dim_ * sizeof(float));
 }
 
 void PagedFile::Write(size_t start, size_t count, const float* src) {
-  HDIDX_CHECK(start + count <= num_points_);
-  Charge(start, count);
+  HDIDX_CHECK(!is_view_) << "Write on a read-only PagedFile view";
+  HDIDX_CHECK(start + count <= size());
+  accountant_.ChargeAccess(start, count);
   std::memcpy(store_.data() + start * dim_, src,
               count * dim_ * sizeof(float));
 }
 
 data::Dataset PagedFile::ReadAll() {
-  std::vector<float> values(num_points_ * dim_);
-  if (num_points_ > 0) Read(0, num_points_, values.data());
+  std::vector<float> values(size() * dim_);
+  if (size() > 0) Read(0, size(), values.data());
   return data::Dataset(std::move(values), dim_);
-}
-
-void PagedFile::ChargeAccess(size_t start, size_t count) {
-  HDIDX_CHECK(start + count <= num_points_ || count == 0);
-  Charge(start, count);
-}
-
-void PagedFile::ChargeSeek() {
-  ++stats_.page_seeks;
-  next_sequential_page_ = kNoHead;
-}
-
-void PagedFile::ResetStats() {
-  stats_ = IoStats{};
-  next_sequential_page_ = kNoHead;
 }
 
 }  // namespace hdidx::io

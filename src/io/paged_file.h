@@ -8,53 +8,65 @@
 #include "data/dataset.h"
 #include "io/disk_model.h"
 #include "io/io_stats.h"
+#include "io/page_accountant.h"
 
 namespace hdidx::io {
 
 /// A simulated on-disk file of fixed-size records (d-dimensional float
 /// points) packed into pages.
 ///
-/// The backing store lives in RAM — the simulation is about *accounting*,
-/// not persistence: every Read/Write is charged in page seeks and page
-/// transfers exactly as a single-arm disk would incur them. A seek is
-/// counted when the first page of an access is not the page immediately
-/// following the last page touched (the paper's definition from Section 5:
-/// "caused by reading a page not adjacent to the previously read page");
-/// every page touched is one transfer.
+/// The points live in RAM — the simulation is about *accounting*, not
+/// persistence: every Read/Write is charged in page seeks and page
+/// transfers by the file's PageAccountant, exactly as a single-arm disk
+/// would incur them (see PageAccountant for the seek rule).
 ///
-/// The on-disk external bulk loader and the resampled predictor's k
-/// consecutive disk areas (Figure 8) are both built on this class.
+/// A file comes in one of two kinds:
+///   - owned (the constructor, FromDataset): the file holds its own
+///     writable copy of the points. The on-disk external bulk loader
+///     rewrites its file in place and needs this kind.
+///   - view (View): the file borrows a dataset's immutable row-major
+///     span, copies nothing and is read-only. The predictors only read
+///     and charge their data file, so they run on a view. Write, Resize
+///     and raw_mutable are contract failures on a view, and the borrowed
+///     dataset must outlive the file.
 ///
 /// Thread-safety: NOT thread-safe, by design (see the audit note on
-/// IoStats). Read/Write/ChargeAccess mutate the seek-head position
-/// (`next_sequential_page_`) and the I/O counters, both of which are
-/// order-sensitive — the single simulated disk arm is inherently serial.
-/// All accounted I/O must stay on the orchestrating thread; parallel
-/// sections may only touch the unaccounted `raw()` span (read-only).
+/// IoStats). Read/Write/ChargeAccess mutate the accountant's head position
+/// and I/O counters, both of which are order-sensitive — the single
+/// simulated disk arm is inherently serial. All accounted I/O must stay on
+/// the orchestrating thread; parallel sections may only touch the
+/// unaccounted `raw()` span (read-only).
 class PagedFile {
  public:
-  /// Creates an empty file for points of dimensionality `dim` under the
-  /// given disk parameters.
+  /// Creates an empty owned file for points of dimensionality `dim` under
+  /// the given disk parameters.
   PagedFile(size_t dim, const DiskModel& disk);
 
-  /// Convenience: materializes `data` on the simulated disk without charging
-  /// I/O (the dataset is presumed to already exist on disk, as in the
-  /// paper's setting).
+  /// An owned, writable copy of `data` on the simulated disk, made without
+  /// charging I/O (the dataset is presumed to already exist on disk, as in
+  /// the paper's setting).
   static PagedFile FromDataset(const data::Dataset& data,
                                const DiskModel& disk);
 
-  size_t size() const { return num_points_; }
+  /// A read-only view of `data` on the simulated disk: no copy, no charge.
+  /// `data` must outlive the file and stay unmodified while it is read.
+  static PagedFile View(const data::Dataset& data, const DiskModel& disk);
+  static PagedFile View(const data::Dataset&& data,
+                        const DiskModel& disk) = delete;
+
+  size_t size() const { return accountant_.size(); }
   size_t dim() const { return dim_; }
   const DiskModel& disk() const { return disk_; }
+  bool is_view() const { return is_view_; }
 
   /// Points per page for this file's record size.
-  size_t points_per_page() const { return points_per_page_; }
+  size_t points_per_page() const { return accountant_.points_per_page(); }
 
   /// Total pages currently occupied.
-  size_t num_pages() const;
+  size_t num_pages() const { return accountant_.num_pages(); }
 
-  /// Grows or shrinks the file to `n` points (new space zero-filled, not
-  /// charged — allocation is metadata, not data movement).
+  /// Grows or shrinks an owned file to `n` points (new space zero-filled,
+  /// not charged — allocation is metadata, not data movement).
   void Resize(size_t n);
 
   /// Reads `count` points starting at point index `start` into `out`
@@ -62,8 +74,8 @@ class PagedFile {
   /// range and a seek if the range does not continue the previous access.
   void Read(size_t start, size_t count, float* out);
 
-  /// Writes `count` points starting at point index `start` from `src`.
-  /// Same charging rule as Read.
+  /// Writes `count` points of an owned file starting at point index
+  /// `start` from `src`. Same charging rule as Read.
   void Write(size_t start, size_t count, const float* src);
 
   /// Reads the whole file as a Dataset, charged as one sequential scan.
@@ -72,37 +84,36 @@ class PagedFile {
   /// Charges the I/O of touching `count` points starting at `start` without
   /// moving bytes. Used where the simulation knows data flows but the
   /// in-memory model shortcut avoids an actual copy.
-  void ChargeAccess(size_t start, size_t count);
+  void ChargeAccess(size_t start, size_t count) {
+    accountant_.ChargeAccess(start, count);
+  }
 
   /// Charges one explicit seek (e.g. repositioning between disk areas).
-  void ChargeSeek();
+  void ChargeSeek() { accountant_.ChargeSeek(); }
 
   /// Marks the head as moved away (by I/O on another file sharing the
   /// disk) without charging anything: the next access will pay its seek.
-  void InvalidateHead() { next_sequential_page_ = kNoHead; }
+  void InvalidateHead() { accountant_.InvalidateHead(); }
 
   /// Accumulated I/O counters since construction or the last ResetStats().
-  const IoStats& stats() const { return stats_; }
-  void ResetStats();
+  const IoStats& stats() const { return accountant_.stats(); }
+  void ResetStats() { accountant_.ResetStats(); }
 
-  /// Direct unaccounted access for verification and tests.
-  std::span<const float> raw() const { return store_; }
-  std::span<float> raw_mutable() { return store_; }
+  /// Direct unaccounted access for verification, tests and the in-memory
+  /// shortcuts whose I/O is charged separately.
+  std::span<const float> raw() const {
+    return is_view_ ? view_ : std::span<const float>(store_);
+  }
+  /// Mutable access to an owned file's points.
+  std::span<float> raw_mutable();
 
  private:
-  /// First and last page of a point range; charges the access.
-  void Charge(size_t start, size_t count);
-
   size_t dim_;
   DiskModel disk_;
-  size_t points_per_page_;
-  size_t num_points_ = 0;
-  std::vector<float> store_;
-  IoStats stats_;
-  // Page index following the last page accessed; access starting there is
-  // sequential. kNoHead means no access yet (first access always seeks).
-  static constexpr size_t kNoHead = static_cast<size_t>(-1);
-  size_t next_sequential_page_ = kNoHead;
+  PageAccountant accountant_;
+  bool is_view_ = false;
+  std::vector<float> store_;      // an owned file's points
+  std::span<const float> view_;   // a view's borrowed points
 };
 
 }  // namespace hdidx::io

@@ -129,7 +129,7 @@ ServiceResponse PredictionService::Compute(Shard* shard,
   }
   // A budget of N points already holds the whole dataset, so larger budgets
   // are served as N: same result, same cache entry. Unclamped, the resample
-  // pass would size its k·M areas file by the request.
+  // pass's k·M area offsets could overflow.
   const size_t memory = std::min(request.memory, dataset->size());
   // A data page must hold two records (dim floats + a 4-byte id each), or
   // the modeled tree has no fan-out to predict.
@@ -206,7 +206,7 @@ ServiceResponse PredictionService::Compute(Shard* shard,
     response.result = core::PredictWithMiniIndex(*dataset, topology,
                                                  *workload, params, ctx);
   } else if (request.method == "cutoff") {
-    io::PagedFile file = io::PagedFile::FromDataset(*dataset, disk);
+    io::PagedFile file = io::PagedFile::View(*dataset, disk);
     core::CutoffParams params;
     params.memory_points = memory;
     params.h_upper = core::ChooseHupper(topology, memory);
@@ -214,7 +214,7 @@ ServiceResponse PredictionService::Compute(Shard* shard,
     response.result =
         core::PredictWithCutoffTree(&file, topology, *workload, params, ctx);
   } else {
-    io::PagedFile file = io::PagedFile::FromDataset(*dataset, disk);
+    io::PagedFile file = io::PagedFile::View(*dataset, disk);
     core::ResampledParams params;
     params.memory_points = memory;
     params.h_upper = core::ChooseHupper(topology, memory);

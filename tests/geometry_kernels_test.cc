@@ -290,6 +290,124 @@ TEST(KernelNearestBoxTest, EmptyBoxesNeverWinUnlessAllEmpty) {
   }
 }
 
+/// Every mode against the scalar oracle, plus the index the case expects.
+void ExpectNearestInEveryMode(const std::vector<float>& point,
+                              const BoxSlab& slab, size_t expected,
+                              const char* what) {
+  ASSERT_EQ(NearestBox(point, slab, KernelMode::kScalar), expected) << what;
+  for (const KernelMode mode : AllModes()) {
+    EXPECT_EQ(NearestBox(point, slab, mode), expected)
+        << what << " " << KernelModeName(mode);
+  }
+}
+
+/// A box spanning [lo, hi] in every dimension.
+BoundingBox CubeBox(size_t dim, float lo, float hi) {
+  return BoundingBox(std::vector<float>(dim, lo), std::vector<float>(dim, hi));
+}
+
+TEST(KernelNearestBoxTest, ContainmentBatteryMatchesScalarOracle) {
+  // The batched modes look for the lowest-index containing box before any
+  // MINDIST scan; each case pins that shortcut to the oracle's answer.
+  // None of these dimensionalities is a multiple of the 16-float plane
+  // stride.
+  for (const size_t dim : {1u, 5u, 17u, 60u}) {
+    // Boxes 0-9 are disjoint unit cubes [2i, 2i + 1]; box 10 is empty;
+    // box 11 (second 8-lane block) is [30, 31]; box 12 overlaps box 11.
+    std::vector<BoundingBox> boxes;
+    for (int i = 0; i < 10; ++i) {
+      boxes.push_back(CubeBox(dim, 2.f * i, 2.f * i + 1.f));
+    }
+    boxes.push_back(BoundingBox(dim));
+    boxes.push_back(CubeBox(dim, 30.f, 31.f));
+    boxes.push_back(CubeBox(dim, 30.5f, 40.f));
+    const BoxSlab slab{std::span<const BoundingBox>(boxes)};
+
+    // Exactly on the lo face of box 3 in one dimension, inside elsewhere;
+    // then exactly on its hi face.
+    std::vector<float> p(dim, 6.5f);
+    p[dim / 2] = 6.f;
+    ExpectNearestInEveryMode(p, slab, 3, "on lo face");
+    p[dim / 2] = 7.f;
+    ExpectNearestInEveryMode(p, slab, 3, "on hi face");
+    // Every coordinate on a face: the box's corners.
+    ExpectNearestInEveryMode(std::vector<float>(dim, 6.f), slab, 3,
+                             "lo corner");
+    ExpectNearestInEveryMode(std::vector<float>(dim, 7.f), slab, 3,
+                             "hi corner");
+    // One ulp outside the hi face: no longer contained; box 3 is still the
+    // nearest, through the MINDIST scan.
+    p[dim / 2] = std::nextafter(7.f, 8.f);
+    ExpectNearestInEveryMode(p, slab, 3, "one ulp outside");
+
+    // Inside both box 11 and box 12: the lower index wins. On box 12's lo
+    // face and inside box 11: still box 11.
+    ExpectNearestInEveryMode(std::vector<float>(dim, 30.75f), slab, 11,
+                             "two overlapping boxes");
+    ExpectNearestInEveryMode(std::vector<float>(dim, 30.5f), slab, 11,
+                             "overlap, on the later box's face");
+    ExpectNearestInEveryMode(std::vector<float>(dim, 31.f), slab, 11,
+                             "overlap, on the earlier box's face");
+    // Only box 12 contains it (second block, past the empty box 10).
+    ExpectNearestInEveryMode(std::vector<float>(dim, 35.f), slab, 12,
+                             "second block only");
+
+    // Outside every box: the MINDIST argmin, ties to the lower index.
+    ExpectNearestInEveryMode(std::vector<float>(dim, 1.5f), slab, 0,
+                             "between boxes 0 and 1 (tie)");
+    ExpectNearestInEveryMode(std::vector<float>(dim, 24.f), slab, 9,
+                             "between boxes 9 and 11");
+    ExpectNearestInEveryMode(std::vector<float>(dim, 50.f), slab, 12,
+                             "beyond every box");
+    ExpectNearestInEveryMode(std::vector<float>(dim, -3.f), slab, 0,
+                             "below every box");
+
+    // Empty sentinels ahead of the containing box never win, and an
+    // all-empty slab returns 0 whether or not the point is "inside" the
+    // sentinel range.
+    std::vector<BoundingBox> sentinels(9, BoundingBox(dim));
+    sentinels.push_back(CubeBox(dim, 0.f, 1.f));
+    const BoxSlab sentinel_slab{std::span<const BoundingBox>(sentinels)};
+    ExpectNearestInEveryMode(std::vector<float>(dim, 0.5f), sentinel_slab, 9,
+                             "behind sentinels, inside");
+    ExpectNearestInEveryMode(std::vector<float>(dim, 5.f), sentinel_slab, 9,
+                             "behind sentinels, outside");
+    const std::vector<BoundingBox> all_empty(11, BoundingBox(dim));
+    const BoxSlab empty_slab{std::span<const BoundingBox>(all_empty)};
+    ExpectNearestInEveryMode(std::vector<float>(dim, 0.5f), empty_slab, 0,
+                             "all-empty slab");
+  }
+}
+
+TEST(KernelNearestBoxTest, FacePointsMatchScalarOracle) {
+  // Random overlapping boxes, and points snapped coordinate by coordinate
+  // onto a random box's lo or hi face or into its interior: containment
+  // and near-containment in every mix, every mode against the oracle.
+  common::Rng rng(43);
+  for (const size_t dim : {3u, 17u, 33u}) {
+    std::vector<BoundingBox> boxes;
+    for (int i = 0; i < 27; ++i) boxes.push_back(RandomBox(&rng, dim));
+    const BoxSlab slab{std::span<const BoundingBox>(boxes)};
+    for (int trial = 0; trial < 200; ++trial) {
+      const BoundingBox& box = boxes[rng.NextBounded(boxes.size())];
+      std::vector<float> p(dim);
+      for (size_t d = 0; d < dim; ++d) {
+        switch (rng.NextBounded(4)) {
+          case 0: p[d] = box.lo()[d]; break;
+          case 1: p[d] = box.hi()[d]; break;
+          case 2: p[d] = 0.5f * (box.lo()[d] + box.hi()[d]); break;
+          default: p[d] = std::nextafter(box.hi()[d], 3.f); break;
+        }
+      }
+      const size_t expected = NearestBox(p, slab, KernelMode::kScalar);
+      for (const KernelMode mode : BatchedModes()) {
+        EXPECT_EQ(NearestBox(p, slab, mode), expected)
+            << KernelModeName(mode) << " dim " << dim;
+      }
+    }
+  }
+}
+
 TEST(KernelBatchedL2Test, BitIdenticalToScalarSquaredL2) {
   common::Rng rng(31);
   for (const size_t dim : {1u, 7u, 16u, 33u}) {

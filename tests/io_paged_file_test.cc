@@ -1,11 +1,13 @@
 #include "io/paged_file.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "io/disk_model.h"
+#include "io/page_accountant.h"
 
 namespace hdidx::io {
 namespace {
@@ -47,6 +49,20 @@ TEST(IoStatsTest, ArithmeticAndCost) {
 
 class PagedFileTest : public ::testing::Test {
  protected:
+  // Runs `body` on an owned copy of `data` and on a read-only view of it:
+  // both kinds charge through the same accountant, so every charging rule
+  // holds for both.
+  template <typename Body>
+  void ForBothKinds(const data::Dataset& data, Body body) {
+    for (const bool view : {false, true}) {
+      SCOPED_TRACE(view ? "view" : "owned copy");
+      PagedFile file = view ? PagedFile::View(data, disk_)
+                            : PagedFile::FromDataset(data, disk_);
+      EXPECT_EQ(file.is_view(), view);
+      body(file);
+    }
+  }
+
   // 2-d points, 8 KB pages: 1024 points per page.
   DiskModel disk_;
 };
@@ -54,54 +70,61 @@ class PagedFileTest : public ::testing::Test {
 TEST_F(PagedFileTest, FromDatasetChargesNothing) {
   common::Rng rng(1);
   const auto data = data::GenerateUniform(3000, 2, &rng);
-  PagedFile file = PagedFile::FromDataset(data, disk_);
-  EXPECT_EQ(file.size(), 3000u);
-  EXPECT_EQ(file.stats().page_transfers, 0u);
-  EXPECT_EQ(file.points_per_page(), 1024u);
-  EXPECT_EQ(file.num_pages(), 3u);
+  ForBothKinds(data, [&](PagedFile& file) {
+    EXPECT_EQ(file.size(), 3000u);
+    EXPECT_EQ(file.stats().page_transfers, 0u);
+    EXPECT_EQ(file.points_per_page(), 1024u);
+    EXPECT_EQ(file.num_pages(), 3u);
+  });
 }
 
 TEST_F(PagedFileTest, SequentialScanIsOneSeek) {
   common::Rng rng(2);
   const auto data = data::GenerateUniform(4096, 2, &rng);
-  PagedFile file = PagedFile::FromDataset(data, disk_);
-  const auto all = file.ReadAll();
-  EXPECT_TRUE(all == data);
-  EXPECT_EQ(file.stats().page_seeks, 1u);
-  EXPECT_EQ(file.stats().page_transfers, 4u);
+  ForBothKinds(data, [&](PagedFile& file) {
+    const auto all = file.ReadAll();
+    EXPECT_TRUE(all == data);
+    EXPECT_EQ(file.stats().page_seeks, 1u);
+    EXPECT_EQ(file.stats().page_transfers, 4u);
+  });
 }
 
 TEST_F(PagedFileTest, AdjacentReadsDoNotSeek) {
   common::Rng rng(3);
   const auto data = data::GenerateUniform(4096, 2, &rng);
-  PagedFile file = PagedFile::FromDataset(data, disk_);
-  std::vector<float> buf(1024 * 2);
-  file.Read(0, 1024, buf.data());     // page 0: seek
-  file.Read(1024, 1024, buf.data());  // page 1: adjacent
-  file.Read(2048, 1024, buf.data());  // page 2: adjacent
-  EXPECT_EQ(file.stats().page_seeks, 1u);
-  EXPECT_EQ(file.stats().page_transfers, 3u);
+  ForBothKinds(data, [&](PagedFile& file) {
+    std::vector<float> buf(1024 * 2);
+    file.Read(0, 1024, buf.data());     // page 0: seek
+    file.Read(1024, 1024, buf.data());  // page 1: adjacent
+    file.Read(2048, 1024, buf.data());  // page 2: adjacent
+    EXPECT_EQ(file.stats().page_seeks, 1u);
+    EXPECT_EQ(file.stats().page_transfers, 3u);
+  });
 }
 
 TEST_F(PagedFileTest, BackwardReadSeeks) {
   common::Rng rng(4);
   const auto data = data::GenerateUniform(4096, 2, &rng);
-  PagedFile file = PagedFile::FromDataset(data, disk_);
-  std::vector<float> buf(1024 * 2);
-  file.Read(2048, 1024, buf.data());
-  file.Read(0, 1024, buf.data());
-  EXPECT_EQ(file.stats().page_seeks, 2u);
+  ForBothKinds(data, [&](PagedFile& file) {
+    std::vector<float> buf(1024 * 2);
+    file.Read(2048, 1024, buf.data());
+    file.Read(0, 1024, buf.data());
+    EXPECT_EQ(file.stats().page_seeks, 2u);
+  });
 }
 
 TEST_F(PagedFileTest, RangeSpanningPagesCountsAllTransfers) {
   common::Rng rng(5);
   const auto data = data::GenerateUniform(4096, 2, &rng);
-  PagedFile file = PagedFile::FromDataset(data, disk_);
-  std::vector<float> buf(2048 * 2);
-  // Points 512..2559 overlap pages 0,1,2.
-  file.Read(512, 2048, buf.data());
-  EXPECT_EQ(file.stats().page_transfers, 3u);
-  EXPECT_EQ(file.stats().page_seeks, 1u);
+  ForBothKinds(data, [&](PagedFile& file) {
+    std::vector<float> buf(2048 * 2);
+    // Points 512..2559 overlap pages 0,1,2.
+    file.Read(512, 2048, buf.data());
+    EXPECT_EQ(file.stats().page_transfers, 3u);
+    EXPECT_EQ(file.stats().page_seeks, 1u);
+    EXPECT_TRUE(std::equal(buf.begin(), buf.end(),
+                           data.data().begin() + 512 * 2));
+  });
 }
 
 TEST_F(PagedFileTest, WriteReadRoundTrip) {
@@ -127,12 +150,13 @@ TEST_F(PagedFileTest, WriteThenAdjacentWriteNoExtraSeek) {
 TEST_F(PagedFileTest, InvalidateHeadForcesSeek) {
   common::Rng rng(6);
   const auto data = data::GenerateUniform(2048, 2, &rng);
-  PagedFile file = PagedFile::FromDataset(data, disk_);
-  std::vector<float> buf(1024 * 2);
-  file.Read(0, 1024, buf.data());
-  file.InvalidateHead();
-  file.Read(1024, 1024, buf.data());  // would have been adjacent
-  EXPECT_EQ(file.stats().page_seeks, 2u);
+  ForBothKinds(data, [&](PagedFile& file) {
+    std::vector<float> buf(1024 * 2);
+    file.Read(0, 1024, buf.data());
+    file.InvalidateHead();
+    file.Read(1024, 1024, buf.data());  // would have been adjacent
+    EXPECT_EQ(file.stats().page_seeks, 2u);
+  });
 }
 
 TEST_F(PagedFileTest, ChargeSeekCounts) {
@@ -147,24 +171,30 @@ TEST_F(PagedFileTest, ChargeSeekCounts) {
 TEST_F(PagedFileTest, ResetStatsClearsCountersAndHead) {
   common::Rng rng(7);
   const auto data = data::GenerateUniform(2048, 2, &rng);
-  PagedFile file = PagedFile::FromDataset(data, disk_);
-  std::vector<float> buf(1024 * 2);
-  file.Read(0, 1024, buf.data());
-  file.ResetStats();
-  EXPECT_EQ(file.stats().page_seeks, 0u);
-  file.Read(1024, 1024, buf.data());
-  EXPECT_EQ(file.stats().page_seeks, 1u);  // head was reset: seek again
+  ForBothKinds(data, [&](PagedFile& file) {
+    std::vector<float> buf(1024 * 2);
+    file.Read(0, 1024, buf.data());
+    file.ResetStats();
+    EXPECT_EQ(file.stats().page_seeks, 0u);
+    file.Read(1024, 1024, buf.data());
+    EXPECT_EQ(file.stats().page_seeks, 1u);  // head was reset: seek again
+  });
 }
 
 TEST_F(PagedFileTest, ChargeAccessMatchesReadCharges) {
   common::Rng rng(8);
   const auto data = data::GenerateUniform(4096, 2, &rng);
-  PagedFile a = PagedFile::FromDataset(data, disk_);
-  PagedFile b = PagedFile::FromDataset(data, disk_);
+  PagedFile reader = PagedFile::FromDataset(data, disk_);
   std::vector<float> buf(2000 * 2);
-  a.Read(100, 2000, buf.data());
-  b.ChargeAccess(100, 2000);
-  EXPECT_TRUE(a.stats() == b.stats());
+  reader.Read(100, 2000, buf.data());
+  ForBothKinds(data, [&](PagedFile& file) {
+    file.ChargeAccess(100, 2000);
+    EXPECT_TRUE(file.stats() == reader.stats());
+  });
+  // A bare accountant over the same points charges the same.
+  PageAccountant accountant(reader.points_per_page(), data.size());
+  accountant.ChargeAccess(100, 2000);
+  EXPECT_TRUE(accountant.stats() == reader.stats());
 }
 
 TEST_F(PagedFileTest, HighDimensionalPointsPerPage) {
@@ -173,6 +203,42 @@ TEST_F(PagedFileTest, HighDimensionalPointsPerPage) {
   EXPECT_EQ(file.points_per_page(), 3u);
   file.Resize(10);
   EXPECT_EQ(file.num_pages(), 4u);
+}
+
+TEST_F(PagedFileTest, ViewBorrowsWithoutCopying) {
+  common::Rng rng(9);
+  const auto data = data::GenerateUniform(100, 2, &rng);
+  const PagedFile view = PagedFile::View(data, disk_);
+  EXPECT_EQ(view.raw().data(), data.data().data());
+  EXPECT_EQ(view.raw().size(), data.data().size());
+  const PagedFile copy = PagedFile::FromDataset(data, disk_);
+  EXPECT_NE(copy.raw().data(), data.data().data());
+}
+
+using PagedFileDeathTest = PagedFileTest;
+
+TEST_F(PagedFileDeathTest, ViewRejectsWrites) {
+  common::Rng rng(10);
+  const auto data = data::GenerateUniform(100, 2, &rng);
+  PagedFile view = PagedFile::View(data, disk_);
+  const std::vector<float> point = {1.f, 2.f};
+  EXPECT_DEATH(view.Write(0, 1, point.data()), "read-only PagedFile view");
+  EXPECT_DEATH(view.Resize(200), "read-only PagedFile view");
+  EXPECT_DEATH(view.raw_mutable(), "read-only PagedFile view");
+}
+
+TEST(PageAccountantTest, ChargesPagesOfAPointRange) {
+  PageAccountant accountant(/*points_per_page=*/10, /*num_points=*/100);
+  EXPECT_EQ(accountant.num_pages(), 10u);
+  accountant.ChargeAccess(5, 20);   // pages 0-2: seek
+  accountant.ChargeAccess(30, 10);  // page 3: adjacent
+  accountant.InvalidateHead();
+  accountant.ChargeAccess(40, 1);   // page 4: seek after invalidation
+  accountant.ChargeAccess(0, 0);    // empty: nothing
+  EXPECT_EQ(accountant.stats().page_seeks, 2u);
+  EXPECT_EQ(accountant.stats().page_transfers, 5u);
+  accountant.ResetStats();
+  EXPECT_TRUE(accountant.stats() == IoStats{});
 }
 
 }  // namespace

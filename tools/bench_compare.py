@@ -21,11 +21,16 @@ It also pins the external-build I/O counters (BM_ExternalBuild):
       bulk load, normalized and raw. Deterministic functions of the build
       pipeline, so they gate exactly like bytes_touched.
 
+and the resampled prediction's own simulated I/O (BM_ResampledPredict):
+
+  page_seeks / page_transfers — Equation 5's seeks and transfers of one
+      cold resampled prediction; exact like the build counters.
+
 Timings move with the host, so the timing gate is advisory by default
 (--max-regression inf): CI prints the table and warns. Drift in any exact
-counter (bytes_touched, data_passes, pages_read) is always an error — they
-are machine-independent. speedup_vs_vamsplit is wall-clock and therefore
-never gated.
+counter (bytes_touched, data_passes, pages_read, page_seeks,
+page_transfers) is always an error — they are machine-independent.
+speedup_vs_vamsplit is wall-clock and therefore never gated.
 
 Usage:
   bench_micro --benchmark_filter='...' --benchmark_format=json > run.json
@@ -48,7 +53,8 @@ import sys
 # Rows whose benchmark errored (e.g. "neon not supported on this host")
 # are skipped: availability depends on the machine, not the code.
 # Machine-independent counters: any drift is a hard error.
-EXACT_COUNTERS = ("bytes_touched", "data_passes", "pages_read")
+EXACT_COUNTERS = ("bytes_touched", "data_passes", "pages_read", "page_seeks",
+                  "page_transfers")
 
 
 def load_rows(path_or_obj):
@@ -172,6 +178,16 @@ def selftest():
     assert any("data_passes drifted" in e for e in errors), errors
     assert any("pages_read drifted" in e for e in errors), errors
     assert not any("speedup_vs_vamsplit" in e for e in errors), errors
+
+    # Prediction I/O counters gate exactly too.
+    io_base = doc([{"name": "BM_Pred/60", "page_seeks": 149.0,
+                    "page_transfers": 4817.0}])
+    io_run = doc([{"name": "BM_Pred/60", "page_seeks": 150.0,
+                   "page_transfers": 4817.0}])
+    _, _, errors = compare(load_rows(io_base), load_rows(io_run),
+                           max_regression=math.inf)
+    assert any("page_seeks drifted" in e for e in errors), errors
+    assert not any("page_transfers" in e for e in errors), errors
 
     # Speedup collapse: warn when advisory, error when gated.
     run = doc([

@@ -12,6 +12,7 @@
 // ground truth and relative error (Table 3 style). --confidence-runs adds a
 // Student-t 95% interval across independent sample draws.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -76,7 +77,10 @@ int main(int argc, char** argv) {
   const index::TreeTopology topology =
       index::TreeTopology::FromDisk(dataset.size(), dataset.dim(), disk);
   const std::string method = flags.GetString("method", "resampled");
-  const size_t memory = flags.GetUint("memory", 10000);
+  // A budget of N points already holds the whole dataset, so larger budgets
+  // are run as N, as the prediction service does.
+  const size_t memory =
+      std::min<size_t>(flags.GetUint("memory", 10000), dataset.size());
   const size_t q = flags.GetUint("queries", 500);
   const size_t k = flags.GetUint("k", 21);
   const uint64_t seed = flags.GetUint("seed", 1);
@@ -107,7 +111,7 @@ int main(int argc, char** argv) {
       params.seed = prediction_seed;
       return core::PredictWithMiniIndex(dataset, topology, workload, params);
     }
-    io::PagedFile file = io::PagedFile::FromDataset(dataset, disk);
+    io::PagedFile file = io::PagedFile::View(dataset, disk);
     if (method == "cutoff") {
       core::CutoffParams params;
       params.memory_points = memory;
