@@ -502,6 +502,40 @@ BENCHMARK(BM_ExactKthScan)
     ->Apply(ModeDimSweep)
     ->Iterations(2000);
 
+// The VAMSplit split-dimension choice every bulk load makes per node: the
+// per-dimension moments of 10k rows read through a shuffled permutation
+// (how the in-memory loaders see their rows after a few partitions), then
+// the max-variance pick. bytes_touched is the shape's N·d·4 bytes of rows
+// plus N·4 bytes of indices per iteration.
+void BM_MaxVarianceDim(benchmark::State& state) {
+  const auto mode = SweepMode(state);
+  if (!CheckSweepMode(state, mode)) return;
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const size_t n = 10000;
+  const auto data = MakeData(n, dim);
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  common::Rng rng(13);
+  rng.Shuffle(&order);
+  double total_ns = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(geometry::kernels::MaxVarianceDim(
+        data.data().data(), dim, order, mode));
+    total_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+  const double bytes_per_iteration =
+      static_cast<double>(n) *
+      (static_cast<double>(dim) * sizeof(float) + sizeof(uint32_t));
+  ReportKernelSweep(state, "max_variance_dim_d" + std::to_string(dim), mode,
+                    total_ns, bytes_per_iteration);
+}
+BENCHMARK(BM_MaxVarianceDim)->Apply(ModeDimSweep)->Iterations(200);
+
 // The whole workload on one thread: q=100 exact 21-NN radii over 20k rows,
 // which QueryWorkload::Create runs as one query tile of the exact scan.
 // Cost model (Schneider-style, counting cache-line fetches from memory):

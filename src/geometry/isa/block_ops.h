@@ -2,13 +2,21 @@
 #define HDIDX_GEOMETRY_ISA_BLOCK_OPS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "geometry/kernels.h"
 
 namespace hdidx::geometry::kernels::isa {
 
-/// Per-ISA implementations of the three block primitives every dispatching
-/// kernel entry point is built from. Each op processes exactly
+/// Rows per pass of row_moments. A lane that covers the dimensions in
+/// several register-sized chunks runs every chunk over one block of rows
+/// before moving to the next block, so the rows are fetched from memory
+/// once (64 rows are 15 KB at d=60, L1-resident) and each dimension still
+/// adds its rows in order.
+inline constexpr size_t kMomentRowBlock = 64;
+
+/// Per-ISA implementations of the block primitives every dispatching kernel
+/// entry point is built from. Each distance op processes exactly
 /// BoxSlab::kBlock lanes and must be bit-identical to the scalar oracle:
 /// lanes are whole candidates, SIMD runs *across* candidates, and every
 /// per-candidate reduction accumulates in scalar dimension order in double
@@ -34,12 +42,28 @@ struct BlockOps {
   void (*box_block)(const float* query_lo, const float* query_hi,
                     const BoxSlab& slab, size_t base, bool* alive);
 
-  /// acc[l] = SquaredL2(query, row l) for the kBlock row-major rows
-  /// starting at `rows` (the caller pre-offsets to the block's first row),
-  /// with the same threshold/early-exit contract as sphere_block. A +inf
-  /// threshold never abandons.
-  bool (*row_block)(const float* query, const float* rows, size_t dim,
+  /// acc[l] = SquaredL2(query, lane l) for one staged kBlock-row block
+  /// (the stage_rows layout: lane l's coordinate d at lanes[d * kBlock + l],
+  /// 32-byte aligned), with the same threshold/early-exit contract as
+  /// sphere_block. A +inf threshold never abandons.
+  bool (*row_block)(const float* query, const float* lanes, size_t dim,
                     double threshold, double* acc);
+
+  /// Stages `blocks` whole kBlock-row blocks of row-major rows (width
+  /// `dim`) for row_block: row b * kBlock + l, coordinate d lands at
+  /// lanes[(b * dim + d) * kBlock + l]. A pure copy, so every ISA writes
+  /// the same bytes. `lanes` is 32-byte aligned.
+  void (*stage_rows)(const float* rows, size_t dim, size_t blocks,
+                     float* lanes);
+
+  /// Sets sum[k] and sum_sq[k], for k < dim, to the sums from 0.0 of v and
+  /// v * v (v = the row's coordinate k as a double) over `count` rows of
+  /// width `dim`: row base + index[i] * dim for each i, or base + i * dim
+  /// when `index` is null. Each dimension is summed in row order, as the
+  /// scalar oracle does, so the sums are bit-identical; the ISA lanes only
+  /// keep a chunk of dimensions' accumulators in registers across rows.
+  void (*row_moments)(const float* base, size_t dim, const uint32_t* index,
+                      size_t count, double* sum, double* sum_sq);
 };
 
 /// Portable batched implementation (plain C++, compiler-autovectorized).
@@ -53,6 +77,18 @@ const BlockOps* GenericOps();
 const BlockOps* Avx2Ops();
 const BlockOps* Avx512Ops();
 const BlockOps* NeonOps();
+
+/// The scalar moments oracle (defined in kernels.cc), which is also the
+/// generic lane's row_moments: the compiler vectorizes its loop across
+/// dimensions, and register-resident chunks in plain C++ did not beat it.
+void ScalarRowMoments(const float* base, size_t dim, const uint32_t* index,
+                      size_t count, double* sum, double* sum_sq);
+
+/// The AVX2 lane's stage_rows, which the AVX-512 lane shares. Defined only
+/// when block_ops_avx2.cc is compiled for x86-64 with AVX2, as it always is
+/// wherever the AVX-512 lane is.
+void Avx2StageRows(const float* rows, size_t dim, size_t blocks,
+                   float* lanes);
 
 }  // namespace hdidx::geometry::kernels::isa
 

@@ -13,7 +13,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 namespace hdidx::geometry::kernels::isa {
 
@@ -68,18 +70,14 @@ void BoxBlock(const float* query_lo, const float* query_hi,
   for (size_t l = 0; l < kBlock; ++l) alive[l] = ((mask >> l) & 1) != 0;
 }
 
-bool RowBlock(const float* query, const float* rows, size_t dim,
+bool RowBlock(const float* query, const float* lanes, size_t dim,
               double threshold, double* acc) {
   const __m512d thresh = _mm512_set1_pd(threshold);
   __m512d acc_v = _mm512_setzero_pd();
   for (size_t d = 0; d < dim; ++d) {
     const __m512d q = _mm512_set1_pd(static_cast<double>(query[d]));
-    const float* p = rows + d;
-    const __m128 f0 =
-        _mm_set_ps(p[3 * dim], p[2 * dim], p[1 * dim], p[0]);
-    const __m128 f1 =
-        _mm_set_ps(p[7 * dim], p[6 * dim], p[5 * dim], p[4 * dim]);
-    const __m512d r = _mm512_cvtps_pd(_mm256_set_m128(f1, f0));
+    // Staged: dimension d's eight lanes are one aligned 32-byte run.
+    const __m512d r = _mm512_cvtps_pd(_mm256_load_ps(lanes + d * kBlock));
     const __m512d diff = _mm512_sub_pd(r, q);
     acc_v = _mm512_add_pd(acc_v, _mm512_mul_pd(diff, diff));
     if ((d & 7) == 7 && d + 1 < dim) {
@@ -92,7 +90,83 @@ bool RowBlock(const float* query, const float* rows, size_t dim,
   return true;
 }
 
-constexpr BlockOps kAvx512Ops = {&SphereBlock, &BoxBlock, &RowBlock};
+/// Adds the moments of dimensions [d0, d0 + width), 8 * (kVecs - 1) <
+/// width <= 8 * kVecs, over `count` rows to sum/sum_sq, with all
+/// 2 * kVecs accumulators held in zmm registers across the rows. The last
+/// vector touches only its tail lanes.
+/// The unroll pragmas make GCC unroll the vector loops before it splits
+/// the arrays into registers; left rolled, it keeps a stack copy of every
+/// accumulator and stores to it on each row.
+template <size_t kVecs>
+void MomentsChunk(const float* base, size_t dim, const uint32_t* index,
+                  size_t count, size_t d0, size_t width, double* sum,
+                  double* sum_sq) {
+  const size_t last = 8 * (kVecs - 1);
+  const __mmask8 tail_mask =
+      static_cast<__mmask8>((1u << (width - last)) - 1);
+  __m512d s[kVecs];
+  __m512d q[kVecs];
+#pragma GCC unroll 8
+  for (size_t v = 0; v + 1 < kVecs; ++v) {
+    s[v] = _mm512_loadu_pd(sum + d0 + 8 * v);
+    q[v] = _mm512_loadu_pd(sum_sq + d0 + 8 * v);
+  }
+  s[kVecs - 1] = _mm512_maskz_loadu_pd(tail_mask, sum + d0 + last);
+  q[kVecs - 1] = _mm512_maskz_loadu_pd(tail_mask, sum_sq + d0 + last);
+  for (size_t i = 0; i < count; ++i) {
+    const float* p = base + (index != nullptr ? index[i] : i) * dim + d0;
+#pragma GCC unroll 8
+    for (size_t v = 0; v + 1 < kVecs; ++v) {
+      const __m512d x = _mm512_cvtps_pd(_mm256_loadu_ps(p + 8 * v));
+      s[v] = _mm512_add_pd(s[v], x);
+      q[v] = _mm512_add_pd(q[v], _mm512_mul_pd(x, x));
+    }
+    // Masked-off lanes are not read (no fault past the row) and load 0.
+    const __m512d x = _mm512_cvtps_pd(_mm512_castps512_ps256(
+        _mm512_maskz_loadu_ps(static_cast<__mmask16>(tail_mask), p + last)));
+    s[kVecs - 1] = _mm512_add_pd(s[kVecs - 1], x);
+    q[kVecs - 1] = _mm512_add_pd(q[kVecs - 1], _mm512_mul_pd(x, x));
+  }
+#pragma GCC unroll 8
+  for (size_t v = 0; v + 1 < kVecs; ++v) {
+    _mm512_storeu_pd(sum + d0 + 8 * v, s[v]);
+    _mm512_storeu_pd(sum_sq + d0 + 8 * v, q[v]);
+  }
+  _mm512_mask_storeu_pd(sum + d0 + last, tail_mask, s[kVecs - 1]);
+  _mm512_mask_storeu_pd(sum_sq + d0 + last, tail_mask, q[kVecs - 1]);
+}
+
+using MomentsChunkFn = void (*)(const float*, size_t, const uint32_t*, size_t,
+                                size_t, size_t, double*, double*);
+
+void RowMoments(const float* base, size_t dim, const uint32_t* index,
+                size_t count, double* sum, double* sum_sq) {
+  // Up to 64 dimensions per chunk: 16 of the 32 zmm registers accumulate,
+  // the rest hold each row's loads and squares.
+  constexpr size_t kMaxVecs = 8;
+  // Entry v - 1 runs chunks of v vectors.
+  constexpr MomentsChunkFn kChunks[] = {
+      &MomentsChunk<1>, &MomentsChunk<2>, &MomentsChunk<3>, &MomentsChunk<4>,
+      &MomentsChunk<5>, &MomentsChunk<6>, &MomentsChunk<7>, &MomentsChunk<8>};
+  std::fill_n(sum, dim, 0.0);
+  std::fill_n(sum_sq, dim, 0.0);
+  for (size_t r0 = 0; r0 < count; r0 += kMomentRowBlock) {
+    const size_t rows = std::min(kMomentRowBlock, count - r0);
+    const uint32_t* block_index = index != nullptr ? index + r0 : nullptr;
+    const float* block_base = index != nullptr ? base : base + r0 * dim;
+    for (size_t d0 = 0; d0 < dim; d0 += 8 * kMaxVecs) {
+      const size_t width = std::min(8 * kMaxVecs, dim - d0);
+      kChunks[(width + 7) / 8 - 1](block_base, dim, block_index, rows, d0,
+                                   width, sum, sum_sq);
+    }
+  }
+}
+
+// Staging is a pure copy whose 128-bit row-pair shape gains nothing from
+// 512-bit registers, so the lane shares the AVX2 one (-mavx512f implies
+// AVX2).
+constexpr BlockOps kAvx512Ops = {&SphereBlock, &BoxBlock, &RowBlock,
+                                 &Avx2StageRows, &RowMoments};
 
 }  // namespace
 

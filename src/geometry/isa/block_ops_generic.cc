@@ -58,14 +58,14 @@ void BoxBlock(const float* query_lo, const float* query_hi,
   }
 }
 
-bool RowBlock(const float* query, const float* rows, size_t dim,
+bool RowBlock(const float* query, const float* lanes, size_t dim,
               double threshold, double* acc) {
   for (size_t l = 0; l < kBlock; ++l) acc[l] = 0.0;
   for (size_t d = 0; d < dim; ++d) {
     const double q = query[d];
-    const float* p = rows + d;
+    const float* p = lanes + d * kBlock;
     for (size_t l = 0; l < kBlock; ++l) {
-      const double diff = static_cast<double>(p[l * dim]) - q;
+      const double diff = static_cast<double>(p[l]) - q;
       acc[l] += diff * diff;
     }
     if ((d & 7) == 7 && d + 1 < dim) {
@@ -77,7 +77,20 @@ bool RowBlock(const float* query, const float* rows, size_t dim,
   return true;
 }
 
-constexpr BlockOps kGenericOps = {&SphereBlock, &BoxBlock, &RowBlock};
+void StageRows(const float* rows, size_t dim, size_t blocks, float* lanes) {
+  for (size_t b = 0; b < blocks; ++b) {
+    const float* block = rows + b * kBlock * dim;
+    float* out = lanes + b * kBlock * dim;
+    for (size_t d = 0; d < dim; ++d) {
+      for (size_t l = 0; l < kBlock; ++l) {
+        out[d * kBlock + l] = block[l * dim + d];
+      }
+    }
+  }
+}
+
+constexpr BlockOps kGenericOps = {&SphereBlock, &BoxBlock, &RowBlock,
+                                  &StageRows, &ScalarRowMoments};
 
 }  // namespace
 

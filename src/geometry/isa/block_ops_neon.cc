@@ -12,7 +12,9 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 namespace hdidx::geometry::kernels::isa {
 
@@ -98,19 +100,19 @@ void BoxBlock(const float* query_lo, const float* query_hi,
   }
 }
 
-bool RowBlock(const float* query, const float* rows, size_t dim,
+bool RowBlock(const float* query, const float* lanes, size_t dim,
               double threshold, double* acc) {
   const float64x2_t zero = vdupq_n_f64(0.0);
   const float64x2_t thresh = vdupq_n_f64(threshold);
   float64x2_t acc_v[4] = {zero, zero, zero, zero};
   for (size_t d = 0; d < dim; ++d) {
     const float64x2_t q = vdupq_n_f64(static_cast<double>(query[d]));
-    const float* p = rows + d;
+    // Staged: dimension d's eight lanes are one contiguous run.
+    float64x2_t r[4];
+    Widen(lanes + d * kBlock, r);
+    Widen(lanes + d * kBlock + 4, r + 2);
     for (size_t j = 0; j < 4; ++j) {
-      float64x2_t r = vdupq_n_f64(0.0);
-      r = vsetq_lane_f64(static_cast<double>(p[(2 * j) * dim]), r, 0);
-      r = vsetq_lane_f64(static_cast<double>(p[(2 * j + 1) * dim]), r, 1);
-      const float64x2_t diff = vsubq_f64(r, q);
+      const float64x2_t diff = vsubq_f64(r[j], q);
       acc_v[j] = vaddq_f64(acc_v[j], vmulq_f64(diff, diff));
     }
     if ((d & 7) == 7 && d + 1 < dim && AllOver(acc_v, thresh)) return false;
@@ -119,7 +121,121 @@ bool RowBlock(const float* query, const float* rows, size_t dim,
   return true;
 }
 
-constexpr BlockOps kNeonOps = {&SphereBlock, &BoxBlock, &RowBlock};
+/// Transposes a 4x4 float tile in place: on entry r[l] holds 4
+/// consecutive coordinates of row l, on return r[j] holds coordinate j of
+/// the 4 rows.
+inline void Transpose4x4(float32x4_t r[4]) {
+  const float32x4x2_t t01 = vtrnq_f32(r[0], r[1]);
+  const float32x4x2_t t23 = vtrnq_f32(r[2], r[3]);
+  r[0] = vcombine_f32(vget_low_f32(t01.val[0]), vget_low_f32(t23.val[0]));
+  r[1] = vcombine_f32(vget_low_f32(t01.val[1]), vget_low_f32(t23.val[1]));
+  r[2] = vcombine_f32(vget_high_f32(t01.val[0]), vget_high_f32(t23.val[0]));
+  r[3] = vcombine_f32(vget_high_f32(t01.val[1]), vget_high_f32(t23.val[1]));
+}
+
+void StageRows(const float* rows, size_t dim, size_t blocks, float* lanes) {
+  for (size_t b = 0; b < blocks; ++b) {
+    const float* block = rows + b * kBlock * dim;
+    float* out = lanes + b * kBlock * dim;
+    size_t d = 0;
+    for (; d + 4 <= dim; d += 4) {
+      // Two 4x4 tiles: rows 0-3 fill lanes 0-3, rows 4-7 lanes 4-7.
+      for (size_t half = 0; half < 2; ++half) {
+        float32x4_t r[4];
+        for (size_t l = 0; l < 4; ++l) {
+          r[l] = vld1q_f32(block + (4 * half + l) * dim + d);
+        }
+        Transpose4x4(r);
+        for (size_t j = 0; j < 4; ++j) {
+          vst1q_f32(out + (d + j) * kBlock + 4 * half, r[j]);
+        }
+      }
+    }
+    for (; d < dim; ++d) {
+      for (size_t l = 0; l < kBlock; ++l) {
+        out[d * kBlock + l] = block[l * dim + d];
+      }
+    }
+  }
+}
+
+/// Adds the moments of dimensions [d0, d0 + width), 4 * (kGroups - 1) <
+/// width <= 4 * kGroups, over `count` rows to sum/sum_sq, with all
+/// 4 * kGroups float64x2 accumulators held in registers across the rows.
+/// The last group's missing lanes read as 0 and are never stored.
+/// The unroll pragmas make GCC unroll the vector loops before it splits
+/// the arrays into registers; left rolled, it keeps a stack copy of every
+/// accumulator and stores to it on each row.
+template <size_t kGroups>
+void MomentsChunk(const float* base, size_t dim, const uint32_t* index,
+                  size_t count, size_t d0, size_t width, double* sum,
+                  double* sum_sq) {
+  const size_t last = 4 * (kGroups - 1);
+  const size_t tail = width - last;
+  double s_io[4 * kGroups] = {};
+  double q_io[4 * kGroups] = {};
+  for (size_t k = 0; k < width; ++k) {
+    s_io[k] = sum[d0 + k];
+    q_io[k] = sum_sq[d0 + k];
+  }
+  float64x2_t s[2 * kGroups];
+  float64x2_t q[2 * kGroups];
+#pragma GCC unroll 8
+  for (size_t v = 0; v < 2 * kGroups; ++v) {
+    s[v] = vld1q_f64(s_io + 2 * v);
+    q[v] = vld1q_f64(q_io + 2 * v);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const float* p = base + (index != nullptr ? index[i] : i) * dim + d0;
+    float padded[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+    for (size_t k = 0; k < tail; ++k) padded[k] = p[last + k];
+#pragma GCC unroll 8
+    for (size_t g = 0; g < kGroups; ++g) {
+      float64x2_t x[2];
+      Widen(g + 1 < kGroups ? p + 4 * g : padded, x);
+      for (size_t h = 0; h < 2; ++h) {
+        s[2 * g + h] = vaddq_f64(s[2 * g + h], x[h]);
+        q[2 * g + h] = vaddq_f64(q[2 * g + h], vmulq_f64(x[h], x[h]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t v = 0; v < 2 * kGroups; ++v) {
+    vst1q_f64(s_io + 2 * v, s[v]);
+    vst1q_f64(q_io + 2 * v, q[v]);
+  }
+  for (size_t k = 0; k < width; ++k) {
+    sum[d0 + k] = s_io[k];
+    sum_sq[d0 + k] = q_io[k];
+  }
+}
+
+using MomentsChunkFn = void (*)(const float*, size_t, const uint32_t*, size_t,
+                                size_t, size_t, double*, double*);
+
+void RowMoments(const float* base, size_t dim, const uint32_t* index,
+                size_t count, double* sum, double* sum_sq) {
+  // Up to 16 dimensions per chunk: 16 of the 32 q registers accumulate.
+  constexpr size_t kMaxGroups = 4;
+  // Entry g - 1 runs chunks of g groups.
+  constexpr MomentsChunkFn kChunks[] = {&MomentsChunk<1>, &MomentsChunk<2>,
+                                        &MomentsChunk<3>, &MomentsChunk<4>};
+  std::fill_n(sum, dim, 0.0);
+  std::fill_n(sum_sq, dim, 0.0);
+  for (size_t r0 = 0; r0 < count; r0 += kMomentRowBlock) {
+    const size_t rows = std::min(kMomentRowBlock, count - r0);
+    const uint32_t* block_index = index != nullptr ? index + r0 : nullptr;
+    const float* block_base = index != nullptr ? base : base + r0 * dim;
+    for (size_t d0 = 0; d0 < dim; d0 += 4 * kMaxGroups) {
+      const size_t width = std::min(4 * kMaxGroups, dim - d0);
+      kChunks[(width + 3) / 4 - 1](block_base, dim, block_index, rows, d0,
+                                   width, sum, sum_sq);
+    }
+  }
+}
+
+constexpr BlockOps kNeonOps = {&SphereBlock, &BoxBlock, &RowBlock, &StageRows,
+                               &RowMoments};
 
 }  // namespace
 

@@ -210,10 +210,20 @@ void ScanRows(std::span<ScanEntry<Heap>> tile,
   const size_t n = rows.size() / dim;
   const float* base_ptr = rows.data();
   const isa::BlockOps* ops = OpsFor(mode);  // null: the scalar oracle
+  // The whole blocks of one chunk, staged for row_block: one allocation
+  // per call, at most kScanChunkRows * dim floats.
+  common::AlignedVector<float> staged(
+      ops != nullptr ? std::min(n, kScanChunkRows) / kBlock * kBlock * dim
+                     : 0);
   std::array<double, kBlock> acc;
 
   for (size_t chunk = 0; chunk < n; chunk += kScanChunkRows) {
     const size_t chunk_end = std::min(n, chunk + kScanChunkRows);
+    const size_t blocks = ops != nullptr ? (chunk_end - chunk) / kBlock : 0;
+    if (blocks > 0) {
+      ops->stage_rows(base_ptr + chunk * dim, dim, blocks, staged.data());
+    }
+    const size_t staged_end = chunk + blocks * kBlock;
     for (ScanEntry<Heap>& entry : tile) {
       const ScanOptions& opts = entry.opts;
       // The excluded row (the query's own) is skipped outright; duplicates
@@ -222,20 +232,18 @@ void ScanRows(std::span<ScanEntry<Heap>> tile,
         if (row == opts.exclude_row || d2 <= opts.exclude_within_sq) return;
         entry.heap.Push(d2, row);
       };
-      size_t next = chunk;
-      if (ops != nullptr) {
-        for (; next + kBlock <= chunk_end; next += kBlock) {
-          // Abandonment needs a full heap (threshold < +inf), so the
-          // skipped pushes were no-ops and the exclusion rules are moot for
-          // them too: every abandoned lane has d2 > threshold >= 0.
-          if (!ops->row_block(entry.query, base_ptr + next * dim, dim,
-                              entry.heap.Threshold(), acc.data())) {
-            continue;
-          }
-          for (size_t l = 0; l < kBlock; ++l) consider(next + l, acc[l]);
+      for (size_t b = 0; b < blocks; ++b) {
+        // Abandonment needs a full heap (threshold < +inf), so the skipped
+        // pushes were no-ops and the exclusion rules are moot for them
+        // too: every abandoned lane has d2 > threshold >= 0.
+        if (!ops->row_block(entry.query, staged.data() + b * kBlock * dim,
+                            dim, entry.heap.Threshold(), acc.data())) {
+          continue;
         }
+        const size_t first = chunk + b * kBlock;
+        for (size_t l = 0; l < kBlock; ++l) consider(first + l, acc[l]);
       }
-      for (; next < chunk_end; ++next) {
+      for (size_t next = staged_end; next < chunk_end; ++next) {
         if (next == opts.exclude_row) continue;
         const float* p = base_ptr + next * dim;
         double d2 = 0.0;
@@ -249,7 +257,51 @@ void ScanRows(std::span<ScanEntry<Heap>> tile,
   }
 }
 
+RowMoments ComputeMoments(const float* base, size_t dim,
+                          const uint32_t* index, size_t count,
+                          KernelMode mode) {
+  HDIDX_CHECK(dim > 0);
+  RowMoments moments{std::vector<double>(dim), std::vector<double>(dim)};
+  const isa::BlockOps* ops = OpsFor(ResolveKernelMode(mode));
+  (ops != nullptr ? ops->row_moments : isa::ScalarRowMoments)(
+      base, dim, index, count, moments.sum.data(), moments.sum_sq.data());
+  return moments;
+}
+
+/// The first dimension of maximal variance sum_sq / n - (sum / n)^2.
+size_t MaxVarianceOf(const RowMoments& moments, size_t count) {
+  const double n = static_cast<double>(count);
+  size_t best = 0;
+  double best_var = -1.0;
+  for (size_t k = 0; k < moments.sum.size(); ++k) {
+    const double mean = moments.sum[k] / n;
+    const double var = moments.sum_sq[k] / n - mean * mean;
+    if (var > best_var) {
+      best_var = var;
+      best = k;
+    }
+  }
+  return best;
+}
+
 }  // namespace
+
+/// The scalar moments oracle: the loop the bulk loaders shipped with, one
+/// row at a time, every dimension's sums in row order.
+void isa::ScalarRowMoments(const float* base, size_t dim,
+                           const uint32_t* index, size_t count, double* sum,
+                           double* sum_sq) {
+  std::fill_n(sum, dim, 0.0);
+  std::fill_n(sum_sq, dim, 0.0);
+  for (size_t i = 0; i < count; ++i) {
+    const float* row = base + (index != nullptr ? index[i] : i) * dim;
+    for (size_t k = 0; k < dim; ++k) {
+      const double v = row[k];
+      sum[k] += v;
+      sum_sq[k] += v * v;
+    }
+  }
+}
 
 bool KernelModeSupported(KernelMode mode) {
   switch (mode) {
@@ -592,12 +644,14 @@ void BatchedSquaredL2(std::span<const float> query, const float* rows,
                       KernelMode mode) {
   HDIDX_CHECK(dim > 0);
   HDIDX_CHECK(query.size() == dim);
-  mode = ResolveKernelMode(mode);
+  const isa::BlockOps* ops = OpsFor(ResolveKernelMode(mode));
   size_t next = 0;
-  if (mode != KernelMode::kScalar) {
-    const isa::BlockOps* ops = OpsFor(mode);
+  if (ops != nullptr && count >= kBlock) {
+    // One block is staged at a time.
+    common::AlignedVector<float> staged(kBlock * dim);
     for (; next + kBlock <= count; next += kBlock) {
-      ops->row_block(query.data(), rows + next * dim, dim, kInf, out + next);
+      ops->stage_rows(rows + next * dim, dim, 1, staged.data());
+      ops->row_block(query.data(), staged.data(), dim, kInf, out + next);
     }
   }
   for (; next < count; ++next) {
@@ -684,6 +738,37 @@ std::vector<std::pair<double, size_t>> TopKNeighborScan(
   ScanEntry<BoundedPairHeap> entry{query.data(), opts, BoundedPairHeap(k)};
   ScanRows(std::span(&entry, 1), rows, dim, ResolveKernelMode(mode));
   return entry.heap.TakeSortedAscending();
+}
+
+RowMoments ComputeRowMoments(const float* base, size_t dim,
+                             std::span<const uint32_t> index,
+                             KernelMode mode) {
+  return ComputeMoments(base, dim, index.data(), index.size(), mode);
+}
+
+RowMoments ComputeRowMoments(const float* rows, size_t count, size_t dim,
+                             KernelMode mode) {
+  return ComputeMoments(rows, dim, nullptr, count, mode);
+}
+
+size_t MaxVarianceDim(const float* base, size_t dim,
+                      std::span<const uint32_t> index) {
+  return MaxVarianceDim(base, dim, index, ActiveKernelMode());
+}
+
+size_t MaxVarianceDim(const float* base, size_t dim,
+                      std::span<const uint32_t> index, KernelMode mode) {
+  return MaxVarianceOf(ComputeRowMoments(base, dim, index, mode),
+                       index.size());
+}
+
+size_t MaxVarianceDim(const float* rows, size_t count, size_t dim) {
+  return MaxVarianceDim(rows, count, dim, ActiveKernelMode());
+}
+
+size_t MaxVarianceDim(const float* rows, size_t count, size_t dim,
+                      KernelMode mode) {
+  return MaxVarianceOf(ComputeRowMoments(rows, count, dim, mode), count);
 }
 
 }  // namespace hdidx::geometry::kernels

@@ -203,7 +203,7 @@ HDIDX_CONCURRENT_READ size_t NearestBox(std::span<const float> point,
 
 /// out[i] = SquaredL2(query, rows[i]) for `count` row-major rows, each
 /// accumulated in the scalar dimension order (bit-identical to per-row
-/// SquaredL2).
+/// SquaredL2). The batched modes stage one 8-row block at a time.
 HDIDX_CONCURRENT_READ void BatchedSquaredL2(std::span<const float> query,
                                             const float* rows, size_t count,
                                             size_t dim, double* out);
@@ -214,8 +214,10 @@ HDIDX_CONCURRENT_READ void BatchedSquaredL2(std::span<const float> query,
 
 /// Rows per chunk of the query-tiled k-NN scan: a whole number of kernel
 /// blocks (BoxSlab::kBlock), so chunk boundaries fall on block boundaries
-/// and every query walks the same block partition as an untiled scan. 512
-/// rows stay L2-resident while a tile's queries reuse them (120 KB at d=60).
+/// and every query walks the same block partition as an untiled scan. The
+/// batched modes stage a chunk's whole blocks once, each 8-row block
+/// dimension-major, and 512 staged rows stay L2-resident while a tile's
+/// queries reuse them (120 KB at d=60).
 inline constexpr size_t kScanChunkRows = 512;
 
 /// Heap storage one query tile of the k-NN scan may hold. A tile wider than
@@ -281,6 +283,42 @@ HDIDX_CONCURRENT_READ std::vector<std::pair<double, size_t>> TopKNeighborScan(
 HDIDX_CONCURRENT_READ std::vector<std::pair<double, size_t>> TopKNeighborScan(
     std::span<const float> query, std::span<const float> rows, size_t dim,
     size_t k, const ScanOptions& opts, KernelMode mode);
+
+/// Per-dimension raw moments of a set of row-major rows: sum[k] and
+/// sum_sq[k] are the sums from 0.0 of v and v * v, v being coordinate k of
+/// each row as a double, added in row order. That is the scalar loop
+/// `sum[k] += v; sum_sq[k] += v * v`, so every mode is bit-identical to it;
+/// the batched modes keep a chunk of dimensions' accumulators in registers
+/// across the rows instead of loading and storing them per element.
+struct RowMoments {
+  std::vector<double> sum;
+  std::vector<double> sum_sq;
+};
+
+/// Moments of the rows base + index[i] * dim, in index order (repeats
+/// count repeatedly).
+HDIDX_CONCURRENT_READ RowMoments ComputeRowMoments(
+    const float* base, size_t dim, std::span<const uint32_t> index,
+    KernelMode mode);
+/// Moments of `count` contiguous row-major rows starting at `rows`.
+HDIDX_CONCURRENT_READ RowMoments ComputeRowMoments(const float* rows,
+                                                   size_t count, size_t dim,
+                                                   KernelMode mode);
+
+/// The split dimension of a VAMSplit bulk load: the first k maximizing
+/// sum_sq[k] / n - (sum[k] / n)^2 over the rows' moments (n rows; a strict
+/// `>` scan, so the lowest index wins a tie). One implementation for every
+/// bulk loader, in-memory or out-of-core, over an index list or a
+/// contiguous range.
+HDIDX_CONCURRENT_READ size_t MaxVarianceDim(const float* base, size_t dim,
+                                            std::span<const uint32_t> index);
+HDIDX_CONCURRENT_READ size_t MaxVarianceDim(const float* base, size_t dim,
+                                            std::span<const uint32_t> index,
+                                            KernelMode mode);
+HDIDX_CONCURRENT_READ size_t MaxVarianceDim(const float* rows, size_t count,
+                                            size_t dim);
+HDIDX_CONCURRENT_READ size_t MaxVarianceDim(const float* rows, size_t count,
+                                            size_t dim, KernelMode mode);
 
 }  // namespace hdidx::geometry::kernels
 

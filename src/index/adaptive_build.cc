@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "geometry/kernels.h"
 
 namespace hdidx::index {
 
@@ -57,25 +58,9 @@ int32_t SplitPlan::BuildCell(BuildState* state, std::vector<uint32_t>* subset,
 
   // Split dimension: max variance over the sample subset.
   const size_t d = state->dim;
-  std::vector<double> sum(d, 0.0), sum_sq(d, 0.0);
-  for (const uint32_t s : *subset) {
-    const float* row = state->sample + s * d;
-    for (size_t k = 0; k < d; ++k) {
-      const double v = row[k];
-      sum[k] += v;
-      sum_sq[k] += v * v;
-    }
-  }
   const double n = static_cast<double>(subset->size());
-  size_t split_dim = 0;
-  double best_var = -1.0;
-  for (size_t k = 0; k < d; ++k) {
-    const double var = sum_sq[k] / n - (sum[k] / n) * (sum[k] / n);
-    if (var > best_var) {
-      best_var = var;
-      split_dim = k;
-    }
-  }
+  const size_t split_dim =
+      geometry::kernels::MaxVarianceDim(state->sample, d, *subset);
 
   // Threshold: the subset value at the VAMSplit rank. The subset is then
   // partitioned by VALUE against it — the exact rule BucketOf applies — so

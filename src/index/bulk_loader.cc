@@ -10,6 +10,7 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/stats.h"
+#include "geometry/kernels.h"
 #include "index/adaptive_build.h"
 
 namespace hdidx::index {
@@ -37,28 +38,9 @@ InMemoryPointSource::InMemoryPointSource(const data::Dataset* data)
 }
 
 size_t InMemoryPointSource::MaxVarianceDim(size_t lo, size_t hi) {
-  const size_t d = data_->dim();
-  // Single pass accumulating sum and sum-of-squares per dimension.
-  std::vector<double> sum(d, 0.0), sum_sq(d, 0.0);
-  for (size_t i = lo; i < hi; ++i) {
-    const auto row = data_->row(order_[i]);
-    for (size_t k = 0; k < d; ++k) {
-      const double v = row[k];
-      sum[k] += v;
-      sum_sq[k] += v * v;
-    }
-  }
-  const double n = static_cast<double>(hi - lo);
-  size_t best = 0;
-  double best_var = -1.0;
-  for (size_t k = 0; k < d; ++k) {
-    const double var = sum_sq[k] / n - (sum[k] / n) * (sum[k] / n);
-    if (var > best_var) {
-      best_var = var;
-      best = k;
-    }
-  }
-  return best;
+  return geometry::kernels::MaxVarianceDim(
+      data_->data().data(), data_->dim(),
+      std::span<const uint32_t>(order_).subspan(lo, hi - lo));
 }
 
 void InMemoryPointSource::Partition(size_t lo, size_t hi, size_t pos,

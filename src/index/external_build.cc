@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/random.h"
+#include "geometry/kernels.h"
 #include "index/adaptive_build.h"
 #include "io/read_ahead.h"
 
@@ -56,27 +57,8 @@ class ExternalPointSource : public PointSource {
     // Chunked sequential variance scan over the file.
     PhaseScope scope(this, &phases_.partition);
     file_->ChargeAccess(lo, hi - lo);
-    std::vector<double> sum(dim_, 0.0), sum_sq(dim_, 0.0);
-    const auto raw = file_->raw();
-    for (size_t i = lo; i < hi; ++i) {
-      const float* row = raw.data() + i * dim_;
-      for (size_t k = 0; k < dim_; ++k) {
-        const double v = row[k];
-        sum[k] += v;
-        sum_sq[k] += v * v;
-      }
-    }
-    const double n = static_cast<double>(hi - lo);
-    size_t best = 0;
-    double best_var = -1.0;
-    for (size_t k = 0; k < dim_; ++k) {
-      const double var = sum_sq[k] / n - (sum[k] / n) * (sum[k] / n);
-      if (var > best_var) {
-        best_var = var;
-        best = k;
-      }
-    }
-    return best;
+    return geometry::kernels::MaxVarianceDim(file_->raw().data() + lo * dim_,
+                                             hi - lo, dim_);
   }
 
   void Partition(size_t lo, size_t hi, size_t pos, size_t split_dim) override {
@@ -210,26 +192,9 @@ class ExternalPointSource : public PointSource {
   }
 
   size_t MaxVarianceOfWindow(size_t lo, size_t hi) {
-    std::vector<double> sum(dim_, 0.0), sum_sq(dim_, 0.0);
-    for (size_t i = lo; i < hi; ++i) {
-      const float* row = buffer_.data() + perm_[i - window_lo_] * dim_;
-      for (size_t k = 0; k < dim_; ++k) {
-        const double v = row[k];
-        sum[k] += v;
-        sum_sq[k] += v * v;
-      }
-    }
-    const double n = static_cast<double>(hi - lo);
-    size_t best = 0;
-    double best_var = -1.0;
-    for (size_t k = 0; k < dim_; ++k) {
-      const double var = sum_sq[k] / n - (sum[k] / n) * (sum[k] / n);
-      if (var > best_var) {
-        best_var = var;
-        best = k;
-      }
-    }
-    return best;
+    return geometry::kernels::MaxVarianceDim(
+        buffer_.data(), dim_,
+        std::span<const uint32_t>(perm_).subspan(lo - window_lo_, hi - lo));
   }
 
   /// External quickselect: narrows [*lo, *hi) around `pos` with charged

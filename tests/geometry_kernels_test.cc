@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -630,6 +631,146 @@ TEST(KernelScanTest, EmptyTileIsANoOp) {
     KthDistanceScans({}, {}, rows, 1, 1, {}, mode);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Moments battery: the max-variance kernel against the bulk loaders'
+// historical loop, bit for bit, in every mode. Dimensions straddle every
+// register-chunk boundary (8/16/24 on the generic, NEON and AVX2 lanes, 64
+// on AVX-512) and row counts straddle the 64-row passes.
+// ---------------------------------------------------------------------------
+
+/// The loop every bulk loader ran before the kernel existed, written out
+/// independently of it: per-dimension sums in row order, then a strict-`>`
+/// scan for the first dimension of maximal variance.
+struct ReferenceMoments {
+  std::vector<double> sum;
+  std::vector<double> sum_sq;
+  size_t best = 0;
+};
+
+ReferenceMoments ReferenceMomentsOf(const float* base, size_t dim,
+                                    const std::vector<uint32_t>& index) {
+  ReferenceMoments ref{std::vector<double>(dim, 0.0),
+                       std::vector<double>(dim, 0.0)};
+  for (const uint32_t r : index) {
+    for (size_t k = 0; k < dim; ++k) {
+      const double v = base[r * dim + k];
+      ref.sum[k] += v;
+      ref.sum_sq[k] += v * v;
+    }
+  }
+  const double n = static_cast<double>(index.size());
+  double best_var = -1.0;
+  for (size_t k = 0; k < dim; ++k) {
+    const double var =
+        ref.sum_sq[k] / n - (ref.sum[k] / n) * (ref.sum[k] / n);
+    if (var > best_var) {
+      best_var = var;
+      ref.best = k;
+    }
+  }
+  return ref;
+}
+
+/// Checks the index-list and the contiguous form of the kernel against the
+/// reference in every mode: rows[first, first + count) as a range, and
+/// `index` as a list.
+void ExpectMomentsMatch(const std::vector<float>& rows, size_t dim,
+                        const std::vector<uint32_t>& index, size_t first,
+                        size_t count) {
+  const ReferenceMoments by_index =
+      ReferenceMomentsOf(rows.data(), dim, index);
+  std::vector<uint32_t> range(count);
+  for (size_t i = 0; i < count; ++i) {
+    range[i] = static_cast<uint32_t>(first + i);
+  }
+  const ReferenceMoments by_range = ReferenceMomentsOf(rows.data(), dim, range);
+  for (const KernelMode mode : AllModes()) {
+    SCOPED_TRACE(std::string(KernelModeName(mode)));
+    const RowMoments m = ComputeRowMoments(rows.data(), dim, index, mode);
+    EXPECT_EQ(m.sum, by_index.sum);
+    EXPECT_EQ(m.sum_sq, by_index.sum_sq);
+    EXPECT_EQ(MaxVarianceDim(rows.data(), dim, index, mode), by_index.best);
+    const float* range_rows = rows.data() + first * dim;
+    const RowMoments c = ComputeRowMoments(range_rows, count, dim, mode);
+    EXPECT_EQ(c.sum, by_range.sum);
+    EXPECT_EQ(c.sum_sq, by_range.sum_sq);
+    EXPECT_EQ(MaxVarianceDim(range_rows, count, dim, mode), by_range.best);
+  }
+}
+
+class KernelMomentsTest : public ::testing::TestWithParam<size_t> {};
+
+// Mixed magnitudes make every sum depend on its addition order, so a lane
+// that reorders rows (or splits a dimension's sum) cannot pass.
+TEST_P(KernelMomentsTest, RandomRowsAndRepeatedIndicesBitIdentical) {
+  const size_t dim = GetParam();
+  constexpr size_t kRows = 203;
+  common::Rng rng(dim * 7919 + 3);
+  std::vector<float> rows(kRows * dim);
+  for (auto& v : rows) {
+    const double scale = rng.NextBounded(4) == 0 ? 1e4 : 1e-2;
+    v = static_cast<float>(rng.NextUniform(-scale, 3.0 * scale));
+  }
+  for (const size_t count : {1u, 63u, 64u, 65u, 150u}) {
+    SCOPED_TRACE(count);
+    std::vector<uint32_t> index(count);
+    // Drawn with replacement: repeated rows count once per occurrence.
+    for (auto& r : index) r = static_cast<uint32_t>(rng.NextBounded(kRows));
+    const size_t first = rng.NextBounded(kRows - count + 1);
+    ExpectMomentsMatch(rows, dim, index, first, count);
+  }
+  // Every row repeated: the one-row and many-copies cases.
+  ExpectMomentsMatch(rows, dim, std::vector<uint32_t>(130, 5), kRows - 1, 1);
+}
+
+TEST_P(KernelMomentsTest, LargeMagnitudesBitIdentical) {
+  const size_t dim = GetParam();
+  constexpr size_t kRows = 97;
+  common::Rng rng(dim * 131 + 17);
+  std::vector<float> rows(kRows * dim);
+  for (auto& v : rows) {
+    // Squares up to ~1e72 and sums that cancel across signs.
+    v = static_cast<float>(rng.NextUniform(-1.0, 1.0) *
+                           std::pow(10.0, rng.NextUniform(-30.0, 36.0)));
+  }
+  std::vector<uint32_t> index(kRows);
+  for (auto& r : index) r = static_cast<uint32_t>(rng.NextBounded(kRows));
+  ExpectMomentsMatch(rows, dim, index, 0, kRows);
+}
+
+// Dimensions 0 and 1 vary less; every later dimension is the same column,
+// so their variances tie exactly and the lowest of them must win in every
+// mode.
+TEST_P(KernelMomentsTest, ExactlyTiedVariancesPickLowestIndex) {
+  const size_t dim = GetParam();
+  constexpr size_t kRows = 77;
+  common::Rng rng(dim + 5);
+  std::vector<float> rows(kRows * dim);
+  for (size_t r = 0; r < kRows; ++r) {
+    const float wide = static_cast<float>(rng.NextUniform(-10.0, 10.0));
+    for (size_t k = 0; k < dim; ++k) {
+      rows[r * dim + k] =
+          k < 2 && dim > 2 ? static_cast<float>(rng.NextUniform(-1.0, 1.0))
+                           : wide;
+    }
+  }
+  std::vector<uint32_t> index(kRows);
+  for (size_t i = 0; i < kRows; ++i) index[i] = static_cast<uint32_t>(i);
+  const size_t expected = dim > 2 ? 2 : 0;
+  EXPECT_EQ(ReferenceMomentsOf(rows.data(), dim, index).best, expected);
+  for (const KernelMode mode : AllModes()) {
+    EXPECT_EQ(MaxVarianceDim(rows.data(), dim, index, mode), expected)
+        << KernelModeName(mode);
+    EXPECT_EQ(MaxVarianceDim(rows.data(), kRows, dim, mode), expected)
+        << KernelModeName(mode);
+  }
+  ExpectMomentsMatch(rows, dim, index, 0, kRows);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, KernelMomentsTest,
+                         ::testing::Values(1, 3, 8, 9, 16, 24, 25, 60, 64, 65,
+                                           100));
 
 TEST(KernelModeTest, OverrideWinsAndClears) {
   ModeOverrideGuard guard;

@@ -233,6 +233,10 @@ INSTANTIATE_TEST_SUITE_P(
 // retained scalar reference across every (dimension, slab size)
 // combination, including slab sizes straddling the kBlock stride boundary,
 // empty boxes mixed into the slab, and degenerate all-identical datasets.
+// For the scans, dimensions 1/3/7/9/65 leave a tail inside a staged 8-lane
+// block and 1037 rows end two full 512-row chunks with one staged block
+// and a five-row scalar tail, so excluded rows land in staged blocks, in
+// the scalar tail and across chunk boundaries.
 // EXPECT_EQ throughout — on doubles, not EXPECT_NEAR.
 // ---------------------------------------------------------------------------
 
@@ -390,8 +394,8 @@ TEST_P(KernelEquivalenceProperty, TiledKthScansBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     DimSlabGrid, KernelEquivalenceProperty,
-    ::testing::Combine(::testing::Values(1, 3, 60, 617),
-                       ::testing::Values(1, 7, 8, 9, 16, 17)));
+    ::testing::Combine(::testing::Values(1, 3, 7, 9, 60, 65, 617),
+                       ::testing::Values(1, 7, 8, 9, 16, 17, 1037)));
 
 // ---------------------------------------------------------------------------
 // Sphere-counting consistency: leaf accesses counted through the tree match

@@ -15,6 +15,11 @@ cost model's bytes for one query tile of the workload scan (one tile on one
 thread). Like BM_ExactKthScan's, it is a constant of the benchmark's shape;
 it records the model's prediction and does not observe the tiling itself.
 
+BM_MaxVarianceDim/{mode}/{16,60} pins bytes_touched = N·(d·4 + 4) per
+iteration: the 10k rows of the moments kernel plus their shuffled index
+list, once per split-dimension choice. A constant of the shape, like the
+scan rows; the rows carry speedup_vs_pr5 like the other kernel sweeps.
+
 It also pins the external-build I/O counters (BM_ExternalBuild):
 
   data_passes / pages_read — the simulated page transfers of an on-disk
