@@ -603,6 +603,90 @@ BENCHMARK(BM_ResampledPredict)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(5);
 
+// The resample pass's point assignment (Section 4.4): 10k rows of a
+// clustered N=50k set, each sent to the first grown upper leaf containing
+// it, else to the leaf at minimal MINDIST. The layout is the one the
+// resampled predictor grows for M=5k, 8 KB pages and h_upper by the
+// Section 4.5 rule, built once outside the timed loop with its box-major
+// rows. bytes_touched is the upper bound of one pass over both layouts per
+// point: the point's d floats, the slab's two planes (padded lanes) and
+// the two box-major rows of every leaf.
+void BM_NearestBox(benchmark::State& state) {
+  namespace gk = geometry::kernels;
+  const auto mode = SweepMode(state);
+  if (!CheckSweepMode(state, mode)) return;
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const size_t n = 50000;
+  const size_t memory = 5000;
+  const size_t points = 10000;
+  const auto data = MakeData(n, dim);
+  const auto topo = index::TreeTopology::FromDisk(n, dim, io::DiskModel());
+  common::Rng rng(14);
+  std::vector<size_t> rows;
+  rng.SampleIndices(n, memory, &rows);
+  common::ThreadPool pool(1);
+  const common::ExecutionContext ctx(&pool);
+  const core::UpperTreeResult upper = core::BuildGrownUpperTree(
+      data.Select(rows), topo, core::ChooseHupper(topo, memory),
+      core::SigmaUpper(topo, memory), ctx);
+  const gk::BoxSlab slab{std::span(upper.grown_leaves)};
+  const gk::BoxRows box_rows{slab};
+  double total_ns = 0.0;
+  for (auto _ : state) {
+    size_t sum = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < points; ++i) {
+      sum += gk::NearestBox(data.row(i * (n / points)), slab, box_rows, mode);
+    }
+    total_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(points));
+  const size_t stride = (dim + gk::BoxSlab::kPlaneStride - 1) /
+                        gk::BoxSlab::kPlaneStride * gk::BoxSlab::kPlaneStride;
+  const double bytes_per_iteration =
+      static_cast<double>(points) * sizeof(float) *
+      static_cast<double>(dim + 2 * dim * slab.padded_size() +
+                          2 * stride * box_rows.size());
+  ReportKernelSweep(state, "nearest_box_d" + std::to_string(dim), mode,
+                    total_ns, bytes_per_iteration);
+}
+BENCHMARK(BM_NearestBox)->Apply(ModeDimSweep)->Iterations(20);
+
+// The lower-tree area gather of the resampled predictor: 10k rows,
+// ascending but scattered over a clustered N=100k set (one area's rows in
+// resample order), copied into a reused buffer by Dataset::AppendRows.
+// Iterations rotate over four row samples (9.6 MB of rows at d=60, more
+// than L2), so like the served gather most rows miss the inner caches.
+// bytes_touched is the gathered rows' count·d·4 bytes per iteration.
+void BM_GatherRows(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const size_t n = 100000;
+  const size_t count = 10000;
+  const auto data = MakeData(n, dim);
+  common::Rng rng(15);
+  std::vector<std::vector<size_t>> samples(4);
+  for (auto& rows : samples) rng.SampleIndices(n, count, &rows);
+  data::Dataset gathered(dim);
+  gathered.Reserve(count);
+  size_t next = 0;
+  for (auto _ : state) {
+    gathered.Clear();
+    gathered.AppendRows(data.data(), samples[next++ % samples.size()]);
+    benchmark::DoNotOptimize(gathered.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(count));
+  state.counters["bytes_touched"] =
+      static_cast<double>(count * dim * sizeof(float)) *
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_GatherRows)->Arg(60)->Iterations(200);
+
 // Slab construction cost — the one-off price a prediction pays before the
 // batched counting starts (transpose of all leaf MBRs into arena-backed SoA
 // planes). The transpose itself is mode-independent; sweeping the mode

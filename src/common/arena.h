@@ -5,6 +5,7 @@
 #include <memory>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -105,6 +106,18 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, size_t n) {
     ::operator delete(p, n * sizeof(T), std::align_val_t{Arena::kAlignment});
+  }
+
+  /// resize() default-initializes, so growing a float buffer that is about
+  /// to be overwritten (a row gather) costs no zero-filling pass; an
+  /// explicit value, as in `AlignedVector<float>(n, 0.0f)`, still fills.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {

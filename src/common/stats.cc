@@ -62,15 +62,19 @@ double PearsonCorrelation(const std::vector<double>& x,
   return sxy / std::sqrt(sxx * syy);
 }
 
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
+double PercentileOfSorted(std::span<const double> sorted, double p) {
+  if (sorted.empty()) return 0.0;
   p = std::min(1.0, std::max(0.0, p));
-  std::sort(v.begin(), v.end());
-  const double rank = p * static_cast<double>(v.size() - 1);
+  const double rank = p * static_cast<double>(sorted.size() - 1);
   const size_t lo = static_cast<size_t>(rank);
-  if (lo + 1 >= v.size()) return v.back();
+  if (lo + 1 >= sorted.size()) return sorted.back();
   const double frac = rank - static_cast<double>(lo);
-  return v[lo] + frac * (v[lo + 1] - v[lo]);
+  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+}
+
+double Percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  return PercentileOfSorted(v, p);
 }
 
 double RelativeError(double predicted, double actual) {

@@ -2,6 +2,7 @@
 #define HDIDX_COMMON_STATS_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace hdidx::common {
@@ -32,9 +33,14 @@ double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y);
 
 /// p-th percentile (p in [0, 1]) with linear interpolation between order
-/// statistics; 0 for an empty vector. Used by the prediction service's
-/// per-shard latency metrics (p50/p90/p99).
+/// statistics; 0 for an empty vector. Sorts its copy of `v`, then reads it
+/// with PercentileOfSorted.
 double Percentile(std::vector<double> v, double p);
+
+/// Percentile's interpolation over an already ascending `sorted`, so several
+/// percentiles of one sample share one sort (the prediction service's
+/// per-shard p50/p90/p99).
+double PercentileOfSorted(std::span<const double> sorted, double p);
 
 /// Relative error (predicted - actual) / actual as used throughout the
 /// paper's tables: negative values are underestimations, positive values are

@@ -99,12 +99,8 @@ data::Dataset ChargeScanAndDrawSample(io::PagedFile* file,
   rng->SampleIndices(n, std::min(sample_size, n), &rows);
   file->InvalidateHead();
   file->ChargeAccess(0, n);
-  const auto raw = file->raw();
   data::Dataset sample(dim);
-  sample.Reserve(rows.size());
-  for (size_t row : rows) {
-    sample.Append(raw.subspan(row * dim, dim));
-  }
+  sample.AppendRows(file->raw(), rows);
   return sample;
 }
 

@@ -64,13 +64,6 @@ PredictionResult PredictWithResampledTree(
   io::PageAccountant areas(file->points_per_page(), k * m);
   const auto raw = file->raw();
 
-  // One SoA slab over the grown upper leaves (never empty boxes), reused by
-  // every chunk's point assignment below: each point goes to the first box
-  // containing it, else the box with minimal MINDIST.
-  const geometry::kernels::BoxSlab leaf_slab{std::span(upper.grown_leaves)};
-  const geometry::kernels::KernelMode kernel_mode =
-      geometry::kernels::ActiveKernelMode();
-
   // Pass 1: assign every resampled row to its area and charge the pass. An
   // area keeps the first M rows assigned to it in resample order; the rest
   // overflow and are discarded (footnote 5).
@@ -79,36 +72,49 @@ PredictionResult PredictWithResampledTree(
   std::vector<uint32_t> area_of(resample_rows.size());
   std::vector<size_t> area_fill(k, 0);   // rows kept per area so far
   std::vector<size_t> chunk_kept(k, 0);  // of which from the current chunk
-  size_t next = 0;
-  while (next < resample_rows.size()) {
-    const size_t chunk_begin_row = resample_rows[next];
-    const size_t chunk_count = std::min<size_t>(m, resample_rows.size() - next);
-    const size_t chunk_end_row = resample_rows[next + chunk_count - 1] + 1;
-    // Sequential read over the file span covering this chunk's samples.
-    file->ChargeAccess(chunk_begin_row, chunk_end_row - chunk_begin_row);
+  {
+    // One SoA slab over the grown upper leaves (never empty boxes) and the
+    // same boxes box-major, reused by every chunk's point assignment below:
+    // each point goes to the first box containing it (tested on the rows),
+    // else the box with minimal MINDIST (scanned on the slab). Both are
+    // released before the lower bulk loads allocate.
+    const geometry::kernels::BoxSlab leaf_slab{std::span(upper.grown_leaves)};
+    const geometry::kernels::BoxRows leaf_rows{leaf_slab};
+    const geometry::kernels::KernelMode kernel_mode =
+        geometry::kernels::ActiveKernelMode();
+    size_t next = 0;
+    while (next < resample_rows.size()) {
+      const size_t chunk_begin_row = resample_rows[next];
+      const size_t chunk_count =
+          std::min<size_t>(m, resample_rows.size() - next);
+      const size_t chunk_end_row = resample_rows[next + chunk_count - 1] + 1;
+      // Sequential read over the file span covering this chunk's samples.
+      file->ChargeAccess(chunk_begin_row, chunk_end_row - chunk_begin_row);
 
-    for (size_t i = next; i < next + chunk_count; ++i) {
-      const size_t box = geometry::kernels::NearestBox(
-          raw.subspan(resample_rows[i] * dim, dim), leaf_slab, kernel_mode);
-      if (area_fill[box] + chunk_kept[box] < m) {
-        area_of[i] = static_cast<uint32_t>(box);
-        ++chunk_kept[box];
-      } else {
-        area_of[i] = kDiscarded;
+      for (size_t i = next; i < next + chunk_count; ++i) {
+        const size_t box = geometry::kernels::NearestBox(
+            raw.subspan(resample_rows[i] * dim, dim), leaf_slab, leaf_rows,
+            kernel_mode);
+        if (area_fill[box] + chunk_kept[box] < m) {
+          area_of[i] = static_cast<uint32_t>(box);
+          ++chunk_kept[box];
+        } else {
+          area_of[i] = kDiscarded;
+        }
       }
+      // Each area's kept share of the chunk is written after the points the
+      // area already holds.
+      for (size_t b = 0; b < k; ++b) {
+        if (chunk_kept[b] == 0) continue;
+        areas.ChargeAccess(b * m + area_fill[b], chunk_kept[b]);
+        area_fill[b] += chunk_kept[b];
+        chunk_kept[b] = 0;
+      }
+      // The head returns to the data file for the next chunk: next chunk's
+      // read pays its seek.
+      file->InvalidateHead();
+      next += chunk_count;
     }
-    // Each area's kept share of the chunk is written after the points the
-    // area already holds.
-    for (size_t b = 0; b < k; ++b) {
-      if (chunk_kept[b] == 0) continue;
-      areas.ChargeAccess(b * m + area_fill[b], chunk_kept[b]);
-      area_fill[b] += chunk_kept[b];
-      chunk_kept[b] = 0;
-    }
-    // The head returns to the data file for the next chunk: next chunk's
-    // read pays its seek.
-    file->InvalidateHead();
-    next += chunk_count;
   }
 
   // Stable counting sort of the kept rows by area: area b's rows, in
@@ -146,9 +152,8 @@ PredictionResult PredictWithResampledTree(
     areas.InvalidateHead();
     areas.ChargeAccess(b * m, count);
     lower_points.Clear();
-    for (size_t j = area_begin[b]; j < area_begin[b + 1]; ++j) {
-      lower_points.Append(raw.subspan(area_rows[j] * dim, dim));
-    }
+    lower_points.AppendRows(
+        raw, std::span(area_rows).subspan(area_begin[b], count));
 
     // Effective sampling ratio of THIS lower tree: what its area actually
     // holds over the upper tree's estimate of the subtree's full

@@ -51,6 +51,15 @@ class Dataset {
   /// Appends a point (size must equal dim()).
   void Append(std::span<const float> point);
 
+  /// Appends the rows source[r * dim(), (r + 1) * dim()) for each r in
+  /// `rows`, in order: the bytes of Append-ing them one by one, copied as
+  /// whole rows while the rows a few places ahead are prefetched, so the
+  /// cache misses on scattered rows overlap the copies. `source` is a
+  /// row-major buffer of width dim(), not this dataset's own; one check of
+  /// the largest index per call keeps every row inside it.
+  void AppendRows(std::span<const float> source,
+                  std::span<const size_t> rows);
+
   /// Reserves capacity for `n` points.
   void Reserve(size_t n);
 

@@ -15,6 +15,14 @@ namespace hdidx::geometry::kernels::isa {
 /// adds its rows in order.
 inline constexpr size_t kMomentRowBlock = 64;
 
+/// Most queries group_row_block runs over one staged block. Two queries
+/// share each lane load and run two independent accumulator chains, where
+/// one query's chain waits on every add.
+inline constexpr size_t kScanGroup = 2;
+
+/// Dimensions between two early-exit checkpoints of group_row_block.
+inline constexpr size_t kScanCheckDims = 8;
+
 /// Per-ISA implementations of the block primitives every dispatching kernel
 /// entry point is built from. Each distance op processes exactly
 /// BoxSlab::kBlock lanes and must be bit-identical to the scalar oracle:
@@ -23,6 +31,13 @@ inline constexpr size_t kMomentRowBlock = 64;
 /// with no FMA contraction. Early exits may fire at different block/lane
 /// granularity per ISA — they only ever skip work that is provably a no-op
 /// (sums of squares are monotone), so results never depend on the cadence.
+/// A grouped op (group_row_block) applies this per query: the group shares
+/// the lane loads, never an accumulator or a threshold.
+///
+/// A boolean op with no reduction order, such as containment, may instead
+/// vectorize across dimensions (first_containing): an AND of per-dimension
+/// tests has the same value in any order and grouping, so no lane width
+/// can change a result.
 ///
 /// Padding lanes carry the BoxSlab sentinel (lo=+inf, hi=-inf): their
 /// accumulated distance is +inf and their overlap test fails, so an op may
@@ -42,15 +57,25 @@ struct BlockOps {
   void (*box_block)(const float* query_lo, const float* query_hi,
                     const BoxSlab& slab, size_t base, bool* alive);
 
-  /// acc[l] = SquaredL2(query, lane l) for one staged kBlock-row block
-  /// (the stage_rows layout: lane l's coordinate d at lanes[d * kBlock + l],
-  /// 32-byte aligned), with the same threshold/early-exit contract as
-  /// sphere_block. A +inf threshold never abandons.
-  bool (*row_block)(const float* query, const float* lanes, size_t dim,
-                    double threshold, double* acc);
+  /// Runs a group of `count` queries (1 <= count <= kScanGroup) over one
+  /// staged kBlock-row block (the stage_rows layout: lane l's coordinate d
+  /// at lanes[d * kBlock + l], 32-byte aligned): acc[g * kBlock + l] =
+  /// SquaredL2(queries[g], lane l). queries[g] holds the query's `dim`
+  /// float coordinates widened to double, which is exact, so the caller
+  /// converts them once per group rather than at every block. Each
+  /// dimension's lanes are loaded once for the whole group, and each query
+  /// keeps its own accumulators and its own thresholds[g], with sphere_block's early-exit contract applied per
+  /// query: once every lane of query g exceeds thresholds[g] at a
+  /// checkpoint, g is abandoned (its acc row unspecified). Returns the
+  /// alive mask, bit g set iff query g was not abandoned; its acc row then
+  /// holds every lane's full sum. A +inf threshold never abandons. The op
+  /// returns 0 as soon as the whole group is abandoned.
+  uint32_t (*group_row_block)(const double* const* queries, size_t count,
+                              const float* lanes, size_t dim,
+                              const double* thresholds, double* acc);
 
   /// Stages `blocks` whole kBlock-row blocks of row-major rows (width
-  /// `dim`) for row_block: row b * kBlock + l, coordinate d lands at
+  /// `dim`) for group_row_block: row b * kBlock + l, coordinate d lands at
   /// lanes[(b * dim + d) * kBlock + l]. A pure copy, so every ISA writes
   /// the same bytes. `lanes` is 32-byte aligned.
   void (*stage_rows)(const float* rows, size_t dim, size_t blocks,
@@ -64,6 +89,16 @@ struct BlockOps {
   /// keep a chunk of dimensions' accumulators in registers across rows.
   void (*row_moments)(const float* base, size_t dim, const uint32_t* index,
                       size_t count, double* sum, double* sum_sq);
+
+  /// Index of the first box of `rows`, in index order, that contains
+  /// `point` (rows.dim() floats): no dimension d with lo > p or p > hi, the
+  /// box_block test on the degenerate box [point, point]. rows.size() when
+  /// none does. Containment is a boolean AND with no reduction order, so
+  /// unlike the distance ops this one vectorizes *across dimensions*: one
+  /// box per step, as many dimensions per compare as the lane's widest
+  /// float vector holds, the last vector masked to the dimensions left.
+  /// Sentinel (empty) boxes contain nothing.
+  size_t (*first_containing)(const float* point, const BoxRows& rows);
 };
 
 /// Portable batched implementation (plain C++, compiler-autovectorized).

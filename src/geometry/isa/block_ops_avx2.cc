@@ -86,31 +86,93 @@ void BoxBlock(const float* query_lo, const float* query_hi,
   for (size_t l = 0; l < kBlock; ++l) alive[l] = ((mask >> l) & 1) != 0;
 }
 
-bool RowBlock(const float* query, const float* lanes, size_t dim,
-              double threshold, double* acc) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d thresh = _mm256_set1_pd(threshold);
-  __m256d acc0 = zero;
-  __m256d acc1 = zero;
-  for (size_t d = 0; d < dim; ++d) {
-    const __m256d q = _mm256_set1_pd(static_cast<double>(query[d]));
-    // Staged: dimension d's eight lanes are one aligned 32-byte run.
-    const float* p = lanes + d * kBlock;
-    const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_load_ps(p)), q);
-    const __m256d d1 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_load_ps(p + 4)), q);
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
-    if ((d & 7) == 7 && d + 1 < dim) {
-      const __m256d over0 = _mm256_cmp_pd(acc0, thresh, _CMP_GT_OQ);
-      const __m256d over1 = _mm256_cmp_pd(acc1, thresh, _CMP_GT_OQ);
-      if (_mm256_movemask_pd(_mm256_and_pd(over0, over1)) == 0xF) {
-        return false;
+template <size_t kCount>
+uint32_t GroupRowBlockOf(const double* const* queries, const float* lanes,
+                         size_t dim, const double* thresholds, double* acc) {
+  __m256d acc0[kCount];
+  __m256d acc1[kCount];
+#pragma GCC unroll 4
+  for (size_t g = 0; g < kCount; ++g) {
+    acc0[g] = _mm256_setzero_pd();
+    acc1[g] = _mm256_setzero_pd();
+  }
+  uint32_t alive = (1u << kCount) - 1;
+  for (size_t d = 0;;) {
+    for (const size_t stop = std::min(dim, d + kScanCheckDims); d < stop;
+         ++d) {
+      // Staged: dimension d's eight lanes are one aligned 32-byte run,
+      // loaded once for the whole group.
+      const float* p = lanes + d * kBlock;
+      const __m256d r0 = _mm256_cvtps_pd(_mm_load_ps(p));
+      const __m256d r1 = _mm256_cvtps_pd(_mm_load_ps(p + 4));
+#pragma GCC unroll 4
+      for (size_t g = 0; g < kCount; ++g) {
+        const __m256d q = _mm256_set1_pd(queries[g][d]);
+        const __m256d d0 = _mm256_sub_pd(r0, q);
+        const __m256d d1 = _mm256_sub_pd(r1, q);
+        acc0[g] = _mm256_add_pd(acc0[g], _mm256_mul_pd(d0, d0));
+        acc1[g] = _mm256_add_pd(acc1[g], _mm256_mul_pd(d1, d1));
       }
     }
+    if (d == dim) break;
+#pragma GCC unroll 4
+    for (size_t g = 0; g < kCount; ++g) {
+      const __m256d thresh = _mm256_set1_pd(thresholds[g]);
+      const __m256d over0 = _mm256_cmp_pd(acc0[g], thresh, _CMP_GT_OQ);
+      const __m256d over1 = _mm256_cmp_pd(acc1[g], thresh, _CMP_GT_OQ);
+      if (_mm256_movemask_pd(_mm256_and_pd(over0, over1)) == 0xF) {
+        alive &= ~(1u << g);
+      }
+    }
+    if (alive == 0) return 0;
   }
-  _mm256_storeu_pd(acc, acc0);
-  _mm256_storeu_pd(acc + 4, acc1);
-  return true;
+#pragma GCC unroll 4
+  for (size_t g = 0; g < kCount; ++g) {
+    _mm256_storeu_pd(acc + g * kBlock, acc0[g]);
+    _mm256_storeu_pd(acc + g * kBlock + 4, acc1[g]);
+  }
+  return alive;
+}
+
+uint32_t GroupRowBlock(const double* const* queries, size_t count,
+                       const float* lanes, size_t dim,
+                       const double* thresholds, double* acc) {
+  static_assert(kScanGroup == 2, "one instantiation per group size");
+  return count == 2
+             ? GroupRowBlockOf<2>(queries, lanes, dim, thresholds, acc)
+             : GroupRowBlockOf<1>(queries, lanes, dim, thresholds, acc);
+}
+
+size_t FirstContaining(const float* point, const BoxRows& rows) {
+  // Eight dimensions per compare. Rows are padded to 16 floats, so the
+  // tail's lo/hi loads stay inside the row; the point's tail is a masked
+  // load (never read past its end), and the mask drops the padding lanes.
+  const size_t dim = rows.dim();
+  const size_t full = dim / 8 * 8;
+  const __m256i tail_mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(dim - full)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  for (size_t b = 0; b < rows.size(); ++b) {
+    const float* lo = rows.lo_row(b);
+    const float* hi = rows.hi_row(b);
+    int outside = 0;
+    for (size_t d = 0; d < full && outside == 0; d += 8) {
+      const __m256 p = _mm256_loadu_ps(point + d);
+      outside = _mm256_movemask_ps(
+          _mm256_or_ps(_mm256_cmp_ps(_mm256_load_ps(lo + d), p, _CMP_GT_OQ),
+                       _mm256_cmp_ps(p, _mm256_load_ps(hi + d), _CMP_GT_OQ)));
+    }
+    if (outside == 0 && full < dim) {
+      const __m256 p = _mm256_maskload_ps(point + full, tail_mask);
+      outside = _mm256_movemask_ps(_mm256_and_ps(
+          _mm256_castsi256_ps(tail_mask),
+          _mm256_or_ps(
+              _mm256_cmp_ps(_mm256_load_ps(lo + full), p, _CMP_GT_OQ),
+              _mm256_cmp_ps(p, _mm256_load_ps(hi + full), _CMP_GT_OQ))));
+    }
+    if (outside == 0) return b;
+  }
+  return rows.size();
 }
 
 /// Transposes the two 4x4 float tiles of r in place, one per 128-bit half:
@@ -211,8 +273,8 @@ void RowMoments(const float* base, size_t dim, const uint32_t* index,
   }
 }
 
-constexpr BlockOps kAvx2Ops = {&SphereBlock, &BoxBlock, &RowBlock,
-                               &Avx2StageRows, &RowMoments};
+constexpr BlockOps kAvx2Ops = {&SphereBlock,   &BoxBlock,   &GroupRowBlock,
+                               &Avx2StageRows, &RowMoments, &FirstContaining};
 
 }  // namespace
 

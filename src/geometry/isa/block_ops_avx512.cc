@@ -2,8 +2,9 @@
 // -ffp-contract=off (fp-contract matters here: AVX-512F brings FMA, and a
 // contracted mul+add would change rounding vs the scalar oracle). One
 // 512-bit register covers the whole 8-lane block for the double-precision
-// reductions; the float32 overlap test stays 256-bit (8 floats), reusing
-// the AVX2 shapes, which -mavx512f implies.
+// reductions; the float32 overlap test across boxes stays 256-bit (8
+// floats), reusing the AVX2 shapes, which -mavx512f implies. Containment
+// across dimensions compares 16 floats at a time.
 //
 // maxpd operand-order and NaN notes are in block_ops_avx2.cc; AVX-512
 // vmaxpd keeps the same (src1 > src2) ? src1 : src2, NaN -> src2 rule.
@@ -70,24 +71,80 @@ void BoxBlock(const float* query_lo, const float* query_hi,
   for (size_t l = 0; l < kBlock; ++l) alive[l] = ((mask >> l) & 1) != 0;
 }
 
-bool RowBlock(const float* query, const float* lanes, size_t dim,
-              double threshold, double* acc) {
-  const __m512d thresh = _mm512_set1_pd(threshold);
-  __m512d acc_v = _mm512_setzero_pd();
-  for (size_t d = 0; d < dim; ++d) {
-    const __m512d q = _mm512_set1_pd(static_cast<double>(query[d]));
-    // Staged: dimension d's eight lanes are one aligned 32-byte run.
-    const __m512d r = _mm512_cvtps_pd(_mm256_load_ps(lanes + d * kBlock));
-    const __m512d diff = _mm512_sub_pd(r, q);
-    acc_v = _mm512_add_pd(acc_v, _mm512_mul_pd(diff, diff));
-    if ((d & 7) == 7 && d + 1 < dim) {
-      if (_mm512_cmp_pd_mask(acc_v, thresh, _CMP_GT_OQ) == 0xFF) {
-        return false;
+template <size_t kCount>
+uint32_t GroupRowBlockOf(const double* const* queries, const float* lanes,
+                         size_t dim, const double* thresholds, double* acc) {
+  __m512d acc_v[kCount];
+#pragma GCC unroll 4
+  for (size_t g = 0; g < kCount; ++g) acc_v[g] = _mm512_setzero_pd();
+  uint32_t alive = (1u << kCount) - 1;
+  for (size_t d = 0;;) {
+    for (const size_t stop = std::min(dim, d + kScanCheckDims); d < stop;
+         ++d) {
+      // Staged: dimension d's eight lanes are one aligned 32-byte run,
+      // loaded once for the whole group.
+      const __m512d r = _mm512_cvtps_pd(_mm256_load_ps(lanes + d * kBlock));
+#pragma GCC unroll 4
+      for (size_t g = 0; g < kCount; ++g) {
+        const __m512d diff = _mm512_sub_pd(r, _mm512_set1_pd(queries[g][d]));
+        acc_v[g] = _mm512_add_pd(acc_v[g], _mm512_mul_pd(diff, diff));
       }
     }
+    if (d == dim) break;
+#pragma GCC unroll 4
+    for (size_t g = 0; g < kCount; ++g) {
+      if (_mm512_cmp_pd_mask(acc_v[g], _mm512_set1_pd(thresholds[g]),
+                             _CMP_GT_OQ) == 0xFF) {
+        alive &= ~(1u << g);
+      }
+    }
+    if (alive == 0) return 0;
   }
-  _mm512_storeu_pd(acc, acc_v);
-  return true;
+#pragma GCC unroll 4
+  for (size_t g = 0; g < kCount; ++g) {
+    _mm512_storeu_pd(acc + g * kBlock, acc_v[g]);
+  }
+  return alive;
+}
+
+uint32_t GroupRowBlock(const double* const* queries, size_t count,
+                       const float* lanes, size_t dim,
+                       const double* thresholds, double* acc) {
+  static_assert(kScanGroup == 2, "one instantiation per group size");
+  return count == 2
+             ? GroupRowBlockOf<2>(queries, lanes, dim, thresholds, acc)
+             : GroupRowBlockOf<1>(queries, lanes, dim, thresholds, acc);
+}
+
+size_t FirstContaining(const float* point, const BoxRows& rows) {
+  // Sixteen dimensions per compare. Rows are padded to 16 floats, so every
+  // lo/hi load is one aligned cacheline inside the row; the point's tail is
+  // a masked load (never read past its end), and the masked compares drop
+  // the padding lanes.
+  const size_t dim = rows.dim();
+  const size_t full = dim / 16 * 16;
+  const __mmask16 tail_mask =
+      static_cast<__mmask16>((1u << (dim - full)) - 1);
+  for (size_t b = 0; b < rows.size(); ++b) {
+    const float* lo = rows.lo_row(b);
+    const float* hi = rows.hi_row(b);
+    __mmask16 outside = 0;
+    for (size_t d = 0; d < full && outside == 0; d += 16) {
+      const __m512 p = _mm512_loadu_ps(point + d);
+      outside =
+          _mm512_cmp_ps_mask(_mm512_load_ps(lo + d), p, _CMP_GT_OQ) |
+          _mm512_cmp_ps_mask(p, _mm512_load_ps(hi + d), _CMP_GT_OQ);
+    }
+    if (outside == 0 && tail_mask != 0) {
+      const __m512 p = _mm512_maskz_loadu_ps(tail_mask, point + full);
+      outside = _mm512_mask_cmp_ps_mask(tail_mask, _mm512_load_ps(lo + full),
+                                        p, _CMP_GT_OQ) |
+                _mm512_mask_cmp_ps_mask(tail_mask, p,
+                                        _mm512_load_ps(hi + full), _CMP_GT_OQ);
+    }
+    if (outside == 0) return b;
+  }
+  return rows.size();
 }
 
 /// Adds the moments of dimensions [d0, d0 + width), 8 * (kVecs - 1) <
@@ -165,8 +222,9 @@ void RowMoments(const float* base, size_t dim, const uint32_t* index,
 // Staging is a pure copy whose 128-bit row-pair shape gains nothing from
 // 512-bit registers, so the lane shares the AVX2 one (-mavx512f implies
 // AVX2).
-constexpr BlockOps kAvx512Ops = {&SphereBlock, &BoxBlock, &RowBlock,
-                                 &Avx2StageRows, &RowMoments};
+constexpr BlockOps kAvx512Ops = {&SphereBlock,   &BoxBlock,
+                                 &GroupRowBlock, &Avx2StageRows,
+                                 &RowMoments,    &FirstContaining};
 
 }  // namespace
 

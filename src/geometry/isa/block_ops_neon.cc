@@ -100,25 +100,93 @@ void BoxBlock(const float* query_lo, const float* query_hi,
   }
 }
 
-bool RowBlock(const float* query, const float* lanes, size_t dim,
-              double threshold, double* acc) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  const float64x2_t thresh = vdupq_n_f64(threshold);
-  float64x2_t acc_v[4] = {zero, zero, zero, zero};
-  for (size_t d = 0; d < dim; ++d) {
-    const float64x2_t q = vdupq_n_f64(static_cast<double>(query[d]));
-    // Staged: dimension d's eight lanes are one contiguous run.
-    float64x2_t r[4];
-    Widen(lanes + d * kBlock, r);
-    Widen(lanes + d * kBlock + 4, r + 2);
-    for (size_t j = 0; j < 4; ++j) {
-      const float64x2_t diff = vsubq_f64(r[j], q);
-      acc_v[j] = vaddq_f64(acc_v[j], vmulq_f64(diff, diff));
-    }
-    if ((d & 7) == 7 && d + 1 < dim && AllOver(acc_v, thresh)) return false;
+template <size_t kCount>
+uint32_t GroupRowBlockOf(const double* const* queries, const float* lanes,
+                         size_t dim, const double* thresholds, double* acc) {
+  float64x2_t acc_v[kCount][4];
+#pragma GCC unroll 4
+  for (size_t g = 0; g < kCount; ++g) {
+    for (size_t j = 0; j < 4; ++j) acc_v[g][j] = vdupq_n_f64(0.0);
   }
-  for (size_t j = 0; j < 4; ++j) vst1q_f64(acc + 2 * j, acc_v[j]);
-  return true;
+  uint32_t alive = (1u << kCount) - 1;
+  for (size_t d = 0;;) {
+    for (const size_t stop = std::min(dim, d + kScanCheckDims); d < stop;
+         ++d) {
+      // Staged: dimension d's eight lanes are one contiguous run, loaded
+      // once for the whole group.
+      float64x2_t r[4];
+      Widen(lanes + d * kBlock, r);
+      Widen(lanes + d * kBlock + 4, r + 2);
+#pragma GCC unroll 4
+      for (size_t g = 0; g < kCount; ++g) {
+        const float64x2_t q = vdupq_n_f64(queries[g][d]);
+        for (size_t j = 0; j < 4; ++j) {
+          const float64x2_t diff = vsubq_f64(r[j], q);
+          acc_v[g][j] = vaddq_f64(acc_v[g][j], vmulq_f64(diff, diff));
+        }
+      }
+    }
+    if (d == dim) break;
+#pragma GCC unroll 4
+    for (size_t g = 0; g < kCount; ++g) {
+      if (AllOver(acc_v[g], vdupq_n_f64(thresholds[g]))) alive &= ~(1u << g);
+    }
+    if (alive == 0) return 0;
+  }
+#pragma GCC unroll 4
+  for (size_t g = 0; g < kCount; ++g) {
+    for (size_t j = 0; j < 4; ++j) {
+      vst1q_f64(acc + g * kBlock + 2 * j, acc_v[g][j]);
+    }
+  }
+  return alive;
+}
+
+uint32_t GroupRowBlock(const double* const* queries, size_t count,
+                       const float* lanes, size_t dim,
+                       const double* thresholds, double* acc) {
+  static_assert(kScanGroup == 2, "one instantiation per group size");
+  return count == 2
+             ? GroupRowBlockOf<2>(queries, lanes, dim, thresholds, acc)
+             : GroupRowBlockOf<1>(queries, lanes, dim, thresholds, acc);
+}
+
+/// Whether any lane of `lo > p or p > hi` holds, under `mask`.
+inline bool AnyOutside(float32x4_t lo, float32x4_t p, float32x4_t hi,
+                       uint32x4_t mask) {
+  const uint32x4_t outside = vorrq_u32(vcgtq_f32(lo, p), vcgtq_f32(p, hi));
+  return vmaxvq_u32(vandq_u32(outside, mask)) != 0;
+}
+
+size_t FirstContaining(const float* point, const BoxRows& rows) {
+  // Four dimensions per compare. Rows are padded to 16 floats, so the
+  // tail's lo/hi loads stay inside the row; the point's tail is copied
+  // into a zeroed quad (never read past its end), and the mask drops the
+  // padding lanes.
+  const size_t dim = rows.dim();
+  const size_t full = dim / 4 * 4;
+  const uint32_t lane_ids[4] = {0, 1, 2, 3};
+  const uint32x4_t all = vdupq_n_u32(~0u);
+  const uint32x4_t tail_mask = vcltq_u32(
+      vld1q_u32(lane_ids), vdupq_n_u32(static_cast<uint32_t>(dim - full)));
+  float tail[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  for (size_t j = full; j < dim; ++j) tail[j - full] = point[j];
+  const float32x4_t p_tail = vld1q_f32(tail);
+  for (size_t b = 0; b < rows.size(); ++b) {
+    const float* lo = rows.lo_row(b);
+    const float* hi = rows.hi_row(b);
+    bool outside = false;
+    for (size_t d = 0; d < full && !outside; d += 4) {
+      outside = AnyOutside(vld1q_f32(lo + d), vld1q_f32(point + d),
+                           vld1q_f32(hi + d), all);
+    }
+    if (!outside && full < dim) {
+      outside = AnyOutside(vld1q_f32(lo + full), p_tail, vld1q_f32(hi + full),
+                           tail_mask);
+    }
+    if (!outside) return b;
+  }
+  return rows.size();
 }
 
 /// Transposes a 4x4 float tile in place: on entry r[l] holds 4
@@ -234,8 +302,8 @@ void RowMoments(const float* base, size_t dim, const uint32_t* index,
   }
 }
 
-constexpr BlockOps kNeonOps = {&SphereBlock, &BoxBlock, &RowBlock, &StageRows,
-                               &RowMoments};
+constexpr BlockOps kNeonOps = {&SphereBlock, &BoxBlock,   &GroupRowBlock,
+                               &StageRows,   &RowMoments, &FirstContaining};
 
 }  // namespace
 

@@ -191,17 +191,32 @@ struct ScanEntry {
   Heap heap;
 };
 
+/// Feeds one computed row to a query's heap unless its exclusion rules skip
+/// it: the excluded row (the query's own) is skipped outright, and
+/// duplicates of the query point still count as neighbors.
+template <typename Heap>
+void Consider(ScanEntry<Heap>& entry, size_t row, double d2) {
+  if (row == entry.opts.exclude_row || d2 <= entry.opts.exclude_within_sq) {
+    return;
+  }
+  entry.heap.Push(d2, row);
+}
+
 /// Shared skeleton of the k-NN scan kernels, tiled over queries: walks the
 /// rows in chunks of kScanChunkRows and runs every query of `tile` over each
 /// chunk before moving on, so the rows are streamed from memory once per
-/// tile instead of once per query. Per query it applies the exclusion rules
-/// and feeds `heap.Push(d2, row)` in ascending row order — exactly the
-/// pushes of a one-query scan, since no heap is shared between queries.
-/// `heap.Threshold()` is the current no-op-push bound (k-th distance once k
-/// rows were collected); a batched block abandons once every lane's partial
-/// sum exceeds the bound captured at block start — the bound only shrinks,
-/// so an abandoned row's push would have been a no-op. The result of every
-/// query is therefore independent of the tile it rides in.
+/// tile instead of once per query. Within a chunk the batched modes walk
+/// the tile in groups of isa::kScanGroup queries, each group running the
+/// grouped op over one staged block at a time, so a block's lanes are
+/// loaded once per group. Per query it applies the exclusion rules and
+/// feeds `heap.Push(d2, row)` in ascending row order — exactly the pushes
+/// of a one-query scan, since no heap, accumulator or threshold is shared
+/// between queries. `heap.Threshold()` is the current no-op-push bound
+/// (k-th distance once k rows were collected); a query abandons a block
+/// once every lane's partial sum exceeds its own bound captured at block
+/// start — the bound only shrinks, so an abandoned row's push would have
+/// been a no-op. The result of every query is therefore independent of the
+/// tile and the group it rides in.
 template <typename Heap>
 void ScanRows(std::span<ScanEntry<Heap>> tile,
               std::span<const float> rows, size_t dim, KernelMode mode) {
@@ -210,12 +225,18 @@ void ScanRows(std::span<ScanEntry<Heap>> tile,
   const size_t n = rows.size() / dim;
   const float* base_ptr = rows.data();
   const isa::BlockOps* ops = OpsFor(mode);  // null: the scalar oracle
-  // The whole blocks of one chunk, staged for row_block: one allocation
-  // per call, at most kScanChunkRows * dim floats.
+  // The whole blocks of one chunk, staged for group_row_block: one
+  // allocation per call, at most kScanChunkRows * dim floats.
   common::AlignedVector<float> staged(
       ops != nullptr ? std::min(n, kScanChunkRows) / kBlock * kBlock * dim
                      : 0);
-  std::array<double, kBlock> acc;
+  // The current group's queries as doubles, converted (exactly) once per
+  // group and chunk instead of at every block. Sized by the group, not the
+  // tile, so the scan's only sizeable transient stays `staged`.
+  std::vector<double> wide(ops != nullptr ? isa::kScanGroup * dim : 0);
+  std::array<const double*, isa::kScanGroup> group_queries;
+  std::array<double, isa::kScanGroup> thresholds;
+  std::array<double, isa::kScanGroup * kBlock> acc;
 
   for (size_t chunk = 0; chunk < n; chunk += kScanChunkRows) {
     const size_t chunk_end = std::min(n, chunk + kScanChunkRows);
@@ -223,35 +244,44 @@ void ScanRows(std::span<ScanEntry<Heap>> tile,
     if (blocks > 0) {
       ops->stage_rows(base_ptr + chunk * dim, dim, blocks, staged.data());
     }
-    const size_t staged_end = chunk + blocks * kBlock;
-    for (ScanEntry<Heap>& entry : tile) {
-      const ScanOptions& opts = entry.opts;
-      // The excluded row (the query's own) is skipped outright; duplicates
-      // of the query point still count as neighbors.
-      const auto consider = [&](size_t row, double d2) {
-        if (row == opts.exclude_row || d2 <= opts.exclude_within_sq) return;
-        entry.heap.Push(d2, row);
-      };
+    for (size_t g0 = 0; blocks > 0 && g0 < tile.size();
+         g0 += isa::kScanGroup) {
+      const auto group =
+          tile.subspan(g0, std::min(isa::kScanGroup, tile.size() - g0));
+      for (size_t g = 0; g < group.size(); ++g) {
+        std::copy_n(group[g].query, dim, wide.data() + g * dim);
+        group_queries[g] = wide.data() + g * dim;
+      }
       for (size_t b = 0; b < blocks; ++b) {
         // Abandonment needs a full heap (threshold < +inf), so the skipped
         // pushes were no-ops and the exclusion rules are moot for them
         // too: every abandoned lane has d2 > threshold >= 0.
-        if (!ops->row_block(entry.query, staged.data() + b * kBlock * dim,
-                            dim, entry.heap.Threshold(), acc.data())) {
-          continue;
+        for (size_t g = 0; g < group.size(); ++g) {
+          thresholds[g] = group[g].heap.Threshold();
         }
+        const uint32_t alive = ops->group_row_block(
+            group_queries.data(), group.size(),
+            staged.data() + b * kBlock * dim, dim, thresholds.data(),
+            acc.data());
         const size_t first = chunk + b * kBlock;
-        for (size_t l = 0; l < kBlock; ++l) consider(first + l, acc[l]);
+        for (size_t g = 0; g < group.size(); ++g) {
+          if (((alive >> g) & 1) == 0) continue;
+          for (size_t l = 0; l < kBlock; ++l) {
+            Consider(group[g], first + l, acc[g * kBlock + l]);
+          }
+        }
       }
-      for (size_t next = staged_end; next < chunk_end; ++next) {
-        if (next == opts.exclude_row) continue;
+    }
+    for (ScanEntry<Heap>& entry : tile) {
+      for (size_t next = chunk + blocks * kBlock; next < chunk_end; ++next) {
+        if (next == entry.opts.exclude_row) continue;
         const float* p = base_ptr + next * dim;
         double d2 = 0.0;
         for (size_t d = 0; d < dim; ++d) {
           const double diff = static_cast<double>(p[d]) - entry.query[d];
           d2 += diff * diff;
         }
-        consider(next, d2);
+        Consider(entry, next, d2);
       }
     }
   }
@@ -467,6 +497,22 @@ BoxSlab::BoxSlab(std::span<const BoundingBox* const> boxes,
       boxes.data(), arena);
 }
 
+BoxRows::BoxRows(const BoxSlab& slab)
+    : size_(slab.size()),
+      dim_(slab.dim()),
+      stride_((slab.dim() + BoxSlab::kPlaneStride - 1) /
+              BoxSlab::kPlaneStride * BoxSlab::kPlaneStride),
+      rows_(2 * size_ * stride_, 0.0f) {
+  for (size_t d = 0; d < dim_; ++d) {
+    const float* lo = slab.lo_plane(d);
+    const float* hi = slab.hi_plane(d);
+    for (size_t b = 0; b < size_; ++b) {
+      rows_[2 * b * stride_ + d] = lo[b];
+      rows_[(2 * b + 1) * stride_ + d] = hi[b];
+    }
+  }
+}
+
 size_t CountSphereHits(std::span<const float> center, double r2,
                        const BoxSlab& slab) {
   return CountSphereHits(center, r2, slab, ActiveKernelMode());
@@ -568,14 +614,16 @@ size_t CountBoxHits(const BoundingBox& query, const BoxSlab& slab,
   return count;
 }
 
-size_t NearestBox(std::span<const float> point, const BoxSlab& slab) {
-  return NearestBox(point, slab, ActiveKernelMode());
+size_t NearestBox(std::span<const float> point, const BoxSlab& slab,
+                  const BoxRows& rows) {
+  return NearestBox(point, slab, rows, ActiveKernelMode());
 }
 
 size_t NearestBox(std::span<const float> point, const BoxSlab& slab,
-                  KernelMode mode) {
+                  const BoxRows& rows, KernelMode mode) {
   HDIDX_CHECK(slab.size() > 0);
   HDIDX_CHECK(point.size() == slab.dim());
+  HDIDX_CHECK(rows.size() == slab.size() && rows.dim() == slab.dim());
   mode = ResolveKernelMode(mode);
   size_t best = 0;
   double best_d2 = kInf;
@@ -600,16 +648,9 @@ size_t NearestBox(std::span<const float> point, const BoxSlab& slab,
   // Containment first: a box is at MINDIST exactly 0 iff no coordinate of
   // the point lies outside it (lo > p or p > hi; a float difference never
   // squares to 0 unless it is 0), and the oracle stops at the first such
-  // box. box_block over the degenerate query box [point, point] is exactly
-  // that test; padding lanes are skipped by index bound.
-  std::array<bool, kBlock> inside;
-  for (size_t base = 0; base < slab.size(); base += kBlock) {
-    const size_t lanes = std::min(kBlock, slab.size() - base);
-    ops->box_block(point.data(), point.data(), slab, base, inside.data());
-    for (size_t l = 0; l < lanes; ++l) {
-      if (inside[l]) return base + l;
-    }
-  }
+  // box, which first_containing returns.
+  const size_t inside = ops->first_containing(point.data(), rows);
+  if (inside < rows.size()) return inside;
   // Outside every box: every MINDIST is positive.
   std::array<double, kBlock> acc;
   for (size_t base = 0; base < slab.size(); base += kBlock) {
@@ -647,11 +688,13 @@ void BatchedSquaredL2(std::span<const float> query, const float* rows,
   const isa::BlockOps* ops = OpsFor(ResolveKernelMode(mode));
   size_t next = 0;
   if (ops != nullptr && count >= kBlock) {
-    // One block is staged at a time.
+    // One block is staged at a time and run as a one-query group.
     common::AlignedVector<float> staged(kBlock * dim);
+    const std::vector<double> wide_query(query.begin(), query.end());
+    const double* group[] = {wide_query.data()};
     for (; next + kBlock <= count; next += kBlock) {
       ops->stage_rows(rows + next * dim, dim, 1, staged.data());
-      ops->row_block(query.data(), staged.data(), dim, kInf, out + next);
+      ops->group_row_block(group, 1, staged.data(), dim, &kInf, out + next);
     }
   }
   for (; next < count; ++next) {

@@ -190,20 +190,55 @@ HDIDX_CONCURRENT_READ size_t CountBoxHits(const BoundingBox& query,
                                           const BoxSlab& slab,
                                           KernelMode mode);
 
+/// The boxes of a BoxSlab again, box-major: box b's lo (hi) coordinates are
+/// the dim() contiguous floats at lo_row(b) (hi_row(b)), each row padded to
+/// a multiple of BoxSlab::kPlaneStride floats so it starts on a cacheline.
+/// NearestBox's containment step reads a box's whole extent with
+/// dimension-wide vector loads, one box per step; the slab's planes serve
+/// its MINDIST fallback. Copied from a slab, so empty boxes keep the
+/// sentinel (lo=+inf, hi=-inf) and contain nothing. O(size · dim) floats,
+/// built once per box set and immutable afterwards.
+class BoxRows {
+ public:
+  HDIDX_BUILD_ONLY explicit BoxRows(const BoxSlab& slab);
+
+  /// Number of boxes (the slab's size()).
+  size_t size() const { return size_; }
+  /// Dimensionality (the slab's dim()).
+  size_t dim() const { return dim_; }
+
+  /// Box b's lo (resp. hi) row: dim() floats, 64-byte-aligned.
+  const float* lo_row(size_t b) const {
+    return rows_.data() + 2 * b * stride_;
+  }
+  const float* hi_row(size_t b) const { return lo_row(b) + stride_; }
+
+ private:
+  size_t size_;
+  size_t dim_;
+  size_t stride_;                      // dim_ rounded up to kPlaneStride
+  common::AlignedVector<float> rows_;  // per box: lo row, then hi row
+};
+
 /// Index of the first slab box attaining the minimal SquaredMinDist to
 /// `point` (ties broken towards the lowest index). Containment — distance
 /// exactly 0 — short-circuits: the batched modes first look for the
-/// lowest-index box containing the point and scan MINDISTs only when none
-/// does. Empty boxes are infinitely far and are never chosen unless every
-/// box is empty (then index 0). Requires slab.size() > 0.
+/// lowest-index box containing the point, testing one box of `rows` (the
+/// same boxes, box-major) per step with dimension-wide compares, and scan
+/// the slab's MINDISTs only when none does. Empty boxes are infinitely far
+/// and are never chosen unless every box is empty (then index 0). Requires
+/// slab.size() > 0, and `rows` built from `slab`'s boxes.
 HDIDX_CONCURRENT_READ size_t NearestBox(std::span<const float> point,
-                                        const BoxSlab& slab);
+                                        const BoxSlab& slab,
+                                        const BoxRows& rows);
 HDIDX_CONCURRENT_READ size_t NearestBox(std::span<const float> point,
-                                        const BoxSlab& slab, KernelMode mode);
+                                        const BoxSlab& slab,
+                                        const BoxRows& rows, KernelMode mode);
 
 /// out[i] = SquaredL2(query, rows[i]) for `count` row-major rows, each
 /// accumulated in the scalar dimension order (bit-identical to per-row
-/// SquaredL2). The batched modes stage one 8-row block at a time.
+/// SquaredL2). The batched modes stage one 8-row block at a time and run it
+/// as a one-query group.
 HDIDX_CONCURRENT_READ void BatchedSquaredL2(std::span<const float> query,
                                             const float* rows, size_t count,
                                             size_t dim, double* out);

@@ -240,18 +240,25 @@ ServiceMetrics PredictionService::Metrics() const {
   m.requests = requests_.load(std::memory_order_relaxed);
   m.errors = errors_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
-    common::MutexLock lock(&shard->mu);
-    m.result_hits += shard->results.hits();
-    m.result_misses += shard->results.misses();
-    m.result_evictions += shard->results.evictions();
-    m.workload_hits += shard->workloads.hits();
-    m.workload_misses += shard->workloads.misses();
-    m.workload_evictions += shard->workloads.evictions();
+    // One copy of the latencies under the lock; the sort and the three
+    // percentile reads run after it is released.
+    std::vector<double> latencies;
+    {
+      common::MutexLock lock(&shard->mu);
+      m.result_hits += shard->results.hits();
+      m.result_misses += shard->results.misses();
+      m.result_evictions += shard->results.evictions();
+      m.workload_hits += shard->workloads.hits();
+      m.workload_misses += shard->workloads.misses();
+      m.workload_evictions += shard->workloads.evictions();
+      latencies = shard->latencies_ms;
+    }
+    std::sort(latencies.begin(), latencies.end());
     ServiceMetrics::Shard sm;
-    sm.requests = shard->latencies_ms.size();
-    sm.p50_ms = common::Percentile(shard->latencies_ms, 0.50);
-    sm.p90_ms = common::Percentile(shard->latencies_ms, 0.90);
-    sm.p99_ms = common::Percentile(shard->latencies_ms, 0.99);
+    sm.requests = latencies.size();
+    sm.p50_ms = common::PercentileOfSorted(latencies, 0.50);
+    sm.p90_ms = common::PercentileOfSorted(latencies, 0.90);
+    sm.p99_ms = common::PercentileOfSorted(latencies, 0.99);
     m.shards.push_back(sm);
   }
   return m;

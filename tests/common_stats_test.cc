@@ -1,6 +1,8 @@
 #include "common/stats.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -77,6 +79,19 @@ TEST(StatsTest, PercentileInterpolatesOrderStatistics) {
   std::vector<double> ten;
   for (int i = 1; i <= 10; ++i) ten.push_back(i);
   EXPECT_DOUBLE_EQ(Percentile(ten, 0.9), 9.1);
+}
+
+TEST(StatsTest, PercentileOfSortedMatchesPercentile) {
+  // One sort serves several percentiles: reading a sorted copy gives
+  // exactly Percentile's interpolation, for every p, empty input included.
+  EXPECT_EQ(PercentileOfSorted({}, 0.5), 0.0);
+  std::vector<double> v;
+  for (int i = 0; i < 37; ++i) v.push_back(std::fmod(i * 7.31, 5.0));
+  std::vector<double> sorted = v;
+  std::sort(sorted.begin(), sorted.end());
+  for (const double p : {-0.5, 0.0, 0.25, 0.5, 0.9, 0.99, 1.0, 1.5}) {
+    EXPECT_EQ(PercentileOfSorted(sorted, p), Percentile(v, p)) << p;
+  }
 }
 
 TEST(StatsTest, RelativeErrorSignConvention) {

@@ -1,7 +1,10 @@
 #include "data/dataset.h"
 
+#include <cstring>
+#include <span>
 #include <vector>
 
+#include "common/random.h"
 #include "gtest/gtest.h"
 
 namespace hdidx::data {
@@ -62,6 +65,72 @@ TEST(DatasetTest, SelectWithDuplicates) {
   const Dataset sel = d.Select({1, 1, 1});
   ASSERT_EQ(sel.size(), 3u);
   for (size_t i = 0; i < 3; ++i) EXPECT_EQ(sel.row(i)[1], 4.0f);
+}
+
+/// The per-row Append loop AppendRows replaces, as the reference.
+Dataset AppendOneByOne(Dataset out, const Dataset& source,
+                       const std::vector<size_t>& rows) {
+  for (size_t r : rows) out.Append(source.row(r));
+  return out;
+}
+
+/// Bit-level equality of two datasets' buffers (operator== compares floats,
+/// under which -0.0 == 0.0).
+bool SameBytes(const Dataset& a, const Dataset& b) {
+  return a.dim() == b.dim() && a.size() == b.size() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+TEST(DatasetTest, AppendRowsEqualsPerRowAppendBitForBit) {
+  common::Rng rng(5);
+  for (const size_t dim : {1u, 3u, 60u}) {
+    const size_t n = 41;  // more rows than the prefetch distance
+    std::vector<float> values(n * dim);
+    for (float& v : values) v = static_cast<float>(rng.NextUniform(-1, 1));
+    values[0] = -0.0f;  // a signed zero must survive the copy
+    const Dataset source(values, dim);
+    std::vector<size_t> shuffled(n);
+    for (size_t i = 0; i < n; ++i) shuffled[i] = (i * 17) % n;
+    const std::vector<std::vector<size_t>> lists = {
+        {},                          // empty
+        {7},                         // one row
+        {n - 1},                     // the last row
+        {3, 3, 3, n - 1, 3, 0, 0},   // repeats and the last row
+        shuffled,                    // every row, longer than the prefetch
+    };
+    for (const auto& rows : lists) {
+      Dataset gathered(dim);
+      gathered.AppendRows(source.data(), rows);
+      EXPECT_TRUE(SameBytes(gathered, AppendOneByOne(Dataset(dim), source,
+                                                     rows)))
+          << "dim " << dim << ", " << rows.size() << " rows";
+      EXPECT_TRUE(SameBytes(source.Select(rows),
+                            AppendOneByOne(Dataset(dim), source, rows)));
+      // Appending after existing rows keeps them.
+      Dataset prefixed(dim);
+      prefixed.Append(source.row(1));
+      prefixed.AppendRows(source.data(), rows);
+      Dataset expected(dim);
+      expected.Append(source.row(1));
+      EXPECT_TRUE(
+          SameBytes(prefixed, AppendOneByOne(std::move(expected), source,
+                                             rows)));
+    }
+  }
+}
+
+TEST(DatasetDeathTest, SelectRejectsOutOfRangeRows) {
+  const Dataset d({1, 2, 3, 4, 5, 6}, 3);
+  EXPECT_DEATH(d.Select({0, 2}), "max_row");
+  EXPECT_DEATH(d.Select({2}), "max_row");
+  Dataset out(3);
+  const std::vector<size_t> past_end = {1, 0, 5};
+  EXPECT_DEATH(out.AppendRows(d.data(), past_end), "max_row");
+  // A source that is not whole rows of this width is rejected too.
+  const std::vector<float> ragged = {1, 2, 3, 4};
+  const std::vector<size_t> first = {0};
+  EXPECT_DEATH(out.AppendRows(ragged, first), "dim_");
 }
 
 TEST(DatasetTest, ProjectPrefixKeepsLeadingDims) {

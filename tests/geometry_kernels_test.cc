@@ -19,6 +19,7 @@
 #include "common/random.h"
 #include "geometry/bounding_box.h"
 #include "geometry/distance.h"
+#include "geometry/isa/block_ops.h"
 #include "gtest/gtest.h"
 
 namespace hdidx::geometry::kernels {
@@ -243,6 +244,7 @@ TEST(KernelNearestBoxTest, PicksMinimalDistanceLowestIndex) {
     std::vector<BoundingBox> boxes;
     for (int i = 0; i < 21; ++i) boxes.push_back(RandomBox(&rng, dim));
     const BoxSlab slab{std::span<const BoundingBox>(boxes)};
+    const BoxRows rows{slab};
     for (int trial = 0; trial < 30; ++trial) {
       const auto point = RandomPoint(&rng, dim);
       size_t expected = 0;
@@ -255,7 +257,7 @@ TEST(KernelNearestBoxTest, PicksMinimalDistanceLowestIndex) {
         }
       }
       for (const KernelMode mode : AllModes()) {
-        EXPECT_EQ(NearestBox(point, slab, mode), expected)
+        EXPECT_EQ(NearestBox(point, slab, rows, mode), expected)
             << KernelModeName(mode);
       }
     }
@@ -269,11 +271,14 @@ TEST(KernelNearestBoxTest, ExactTiesBreakTowardsLowestIndex) {
   boxes.push_back(BoundingBox({1.f}, {2.f}));
   boxes.push_back(BoundingBox({1.5f}, {2.f}));
   const BoxSlab slab{std::span<const BoundingBox>(boxes)};
+  const BoxRows rows{slab};
   const std::vector<float> outside = {0.f};
   const std::vector<float> inside = {1.7f};
   for (const KernelMode mode : AllModes()) {
-    EXPECT_EQ(NearestBox(outside, slab, mode), 0u) << KernelModeName(mode);
-    EXPECT_EQ(NearestBox(inside, slab, mode), 0u) << KernelModeName(mode);
+    EXPECT_EQ(NearestBox(outside, slab, rows, mode), 0u)
+        << KernelModeName(mode);
+    EXPECT_EQ(NearestBox(inside, slab, rows, mode), 0u)
+        << KernelModeName(mode);
   }
 }
 
@@ -284,10 +289,13 @@ TEST(KernelNearestBoxTest, EmptyBoxesNeverWinUnlessAllEmpty) {
   const BoxSlab slab{std::span<const BoundingBox>(boxes)};
   std::vector<BoundingBox> all_empty(3, BoundingBox(2));
   const BoxSlab empty_slab{std::span<const BoundingBox>(all_empty)};
+  const BoxRows rows{slab};
+  const BoxRows empty_rows{empty_slab};
   const std::vector<float> p = {0.f, 0.f};
   for (const KernelMode mode : AllModes()) {
-    EXPECT_EQ(NearestBox(p, slab, mode), 1u) << KernelModeName(mode);
-    EXPECT_EQ(NearestBox(p, empty_slab, mode), 0u) << KernelModeName(mode);
+    EXPECT_EQ(NearestBox(p, slab, rows, mode), 1u) << KernelModeName(mode);
+    EXPECT_EQ(NearestBox(p, empty_slab, empty_rows, mode), 0u)
+        << KernelModeName(mode);
   }
 }
 
@@ -295,9 +303,11 @@ TEST(KernelNearestBoxTest, EmptyBoxesNeverWinUnlessAllEmpty) {
 void ExpectNearestInEveryMode(const std::vector<float>& point,
                               const BoxSlab& slab, size_t expected,
                               const char* what) {
-  ASSERT_EQ(NearestBox(point, slab, KernelMode::kScalar), expected) << what;
+  const BoxRows rows{slab};
+  ASSERT_EQ(NearestBox(point, slab, rows, KernelMode::kScalar), expected)
+      << what;
   for (const KernelMode mode : AllModes()) {
-    EXPECT_EQ(NearestBox(point, slab, mode), expected)
+    EXPECT_EQ(NearestBox(point, slab, rows, mode), expected)
         << what << " " << KernelModeName(mode);
   }
 }
@@ -378,32 +388,218 @@ TEST(KernelNearestBoxTest, ContainmentBatteryMatchesScalarOracle) {
     ExpectNearestInEveryMode(std::vector<float>(dim, 0.5f), empty_slab, 0,
                              "all-empty slab");
   }
+
+  // Chains of overlapping cubes, box i = [i, i + 2], so box i overlaps box
+  // i + 1 on [i + 1, i + 2], at dimensions on both sides of every lane's
+  // vector width (4, 8 and 16 floats) and box counts around the 8-lane
+  // block. A point inside two boxes must pick the earlier one. A point
+  // that leaves box i in one dimension only must fall through to box
+  // i + 1; leaving in the last dimension puts the deciding compare in a
+  // masked tail whenever dim is not a multiple of the lane's width.
+  for (const size_t dim : {1u, 7u, 15u, 16u, 17u, 33u, 60u, 65u}) {
+    for (const size_t count : {1u, 7u, 8u, 9u, 17u}) {
+      std::vector<BoundingBox> chain;
+      for (size_t i = 0; i < count; ++i) {
+        chain.push_back(CubeBox(dim, static_cast<float>(i),
+                                static_cast<float>(i) + 2.f));
+      }
+      const BoxSlab chain_slab{std::span<const BoundingBox>(chain)};
+      for (size_t t = 0; t < count; ++t) {
+        const float mid = static_cast<float>(t) + 1.5f;
+        ExpectNearestInEveryMode(std::vector<float>(dim, mid), chain_slab, t,
+                                 "inside boxes t and t + 1");
+        for (const size_t out_dim : {size_t{0}, dim / 2, dim - 1}) {
+          std::vector<float> leaves(dim, mid);
+          leaves[out_dim] = mid + 1.f;
+          // Outside box t in one dimension, inside box t + 1; past the
+          // last box, box t is still the nearest by MINDIST.
+          ExpectNearestInEveryMode(leaves, chain_slab,
+                                   t + 1 < count ? t + 1 : t,
+                                   "leaves box t in one dimension");
+        }
+      }
+      ExpectNearestInEveryMode(std::vector<float>(dim, -1.f), chain_slab, 0,
+                               "inside no box");
+    }
+
+    // Signed zeros compare equal, so a +0.0 coordinate is on a -0.0 hi face
+    // and inside; degenerate boxes (lo == hi) contain exactly their point.
+    std::vector<BoundingBox> faces;
+    faces.push_back(CubeBox(dim, 0.25f, 0.25f));
+    faces.push_back(CubeBox(dim, 0.5f, 0.5f));
+    faces.push_back(CubeBox(dim, -1.f, -0.f));
+    faces.push_back(CubeBox(dim, 0.f, 1.f));
+    const BoxSlab face_slab{std::span<const BoundingBox>(faces)};
+    ExpectNearestInEveryMode(std::vector<float>(dim, 0.25f), face_slab, 0,
+                             "on a degenerate box");
+    std::vector<float> p(dim, 0.25f);
+    p[dim - 1] = std::nextafter(0.25f, 1.f);
+    ExpectNearestInEveryMode(p, face_slab, 3,
+                             "one ulp off a degenerate box, last dimension");
+    ExpectNearestInEveryMode(std::vector<float>(dim, 0.f), face_slab, 2,
+                             "+0.0 on a -0.0 hi face");
+    ExpectNearestInEveryMode(std::vector<float>(dim, -0.f), face_slab, 2,
+                             "-0.0 on a -0.0 hi face");
+    std::vector<float> mixed(dim, 0.f);
+    for (size_t d = 0; d < dim; d += 2) mixed[d] = -0.f;
+    ExpectNearestInEveryMode(mixed, face_slab, 2, "mixed signed zeros");
+    mixed[dim - 1] = 0.75f;
+    ExpectNearestInEveryMode(mixed, face_slab, 3,
+                             "signed zeros, off the -0.0 face last");
+  }
+}
+
+/// RandomBox with about a quarter of its sides replaced by a signed-zero
+/// face: [+-0.0, hi], [lo, +-0.0] or the degenerate [+-0.0, +-0.0].
+BoundingBox SignedZeroBox(common::Rng* rng, size_t dim) {
+  const BoundingBox box = RandomBox(rng, dim);
+  std::vector<float> lo = box.lo();
+  std::vector<float> hi = box.hi();
+  for (size_t d = 0; d < dim; ++d) {
+    const float zero = rng->NextBounded(2) == 0 ? 0.f : -0.f;
+    switch (rng->NextBounded(8)) {
+      case 0: lo[d] = zero; hi[d] = std::max(hi[d], 0.5f); break;
+      case 1: hi[d] = zero; lo[d] = std::min(lo[d], -0.5f); break;
+      case 2: lo[d] = zero; hi[d] = zero; break;
+      default: break;
+    }
+  }
+  return BoundingBox(std::move(lo), std::move(hi));
 }
 
 TEST(KernelNearestBoxTest, FacePointsMatchScalarOracle) {
   // Random overlapping boxes, and points snapped coordinate by coordinate
-  // onto a random box's lo or hi face or into its interior: containment
-  // and near-containment in every mix, every mode against the oracle.
+  // onto a random box's lo or hi face, into its interior or one ulp past
+  // its hi face, zeros with either sign: containment and near-containment
+  // in every mix, every mode against the oracle. Boxes have lo == hi sides
+  // and signed-zero faces; dimensions straddle every lane's vector width
+  // (4, 8 and 16 floats) and box counts the 8-lane block.
   common::Rng rng(43);
-  for (const size_t dim : {3u, 17u, 33u}) {
-    std::vector<BoundingBox> boxes;
-    for (int i = 0; i < 27; ++i) boxes.push_back(RandomBox(&rng, dim));
-    const BoxSlab slab{std::span<const BoundingBox>(boxes)};
-    for (int trial = 0; trial < 200; ++trial) {
-      const BoundingBox& box = boxes[rng.NextBounded(boxes.size())];
-      std::vector<float> p(dim);
-      for (size_t d = 0; d < dim; ++d) {
-        switch (rng.NextBounded(4)) {
-          case 0: p[d] = box.lo()[d]; break;
-          case 1: p[d] = box.hi()[d]; break;
-          case 2: p[d] = 0.5f * (box.lo()[d] + box.hi()[d]); break;
-          default: p[d] = std::nextafter(box.hi()[d], 3.f); break;
+  for (const size_t dim : {1u, 3u, 7u, 15u, 16u, 17u, 33u, 60u, 65u}) {
+    for (const size_t count : {1u, 7u, 8u, 9u, 17u, 27u}) {
+      std::vector<BoundingBox> boxes;
+      for (size_t i = 0; i < count; ++i) {
+        boxes.push_back(SignedZeroBox(&rng, dim));
+      }
+      const BoxSlab slab{std::span<const BoundingBox>(boxes)};
+      const BoxRows rows{slab};
+      for (int trial = 0; trial < 100; ++trial) {
+        const BoundingBox& box = boxes[rng.NextBounded(boxes.size())];
+        std::vector<float> p(dim);
+        for (size_t d = 0; d < dim; ++d) {
+          switch (rng.NextBounded(4)) {
+            case 0: p[d] = box.lo()[d]; break;
+            case 1: p[d] = box.hi()[d]; break;
+            case 2: p[d] = 0.5f * (box.lo()[d] + box.hi()[d]); break;
+            default: p[d] = std::nextafter(box.hi()[d], 3.f); break;
+          }
+          if (p[d] == 0.f && rng.NextBounded(2) == 0) p[d] = -p[d];
+        }
+        const size_t expected =
+            NearestBox(p, slab, rows, KernelMode::kScalar);
+        for (const KernelMode mode : BatchedModes()) {
+          EXPECT_EQ(NearestBox(p, slab, rows, mode), expected)
+              << KernelModeName(mode) << " dim " << dim << " boxes "
+              << count;
         }
       }
-      const size_t expected = NearestBox(p, slab, KernelMode::kScalar);
-      for (const KernelMode mode : BatchedModes()) {
-        EXPECT_EQ(NearestBox(p, slab, mode), expected)
-            << KernelModeName(mode) << " dim " << dim;
+    }
+  }
+}
+
+/// The block-op table a batched mode runs.
+const isa::BlockOps* OpsOf(KernelMode mode) {
+  if (mode == KernelMode::kGeneric) return isa::GenericOps();
+  if (mode == KernelMode::kAvx2) return isa::Avx2Ops();
+  if (mode == KernelMode::kAvx512) return isa::Avx512Ops();
+  if (mode == KernelMode::kNeon) return isa::NeonOps();
+  return nullptr;
+}
+
+TEST(KernelGroupedRowBlockTest, EveryQueryMatchesItsOneQueryBlock) {
+  // group_row_block against one query at a time, in every batched mode and
+  // at every group size: each query of a group keeps its own accumulators
+  // and threshold, so its alive bit must equal the one-query op's, and an
+  // alive query's eight sums must equal SquaredL2 of its lanes bit for bit.
+  // Thresholds mix +inf (never abandons) with 0 (every lane is over at the
+  // first checkpoint), a middling bound and a loose one, in every order, so
+  // an op that votes with another query's threshold fails.
+  constexpr size_t kBlock = BoxSlab::kBlock;
+  constexpr size_t kGroup = isa::kScanGroup;
+  common::Rng rng(47);
+  for (const size_t dim : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 60u, 65u}) {
+    std::vector<float> rows(kBlock * dim);
+    for (float& v : rows) v = static_cast<float>(rng.NextUniform(-1, 1));
+    std::vector<std::vector<float>> queries;
+    std::vector<std::vector<double>> exact(kGroup);
+    std::vector<std::vector<double>> bounds(kGroup);
+    for (size_t g = 0; g < kGroup; ++g) {
+      queries.push_back(RandomPoint(&rng, dim, -1.0, 1.0));
+      double lo = kInf;
+      double hi = 0.0;
+      for (size_t l = 0; l < kBlock; ++l) {
+        exact[g].push_back(SquaredL2(
+            queries[g], std::span<const float>(rows.data() + l * dim, dim)));
+        lo = std::min(lo, exact[g].back());
+        hi = std::max(hi, exact[g].back());
+      }
+      bounds[g] = {kInf, 0.0, 0.5 * lo, hi};
+    }
+    for (const KernelMode mode : BatchedModes()) {
+      SCOPED_TRACE(std::string(KernelModeName(mode)) + " dim " +
+                   std::to_string(dim));
+      const isa::BlockOps* ops = OpsOf(mode);
+      ASSERT_NE(ops, nullptr);
+      common::AlignedVector<float> lanes(kBlock * dim);
+      ops->stage_rows(rows.data(), dim, 1, lanes.data());
+      // The op's queries are the float points widened to double.
+      std::vector<std::vector<double>> wide;
+      wide.reserve(kGroup);
+      std::vector<const double*> group;
+      for (const auto& query : queries) {
+        wide.emplace_back(query.begin(), query.end());
+        group.push_back(wide.back().data());
+      }
+      for (size_t count = 1; count <= kGroup; ++count) {
+        // Every assignment of the four bounds to the group's queries.
+        size_t combos = 1;
+        for (size_t g = 0; g < count; ++g) combos *= 4;
+        for (size_t combo = 0; combo < combos; ++combo) {
+          std::vector<double> thresholds(count);
+          for (size_t g = 0, c = combo; g < count; ++g, c /= 4) {
+            thresholds[g] = bounds[g][c % 4];
+          }
+          std::vector<double> acc(kGroup * kBlock, -1.0);
+          const uint32_t alive = ops->group_row_block(
+              group.data(), count, lanes.data(), dim, thresholds.data(),
+              acc.data());
+          EXPECT_EQ(alive >> count, 0u) << "bits past the group";
+          for (size_t g = 0; g < count; ++g) {
+            std::vector<double> solo(kBlock);
+            const uint32_t solo_alive = ops->group_row_block(
+                group.data() + g, 1, lanes.data(), dim, &thresholds[g],
+                solo.data());
+            const bool is_alive = ((alive >> g) & 1) != 0;
+            EXPECT_EQ(is_alive, solo_alive == 1u)
+                << "query " << g << " of " << count << ", threshold "
+                << thresholds[g];
+            if (thresholds[g] == kInf) {
+              EXPECT_TRUE(is_alive);
+            }
+            if (thresholds[g] == 0.0 && dim > isa::kScanCheckDims) {
+              EXPECT_FALSE(is_alive);
+            }
+            for (size_t l = 0; l < kBlock; ++l) {
+              if (is_alive) {
+                EXPECT_EQ(acc[g * kBlock + l], exact[g][l]);
+                EXPECT_EQ(solo[l], exact[g][l]);
+              } else {
+                // Abandonment only ever skips no-op pushes.
+                EXPECT_GT(exact[g][l], thresholds[g]);
+              }
+            }
+          }
+        }
       }
     }
   }
@@ -945,7 +1141,8 @@ TEST(KernelDeathTest, KthDistanceScanRejectsZeroK) {
 TEST(KernelDeathTest, NearestBoxRejectsEmptySlab) {
   const BoxSlab empty;
   const std::vector<float> p = {0.f};
-  EXPECT_DEATH(NearestBox(p, empty), "slab.size");
+  const BoxRows rows{empty};
+  EXPECT_DEATH(NearestBox(p, empty, rows), "slab.size");
 }
 
 TEST(KernelDeathTest, DimensionMismatchesAreFatal) {

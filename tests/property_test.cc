@@ -287,8 +287,9 @@ TEST_P(KernelEquivalenceProperty, SphereAndBoxCountsBitIdentical) {
     for (const auto& box : boxes) {
       if (query_box.Intersects(box)) ++box_brute;
     }
+    const gk::BoxRows rows{slab};
     const size_t scalar_nearest =
-        gk::NearestBox(center, slab, gk::KernelMode::kScalar);
+        gk::NearestBox(center, slab, rows, gk::KernelMode::kScalar);
     for (const gk::KernelMode mode : gk::SupportedKernelModes()) {
       SCOPED_TRACE(std::string(gk::KernelModeName(mode)));
       EXPECT_EQ(gk::CountSphereHits(center, r2, slab, mode), brute);
@@ -296,7 +297,7 @@ TEST_P(KernelEquivalenceProperty, SphereAndBoxCountsBitIdentical) {
       gk::AppendSphereHits(center, r2, slab, &mode_hits, mode);
       EXPECT_EQ(mode_hits, scalar_hits);
       EXPECT_EQ(gk::CountBoxHits(query_box, slab, mode), box_brute);
-      EXPECT_EQ(gk::NearestBox(center, slab, mode), scalar_nearest);
+      EXPECT_EQ(gk::NearestBox(center, slab, rows, mode), scalar_nearest);
     }
   }
 }
@@ -352,8 +353,9 @@ TEST_P(KernelEquivalenceProperty, ScanKernelsBitIdentical) {
   }
 }
 
-// The query-tiled scan at tile widths {1, 3, 8, 100} equals one-query
-// scalar scans bit for bit, on random and on all-duplicate rows.
+// The query-tiled scan at tile widths {1, 2, 3, 5, 8, 100} (whole query
+// groups, and a group of one left over) equals one-query scalar scans bit
+// for bit, on random and on all-duplicate rows.
 TEST_P(KernelEquivalenceProperty, TiledKthScansBitIdentical) {
   namespace gk = geometry::kernels;
   const auto [dim, n] = GetParam();
@@ -366,7 +368,7 @@ TEST_P(KernelEquivalenceProperty, TiledKthScansBitIdentical) {
   const size_t k = 1 + rng.NextBounded(n + 2);  // occasionally k > n
   for (const bool duplicates : {false, true}) {
     const std::vector<float>& rows = duplicates ? same_rows : random_rows;
-    for (const size_t width : {1u, 3u, 8u, 100u}) {
+    for (const size_t width : {1u, 2u, 3u, 5u, 8u, 100u}) {
       std::vector<float> queries;
       std::vector<size_t> exclude;
       for (size_t i = 0; i < width; ++i) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "geometry/kernels.h"
 #include "gtest/gtest.h"
 #include "service/protocol.h"
@@ -92,6 +93,29 @@ TEST(PredictionServiceTest, CacheHitIsBitIdenticalAndCheaper) {
   EXPECT_EQ(metrics.result_misses, 1u);
   EXPECT_EQ(metrics.requests, 2u);
   EXPECT_EQ(metrics.errors, 0u);
+}
+
+TEST(PredictionServiceTest, ShardPercentilesEqualPercentileOfLatencies) {
+  // Metrics() copies each shard's latencies once and sorts that copy once;
+  // its p50/p90/p99 must equal common::Percentile over the same latencies
+  // (the served responses' latency_ms, in serving order), bit for bit.
+  auto svc = MakeService(1);
+  std::vector<double> latencies;
+  for (uint64_t seed = 1; seed <= 7; ++seed) {
+    for (const char* method : {"mini", "resampled"}) {
+      const ServiceResponse response =
+          Serve(svc.get(), Req("alpha", method, seed));
+      ASSERT_TRUE(response.ok) << response.error;
+      latencies.push_back(response.latency_ms);
+    }
+  }
+  const ServiceMetrics metrics = svc->Metrics();
+  ASSERT_EQ(metrics.shards.size(), 1u);
+  const ServiceMetrics::Shard& shard = metrics.shards[0];
+  EXPECT_EQ(shard.requests, latencies.size());
+  EXPECT_EQ(shard.p50_ms, common::Percentile(latencies, 0.50));
+  EXPECT_EQ(shard.p90_ms, common::Percentile(latencies, 0.90));
+  EXPECT_EQ(shard.p99_ms, common::Percentile(latencies, 0.99));
 }
 
 TEST(PredictionServiceTest, ResponsesInvariantAcrossShardCountsAndOrder) {

@@ -20,6 +20,16 @@ iteration: the 10k rows of the moments kernel plus their shuffled index
 list, once per split-dimension choice. A constant of the shape, like the
 scan rows; the rows carry speedup_vs_pr5 like the other kernel sweeps.
 
+BM_NearestBox/{mode}/{16,60} pins bytes_touched = P·4·(d + 2·d·L + 2·S·k)
+per iteration: P = 10k points assigned over a grown upper layout of k
+leaves, each point's d floats plus one pass over both box layouts (the
+slab's two planes of L padded lanes, and the two box-major rows of stride
+S per leaf) — the upper bound, since containment stops at the first box.
+The rows carry speedup_vs_pr5 like the other kernel sweeps.
+
+BM_GatherRows/60 pins bytes_touched = 10k·d·4 per iteration: the rows
+Dataset::AppendRows copies, a constant of the shape.
+
 It also pins the external-build I/O counters (BM_ExternalBuild):
 
   data_passes / pages_read — the simulated page transfers of an on-disk
