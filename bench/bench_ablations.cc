@@ -7,21 +7,25 @@
 //   A3. h_upper sweep beyond the Table 3 grid (choice rule context).
 //   A4. Split strategy: maximum-variance vs midpoint splits (the uniform
 //       baseline's page-geometry assumption) measured by prediction error.
+//   A5. The all-random page-access assumption, replayed through an LRU
+//       buffer pool.
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/stats.h"
-#include "io/lru_cache.h"
 #include "core/cutoff.h"
 #include "core/hupper.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
+#include "io/keyed_lru_cache.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
 
@@ -45,8 +49,7 @@ int main() {
   full.topology = &topology;
   const index::RTree tree = index::BulkLoadInMemory(dataset, full);
   const std::vector<double> measured_per_query =
-      index::CountSphereLeafAccesses(tree, workload.queries(),
-                                     workload.radii(), nullptr);
+      core::MeasureLeafAccesses(tree, workload, nullptr);
   const double measured = common::Mean(measured_per_query);
   std::printf("Measured: %.1f leaf accesses/query (%zu leaves)\n\n", measured,
               topology.NumLeaves());
@@ -132,26 +135,25 @@ int main() {
   // touches the leaf accesses.
   std::printf("\nA5. Buffer pool vs the all-random assumption:\n");
   auto replay = [&](size_t cache_pages) {
-    io::LruCache cache(cache_pages);
+    // A page is cached or not; the value only marks presence.
+    io::KeyedLruCache<uint32_t, bool> cache(cache_pages);
+    const auto present = std::make_shared<const bool>(true);
     double leaf_accesses = 0.0;
     std::vector<uint32_t> stack;
+    std::vector<uint32_t> hits;
     for (size_t qi = 0; qi < workload.num_queries(); ++qi) {
+      // The root page is always read; every other page is read when its
+      // MBR intersects the query sphere, in DFS order.
       stack.assign(1, tree.root());
-      bool at_root = true;
       while (!stack.empty()) {
         const uint32_t id = stack.back();
         stack.pop_back();
+        if (cache.Get(id) == nullptr) cache.Put(id, present);
         const auto& node = tree.node(id);
-        const bool hit = workload.Intersects(qi, node.box);
-        if (!hit && !at_root) continue;
-        at_root = false;
-        cache.Access(id);
-        if (!hit) continue;
-        if (node.is_leaf()) {
-          leaf_accesses += 1.0;
-        } else {
-          for (uint32_t child : node.children) stack.push_back(child);
-        }
+        if (node.is_leaf()) leaf_accesses += 1.0;
+        hits.clear();
+        workload.AppendIntersections(qi, tree.child_slab(id), &hits);
+        for (const uint32_t hit : hits) stack.push_back(node.children[hit]);
       }
     }
     std::printf("  cache %4zu pages: %llu random accesses (%.0f leaf + "

@@ -14,10 +14,10 @@
 #include "common/stats.h"
 #include "core/cutoff.h"
 #include "core/hupper.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
 
@@ -70,8 +70,8 @@ int main() {
   index::BulkLoadOptions full;
   full.topology = &topology;
   const index::RTree tree = index::BulkLoadInMemory(dataset, full);
-  const std::vector<double> measured = index::CountSphereLeafAccesses(
-      tree, workload.queries(), workload.radii(), nullptr);
+  const std::vector<double> measured =
+      core::MeasureLeafAccesses(tree, workload, nullptr);
 
   struct Config {
     const char* figure;

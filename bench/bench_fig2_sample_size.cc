@@ -12,9 +12,9 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "data/generators.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "index/topology.h"
 #include "workload/query_workload.h"
 
@@ -37,8 +37,8 @@ int main() {
   index::BulkLoadOptions full;
   full.topology = &topology;
   const index::RTree tree = index::BulkLoadInMemory(dataset, full);
-  const double measured = common::Mean(index::CountSphereLeafAccesses(
-      tree, workload.queries(), workload.radii(), nullptr));
+  const double measured =
+      common::Mean(core::MeasureLeafAccesses(tree, workload, nullptr));
   std::printf("COLOR64 surrogate: %zu x %zu, measured avg = %.1f leaf "
               "accesses/query\n\n",
               dataset.size(), dataset.dim(), measured);

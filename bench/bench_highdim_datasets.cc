@@ -13,10 +13,10 @@
 #include "common/stats.h"
 #include "core/hupper.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
 
@@ -36,8 +36,8 @@ std::string RunDataset(const char* name, const hdidx::data::Dataset& dataset,
   index::BulkLoadOptions full;
   full.topology = &topology;
   const index::RTree tree = index::BulkLoadInMemory(dataset, full);
-  const double measured = common::Mean(index::CountSphereLeafAccesses(
-      tree, workload.queries(), workload.radii(), nullptr));
+  const double measured =
+      common::Mean(core::MeasureLeafAccesses(tree, workload, nullptr));
 
   double predicted = 0.0;
   size_t h_upper = 0;

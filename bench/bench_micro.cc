@@ -37,7 +37,6 @@
 #include "geometry/kernels.h"
 #include "index/bulk_loader.h"
 #include "index/external_build.h"
-#include "index/knn.h"
 #include "index/topology.h"
 #include "io/paged_file.h"
 #include "service/async_server.h"
@@ -86,8 +85,11 @@ void BM_MinDist(benchmark::State& state) {
 }
 BENCHMARK(BM_MinDist)->Arg(16)->Arg(64)->Arg(360);
 
+// The measurement path (core::MeasureLeafAccesses) over a batch of 100
+// radius-0.2 spheres centered on data rows.
 void BM_SphereCounting(benchmark::State& state) {
   const size_t n = 20000;
+  const size_t q = 100;
   const size_t dim = static_cast<size_t>(state.range(0));
   const auto data = MakeData(n, dim);
   const index::TreeTopology topo(n, 33, 16);
@@ -95,25 +97,18 @@ void BM_SphereCounting(benchmark::State& state) {
   options.topology = &topo;
   const auto tree = index::BulkLoadInMemory(data, options);
   common::Rng rng(3);
+  std::vector<size_t> rows(q);
+  for (size_t& row : rows) row = rng.NextBounded(n);
+  const workload::QueryWorkload spheres(data.Select(rows),
+                                        std::vector<double>(q, 0.2), rows,
+                                        /*k=*/1);
   for (auto _ : state) {
-    const auto center = data.row(rng.NextBounded(n));
-    benchmark::DoNotOptimize(tree.CountSphereAccesses(center, 0.2));
-  }
-}
-BENCHMARK(BM_SphereCounting)->Arg(16)->Arg(60);
-
-void BM_ExactKnnScan(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto data = MakeData(n, 60);
-  common::Rng rng(4);
-  for (auto _ : state) {
-    const auto q = data.row(rng.NextBounded(n));
-    benchmark::DoNotOptimize(index::ExactKthDistance(data, q, 21, 0.0));
+    benchmark::DoNotOptimize(core::MeasureLeafAccesses(tree, spheres, nullptr));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
+                          static_cast<int64_t>(q));
 }
-BENCHMARK(BM_ExactKnnScan)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_SphereCounting)->Arg(16)->Arg(60);
 
 void BM_BoxCounting(benchmark::State& state) {
   const auto data = MakeData(static_cast<size_t>(state.range(0)), 16);
@@ -335,8 +330,7 @@ void BM_AdaptivePredictorError(benchmark::State& state) {
   const index::RTree tree = index::BulkLoadInMemory(data, build);
   double measured = 0.0;
   {
-    const auto counts = index::CountSphereLeafAccesses(
-        tree, workload.queries(), workload.radii(), nullptr);
+    const auto counts = core::MeasureLeafAccesses(tree, workload, nullptr);
     for (const double c : counts) measured += c;
     measured /= static_cast<double>(counts.size());
   }
@@ -480,11 +474,12 @@ void BM_ExactKthScan(benchmark::State& state) {
   double total_ns = 0.0;
   for (auto _ : state) {
     const size_t row = rng.NextBounded(n);
-    geometry::kernels::ScanOptions opts;
-    opts.exclude_row = row;
+    double kth_sq = 0.0;
     const auto start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(geometry::kernels::KthDistanceScan(
-        data.row(row), data.data(), dim, 21, opts, mode));
+    geometry::kernels::KthDistanceScans(data.row(row), std::span(&row, 1),
+                                        data.data(), dim, 21,
+                                        std::span(&kth_sq, 1), mode);
+    benchmark::DoNotOptimize(kth_sq);
     total_ns += std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - start)
                     .count();

@@ -13,10 +13,10 @@
 #include "common/stats.h"
 #include "core/cutoff.h"
 #include "core/hupper.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "index/external_build.h"
-#include "index/knn.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
 
@@ -48,8 +48,8 @@ int main() {
   const index::ExternalBuildResult on_disk =
       index::BuildOnDisk(&build_file, build);
   io::IoStats query_io;
-  const double measured = common::Mean(index::CountSphereLeafAccesses(
-      on_disk.tree, workload.queries(), workload.radii(), &query_io));
+  const double measured = common::Mean(
+      core::MeasureLeafAccesses(on_disk.tree, workload, &query_io));
 
   std::printf("%-34s %10s %12s %14s %12s\n", "Method", "Rel.err",
               "Page seeks", "Page xfers", "I/O cost(s)");

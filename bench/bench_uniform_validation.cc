@@ -11,10 +11,10 @@
 #include "common/stats.h"
 #include "core/cutoff.h"
 #include "core/hupper.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
 
@@ -41,8 +41,8 @@ int main() {
   index::BulkLoadOptions full;
   full.topology = &topology;
   const index::RTree tree = index::BulkLoadInMemory(dataset, full);
-  const double measured = common::Mean(index::CountSphereLeafAccesses(
-      tree, workload.queries(), workload.radii(), nullptr));
+  const double measured =
+      common::Mean(core::MeasureLeafAccesses(tree, workload, nullptr));
   std::printf("Measured: %.1f leaf accesses/query\n\n", measured);
 
   const size_t memory = bench::Scaled(4000u, 10000u);

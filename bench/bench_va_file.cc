@@ -14,9 +14,9 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/stats.h"
+#include "core/predictor.h"
 #include "data/generators.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "index/topology.h"
 #include "index/va_file.h"
 #include "workload/query_workload.h"
@@ -43,8 +43,7 @@ int main() {
   full.topology = &topology;
   const index::RTree tree = index::BulkLoadInMemory(dataset, full);
   io::IoStats rtree_io;
-  index::CountSphereLeafAccesses(tree, workload.queries(), workload.radii(),
-                                 &rtree_io);
+  core::MeasureLeafAccesses(tree, workload, &rtree_io);
   const double rtree_cost =
       rtree_io.CostSeconds(disk) / static_cast<double>(q);
 

@@ -14,10 +14,10 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/hupper.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
 
@@ -38,8 +38,8 @@ int main() {
   index::BulkLoadOptions full;
   full.topology = &topology;
   const index::RTree tree = index::BulkLoadInMemory(dataset, full);
-  const double measured = common::Mean(index::CountSphereLeafAccesses(
-      tree, workload.queries(), workload.radii(), nullptr));
+  const double measured =
+      common::Mean(core::MeasureLeafAccesses(tree, workload, nullptr));
 
   // Baseline 1: uniformity assumption.
   baselines::UniformModelParams uniform;

@@ -14,10 +14,10 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/hupper.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "index/external_build.h"
-#include "index/knn.h"
 #include "index/topology.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
@@ -68,8 +68,8 @@ int main() {
   build.memory_points = memory_points;
   const index::ExternalBuildResult on_disk =
       index::BuildOnDisk(&build_file, build);
-  const std::vector<double> measured = index::CountSphereLeafAccesses(
-      on_disk.tree, workload.queries(), workload.radii(), nullptr);
+  const std::vector<double> measured =
+      core::MeasureLeafAccesses(on_disk.tree, workload, nullptr);
   const double measured_avg = common::Mean(measured);
 
   std::printf("Measured:   %.1f leaf accesses/query\n", measured_avg);

@@ -15,10 +15,10 @@
 #include "common/stats.h"
 #include "core/hupper.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
 
@@ -40,8 +40,8 @@ int main() {
   index::BulkLoadOptions full;
   full.topology = &topology;
   const index::RTree tree = index::BulkLoadInMemory(dataset, full);
-  const std::vector<double> measured = index::CountSphereLeafAccesses(
-      tree, workload.queries(), workload.radii(), nullptr);
+  const std::vector<double> measured =
+      core::MeasureLeafAccesses(tree, workload, nullptr);
 
   // Sweep the sampling budget (Figure 2's experiment, per query).
   std::printf("\n%-12s %12s %12s %14s\n", "sample", "pred avg", "rel err",

@@ -6,9 +6,9 @@
 #include "core/hupper.h"
 #include "geometry/distance.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "index/topology.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
@@ -62,8 +62,8 @@ std::vector<DimPoint> EvaluateIndexDims(const data::Dataset& data,
     index::BulkLoadOptions full;
     full.topology = &topology;
     const index::RTree tree = index::BulkLoadInMemory(projected, full);
-    const std::vector<double> measured = index::CountSphereLeafAccesses(
-        tree, workload.queries(), workload.radii(), nullptr);
+    const std::vector<double> measured =
+        core::MeasureLeafAccesses(tree, workload, nullptr);
     double sum = 0.0;
     for (double v : measured) sum += v;
     point.measured_accesses = sum / static_cast<double>(measured.size());

@@ -59,7 +59,7 @@ class IncrementalRanking {
     return false;
   }
 
-  const index::RTree::AccessCount& accesses() const { return accesses_; }
+  const index::AccessCount& accesses() const { return accesses_; }
 
  private:
   enum Kind : uint8_t { kNode, kPoint };
@@ -79,7 +79,7 @@ class IncrementalRanking {
   const data::Dataset& projected_;
   std::span<const float> query_;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  index::RTree::AccessCount accesses_;
+  index::AccessCount accesses_;
 };
 
 }  // namespace

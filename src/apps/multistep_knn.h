@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "index/rtree.h"
+#include "index/knn.h"
 #include "io/io_stats.h"
 
 namespace hdidx::apps {
@@ -28,7 +28,7 @@ struct MultiStepResult {
   std::vector<size_t> neighbors;
   double kth_distance = 0.0;
   /// Index pages read by the incremental ranking (leaves + directory).
-  index::RTree::AccessCount index_accesses;
+  index::AccessCount index_accesses;
   /// Object-server fetches (one full vector each — the filter step's
   /// survivors).
   size_t refinements = 0;

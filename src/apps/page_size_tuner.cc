@@ -5,9 +5,9 @@
 #include "common/check.h"
 #include "core/hupper.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "index/topology.h"
 #include "io/paged_file.h"
 #include "workload/query_workload.h"
@@ -38,8 +38,8 @@ std::vector<PageSizePoint> TunePageSize(const data::Dataset& data,
     index::BulkLoadOptions full;
     full.topology = &topology;
     const index::RTree tree = index::BulkLoadInMemory(data, full);
-    const std::vector<double> measured = index::CountSphereLeafAccesses(
-        tree, workload.queries(), workload.radii(), nullptr);
+    const std::vector<double> measured =
+        core::MeasureLeafAccesses(tree, workload, nullptr);
     double sum = 0.0;
     for (double v : measured) sum += v;
     point.measured_accesses = sum / static_cast<double>(measured.size());

@@ -40,29 +40,34 @@ std::vector<double> MeasureLeafAccesses(const index::RTree& tree,
   std::vector<double> result(q, 0.0);
   if (tree.empty()) return result;
   std::vector<uint64_t> pages_touched(q, 0);
+  const index::RTreeNode& root = tree.node(tree.root());
   ctx.ParallelFor(0, q, /*grain=*/0, [&](size_t begin, size_t end) {
-    std::vector<uint32_t> stack;  // reused DFS stack, private to the chunk
+    // DFS stack and slab hits, reused across the chunk's queries.
+    std::vector<uint32_t> stack;
+    std::vector<uint32_t> hits;
     for (size_t i = begin; i < end; ++i) {
-      size_t leaves = 0;
-      size_t dirs = 0;
-      const index::RTreeNode& root = tree.node(tree.root());
-      if (root.is_leaf()) {
-        leaves = root.pages;  // the single page is always read
-      } else {
-        dirs = root.pages;  // the root page is always read
-        if (queries.Intersects(i, root.box)) {
-          stack.assign(root.children.begin(), root.children.end());
-          while (!stack.empty()) {
-            const uint32_t id = stack.back();
-            stack.pop_back();
-            const index::RTreeNode& n = tree.node(id);
-            if (!queries.Intersects(i, n.box)) continue;
-            if (n.is_leaf()) {
-              leaves += n.pages;
-            } else {
-              dirs += n.pages;
-              for (uint32_t child : n.children) stack.push_back(child);
-            }
+      // The root page is always read: every search starts there.
+      size_t leaves = root.is_leaf() ? root.pages : 0;
+      size_t dirs = root.is_leaf() ? 0 : root.pages;
+      // Each popped directory tests all its children at once against its
+      // child slab (a leaf's slab is empty). A child box lies inside its
+      // parent's and IEEE rounding is monotone, so no child passes a test
+      // its parent fails: a region that misses the root box reads only the
+      // root. Page totals are integer sums, so visit order cannot matter.
+      stack.assign(1, tree.root());
+      while (!stack.empty()) {
+        const uint32_t id = stack.back();
+        stack.pop_back();
+        hits.clear();
+        queries.AppendIntersections(i, tree.child_slab(id), &hits);
+        const std::span<const uint32_t> children = tree.node(id).children;
+        for (const uint32_t hit : hits) {
+          const index::RTreeNode& child = tree.node(children[hit]);
+          if (child.is_leaf()) {
+            leaves += child.pages;
+          } else {
+            dirs += child.pages;
+            stack.push_back(children[hit]);
           }
         }
       }

@@ -56,9 +56,12 @@ void CountLeafIntersections(
     const common::ExecutionContext& ctx = common::DefaultExecutionContext());
 
 /// Measures per-query leaf page accesses on a real tree for any region
-/// type: a DFS from the root prunes subtrees whose MBR the region misses.
-/// If `io` is non-null every page touched (leaf and directory) is charged
-/// as one random access.
+/// type — the paper's ground truth (Section 5.1), and the library's only
+/// leaf-access count on a built tree. The root page is always read; a DFS
+/// from it reads every node whose MBR the region intersects, each charged
+/// its `pages` (X-tree supernodes span several). If `io` is non-null every
+/// page touched (leaf and directory) is charged as one random access:
+/// nearly all query-time accesses are random.
 ///
 /// Parallel over queries on `ctx`; per-query page counts are reduced into
 /// `io` serially in query order, keeping the counters bit-identical to the

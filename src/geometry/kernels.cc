@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <queue>
 #include <string_view>
 
 #include "common/check.h"
@@ -110,10 +109,10 @@ double LaneSquaredMinDist(std::span<const float> center, const BoxSlab& slab,
   return s;
 }
 
-/// KnnHeap's exact semantics (bounded max-heap of the k smallest squared
-/// distances), local so the geometry layer does not depend on index/. It
-/// runs std::priority_queue's push_heap/pop_heap steps over borrowed
-/// storage of HeapSlots() doubles, so a tile's heaps share one allocation.
+/// Bounded max-heap of the k smallest squared distances: the k-th-distance
+/// scan's heap. It runs std::priority_queue's push_heap/pop_heap steps over
+/// borrowed storage of HeapSlots() doubles, so a tile's heaps share one
+/// allocation.
 class BoundedDistanceHeap {
  public:
   BoundedDistanceHeap(double* storage, size_t k) : heap_(storage), k_(k) {}
@@ -145,60 +144,23 @@ size_t HeapSlots(size_t k, std::span<const float> rows, size_t dim) {
   return std::min(k, rows.size() / dim);
 }
 
-/// Bounded max-heap of the k smallest (squared distance, row) pairs under
-/// pair ordering — retains exactly the first k elements a partial_sort of
-/// all pairs would produce (rows are unique, so the order is total).
-class BoundedPairHeap {
- public:
-  explicit BoundedPairHeap(size_t k) : k_(k) {}
-
-  void Push(double d2, size_t row) {
-    const std::pair<double, size_t> p(d2, row);
-    if (heap_.size() < k_) {
-      heap_.push(p);
-    } else if (p < heap_.top()) {
-      heap_.pop();
-      heap_.push(p);
-    }
-  }
-
-  double Threshold() const {
-    return heap_.size() == k_ ? heap_.top().first : kInf;
-  }
-
-  std::vector<std::pair<double, size_t>> TakeSortedAscending() {
-    std::vector<std::pair<double, size_t>> result(heap_.size());
-    for (size_t i = heap_.size(); i > 0; --i) {
-      result[i - 1] = heap_.top();
-      heap_.pop();
-    }
-    return result;
-  }
-
- private:
-  size_t k_;
-  std::priority_queue<std::pair<double, size_t>> heap_;
-};
-
 static_assert(kScanChunkRows % kBlock == 0,
               "scan chunks must hold whole kernel blocks");
 
-/// One query of a scan tile: its point, its exclusion rules and its heap.
+/// One query of a scan tile: its point, its excluded row and its heap.
 template <typename Heap>
 struct ScanEntry {
   const float* query;
-  ScanOptions opts;
+  size_t exclude_row;
   Heap heap;
 };
 
-/// Feeds one computed row to a query's heap unless its exclusion rules skip
-/// it: the excluded row (the query's own) is skipped outright, and
-/// duplicates of the query point still count as neighbors.
+/// Feeds one computed row to a query's heap unless it is the excluded row
+/// (the query's own); duplicates of the query point still count as
+/// neighbors.
 template <typename Heap>
 void Consider(ScanEntry<Heap>& entry, size_t row, double d2) {
-  if (row == entry.opts.exclude_row || d2 <= entry.opts.exclude_within_sq) {
-    return;
-  }
+  if (row == entry.exclude_row) return;
   entry.heap.Push(d2, row);
 }
 
@@ -208,9 +170,9 @@ void Consider(ScanEntry<Heap>& entry, size_t row, double d2) {
 /// tile instead of once per query. Within a chunk the batched modes walk
 /// the tile in groups of isa::kScanGroup queries, each group running the
 /// grouped op over one staged block at a time, so a block's lanes are
-/// loaded once per group. Per query it applies the exclusion rules and
-/// feeds `heap.Push(d2, row)` in ascending row order — exactly the pushes
-/// of a one-query scan, since no heap, accumulator or threshold is shared
+/// loaded once per group. Per query it skips the excluded row and feeds
+/// `heap.Push(d2, row)` in ascending row order — exactly the pushes of a
+/// one-query scan, since no heap, accumulator or threshold is shared
 /// between queries. `heap.Threshold()` is the current no-op-push bound
 /// (k-th distance once k rows were collected); a query abandons a block
 /// once every lane's partial sum exceeds its own bound captured at block
@@ -254,8 +216,8 @@ void ScanRows(std::span<ScanEntry<Heap>> tile,
       }
       for (size_t b = 0; b < blocks; ++b) {
         // Abandonment needs a full heap (threshold < +inf), so the skipped
-        // pushes were no-ops and the exclusion rules are moot for them
-        // too: every abandoned lane has d2 > threshold >= 0.
+        // pushes were no-ops and the row exclusion is moot for them too:
+        // every abandoned lane has d2 > threshold >= 0.
         for (size_t g = 0; g < group.size(); ++g) {
           thresholds[g] = group[g].heap.Threshold();
         }
@@ -274,7 +236,7 @@ void ScanRows(std::span<ScanEntry<Heap>> tile,
     }
     for (ScanEntry<Heap>& entry : tile) {
       for (size_t next = chunk + blocks * kBlock; next < chunk_end; ++next) {
-        if (next == entry.opts.exclude_row) continue;
+        if (next == entry.exclude_row) continue;
         const float* p = base_ptr + next * dim;
         double d2 = 0.0;
         for (size_t d = 0; d < dim; ++d) {
@@ -576,17 +538,17 @@ void AppendSphereHits(std::span<const float> center, double r2,
   }
 }
 
-size_t CountBoxHits(const BoundingBox& query, const BoxSlab& slab) {
-  return CountBoxHits(query, slab, ActiveKernelMode());
+void AppendBoxHits(const BoundingBox& query, const BoxSlab& slab,
+                   std::vector<uint32_t>* hits) {
+  AppendBoxHits(query, slab, hits, ActiveKernelMode());
 }
 
-size_t CountBoxHits(const BoundingBox& query, const BoxSlab& slab,
-                    KernelMode mode) {
-  if (slab.size() == 0 || query.empty()) return 0;
+void AppendBoxHits(const BoundingBox& query, const BoxSlab& slab,
+                   std::vector<uint32_t>* hits, KernelMode mode) {
+  if (slab.size() == 0 || query.empty()) return;
   HDIDX_CHECK(query.dim() == slab.dim());
   mode = ResolveKernelMode(mode);
   const size_t dim = slab.dim();
-  size_t count = 0;
   if (mode == KernelMode::kScalar) {
     for (size_t b = 0; b < slab.size(); ++b) {
       bool alive = true;
@@ -597,9 +559,9 @@ size_t CountBoxHits(const BoundingBox& query, const BoxSlab& slab,
           break;
         }
       }
-      if (alive) ++count;
+      if (alive) hits->push_back(static_cast<uint32_t>(b));
     }
-    return count;
+    return;
   }
   const isa::BlockOps* ops = OpsFor(mode);
   std::array<bool, kBlock> alive;
@@ -608,10 +570,9 @@ size_t CountBoxHits(const BoundingBox& query, const BoxSlab& slab,
     ops->box_block(query.lo().data(), query.hi().data(), slab, base,
                    alive.data());
     for (size_t l = 0; l < lanes; ++l) {
-      if (alive[l]) ++count;
+      if (alive[l]) hits->push_back(static_cast<uint32_t>(base + l));
     }
   }
-  return count;
 }
 
 size_t NearestBox(std::span<const float> point, const BoxSlab& slab,
@@ -675,55 +636,29 @@ size_t NearestBox(std::span<const float> point, const BoxSlab& slab,
   return best;
 }
 
-void BatchedSquaredL2(std::span<const float> query, const float* rows,
-                      size_t count, size_t dim, double* out) {
-  BatchedSquaredL2(query, rows, count, dim, out, ActiveKernelMode());
-}
+BoundedPairHeap::BoundedPairHeap(size_t k) : k_(k) { HDIDX_CHECK(k > 0); }
 
-void BatchedSquaredL2(std::span<const float> query, const float* rows,
-                      size_t count, size_t dim, double* out,
-                      KernelMode mode) {
-  HDIDX_CHECK(dim > 0);
-  HDIDX_CHECK(query.size() == dim);
-  const isa::BlockOps* ops = OpsFor(ResolveKernelMode(mode));
-  size_t next = 0;
-  if (ops != nullptr && count >= kBlock) {
-    // One block is staged at a time and run as a one-query group.
-    common::AlignedVector<float> staged(kBlock * dim);
-    const std::vector<double> wide_query(query.begin(), query.end());
-    const double* group[] = {wide_query.data()};
-    for (; next + kBlock <= count; next += kBlock) {
-      ops->stage_rows(rows + next * dim, dim, 1, staged.data());
-      ops->group_row_block(group, 1, staged.data(), dim, &kInf, out + next);
-    }
-  }
-  for (; next < count; ++next) {
-    const float* p = rows + next * dim;
-    double d2 = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff = static_cast<double>(p[d]) - query[d];
-      d2 += diff * diff;
-    }
-    out[next] = d2;
+void BoundedPairHeap::Push(double d2, size_t row) {
+  const std::pair<double, size_t> p(d2, row);
+  if (heap_.size() < k_) {
+    heap_.push(p);
+  } else if (p < heap_.top()) {
+    heap_.pop();
+    heap_.push(p);
   }
 }
 
-double KthDistanceScan(std::span<const float> query,
-                       std::span<const float> rows, size_t dim, size_t k,
-                       const ScanOptions& opts) {
-  return KthDistanceScan(query, rows, dim, k, opts, ActiveKernelMode());
+double BoundedPairHeap::Threshold() const {
+  return heap_.size() == k_ ? heap_.top().first : kInf;
 }
 
-double KthDistanceScan(std::span<const float> query,
-                       std::span<const float> rows, size_t dim, size_t k,
-                       const ScanOptions& opts, KernelMode mode) {
-  HDIDX_CHECK(k > 0);
-  HDIDX_CHECK(query.size() == dim);
-  std::vector<double> storage(HeapSlots(k, rows, dim));
-  ScanEntry<BoundedDistanceHeap> entry{query.data(), opts,
-                                       {storage.data(), k}};
-  ScanRows(std::span(&entry, 1), rows, dim, ResolveKernelMode(mode));
-  return entry.heap.Threshold();
+std::vector<std::pair<double, size_t>> BoundedPairHeap::TakeSortedAscending() {
+  std::vector<std::pair<double, size_t>> result(heap_.size());
+  for (size_t i = heap_.size(); i > 0; --i) {
+    result[i - 1] = heap_.top();
+    heap_.pop();
+  }
+  return result;
 }
 
 void KthDistanceScans(std::span<const float> queries,
@@ -755,9 +690,7 @@ void KthDistanceScans(std::span<const float> queries,
     const size_t end = std::min(q, begin + width);
     tile.clear();
     for (size_t i = begin; i < end; ++i) {
-      ScanOptions opts;
-      opts.exclude_row = exclude_rows[i];
-      tile.push_back({queries.data() + i * dim, opts,
+      tile.push_back({queries.data() + i * dim, exclude_rows[i],
                       {storage.data() + (i - begin) * slots, k}});
     }
     ScanRows(std::span(tile), rows, dim, resolved);
@@ -769,16 +702,16 @@ void KthDistanceScans(std::span<const float> queries,
 
 std::vector<std::pair<double, size_t>> TopKNeighborScan(
     std::span<const float> query, std::span<const float> rows, size_t dim,
-    size_t k, const ScanOptions& opts) {
-  return TopKNeighborScan(query, rows, dim, k, opts, ActiveKernelMode());
+    size_t k) {
+  return TopKNeighborScan(query, rows, dim, k, ActiveKernelMode());
 }
 
 std::vector<std::pair<double, size_t>> TopKNeighborScan(
     std::span<const float> query, std::span<const float> rows, size_t dim,
-    size_t k, const ScanOptions& opts, KernelMode mode) {
+    size_t k, KernelMode mode) {
   if (k == 0) return {};
   HDIDX_CHECK(query.size() == dim);
-  ScanEntry<BoundedPairHeap> entry{query.data(), opts, BoundedPairHeap(k)};
+  ScanEntry<BoundedPairHeap> entry{query.data(), kNoRow, BoundedPairHeap(k)};
   ScanRows(std::span(&entry, 1), rows, dim, ResolveKernelMode(mode));
   return entry.heap.TakeSortedAscending();
 }

@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <queue>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -87,7 +87,7 @@ void SetKernelMode(KernelMode mode);
 /// Removes the override, falling back to HDIDX_KERNEL / the default.
 void ClearKernelModeOverride();
 
-/// Sentinel for ScanOptions::exclude_row: exclude nothing.
+/// Sentinel for a k-NN scan's excluded row: exclude nothing.
 inline constexpr size_t kNoRow = static_cast<size_t>(-1);
 
 /// Structure-of-arrays layout over a set of MBRs: for every dimension d a
@@ -182,13 +182,16 @@ HDIDX_CONCURRENT_READ void AppendSphereHits(std::span<const float> center,
                                             std::vector<uint32_t>* hits,
                                             KernelMode mode);
 
-/// Number of slab boxes intersecting `query` (BoundingBox::Intersects
-/// semantics: empty boxes intersect nothing).
-HDIDX_CONCURRENT_READ size_t CountBoxHits(const BoundingBox& query,
-                                          const BoxSlab& slab);
-HDIDX_CONCURRENT_READ size_t CountBoxHits(const BoundingBox& query,
-                                          const BoxSlab& slab,
-                                          KernelMode mode);
+/// Appends (in ascending order) the indices of slab boxes intersecting
+/// `query` (BoundingBox::Intersects semantics: empty boxes intersect
+/// nothing) — the range-query counterpart of AppendSphereHits.
+HDIDX_CONCURRENT_READ void AppendBoxHits(const BoundingBox& query,
+                                         const BoxSlab& slab,
+                                         std::vector<uint32_t>* hits);
+HDIDX_CONCURRENT_READ void AppendBoxHits(const BoundingBox& query,
+                                         const BoxSlab& slab,
+                                         std::vector<uint32_t>* hits,
+                                         KernelMode mode);
 
 /// The boxes of a BoxSlab again, box-major: box b's lo (hi) coordinates are
 /// the dim() contiguous floats at lo_row(b) (hi_row(b)), each row padded to
@@ -235,18 +238,6 @@ HDIDX_CONCURRENT_READ size_t NearestBox(std::span<const float> point,
                                         const BoxSlab& slab,
                                         const BoxRows& rows, KernelMode mode);
 
-/// out[i] = SquaredL2(query, rows[i]) for `count` row-major rows, each
-/// accumulated in the scalar dimension order (bit-identical to per-row
-/// SquaredL2). The batched modes stage one 8-row block at a time and run it
-/// as a one-query group.
-HDIDX_CONCURRENT_READ void BatchedSquaredL2(std::span<const float> query,
-                                            const float* rows, size_t count,
-                                            size_t dim, double* out);
-HDIDX_CONCURRENT_READ void BatchedSquaredL2(std::span<const float> query,
-                                            const float* rows, size_t count,
-                                            size_t dim, double* out,
-                                            KernelMode mode);
-
 /// Rows per chunk of the query-tiled k-NN scan: a whole number of kernel
 /// blocks (BoxSlab::kBlock), so chunk boundaries fall on block boundaries
 /// and every query walks the same block partition as an untiled scan. The
@@ -261,42 +252,46 @@ inline constexpr size_t kScanChunkRows = 512;
 /// q=100, k=21 tile needs 17 KB and runs whole.
 inline constexpr size_t kScanTileHeapBytes = size_t{1} << 20;
 
-/// Row-exclusion rules shared by the k-NN scan kernels.
-struct ScanOptions {
-  /// This row is skipped (kNoRow: none) — the workload's "exclude the query
-  /// itself, keep its duplicates" rule.
-  size_t exclude_row = kNoRow;
-  /// Rows at squared distance <= this are skipped (ExactKthDistance's
-  /// exclusion band). The default excludes nothing.
-  double exclude_within_sq = -std::numeric_limits<double>::infinity();
+/// Bounded max-heap of the k smallest (squared distance, row) pairs under
+/// pair ordering: rows are unique, so it retains exactly the first k
+/// elements a partial_sort of all pairs would produce, in the same order.
+/// The heap behind TopKNeighborScan and index::TreeKnnSearch.
+class BoundedPairHeap {
+ public:
+  /// Requires k > 0.
+  explicit BoundedPairHeap(size_t k);
+
+  /// Offers one candidate.
+  void Push(double d2, size_t row);
+
+  /// Current k-th smallest squared distance; +inf until k were collected.
+  double Threshold() const;
+
+  /// The retained pairs in ascending (distance, row) order; consumes the
+  /// heap.
+  std::vector<std::pair<double, size_t>> TakeSortedAscending();
+
+ private:
+  size_t k_;
+  std::priority_queue<std::pair<double, size_t>> heap_;
 };
 
-/// k-th smallest squared L2 distance from `query` to the n = rows.size() /
-/// dim row-major rows that pass `opts` (+inf when fewer than k qualify).
-/// Heap semantics and accumulation order match the scalar KnnHeap loop
-/// exactly; the batched paths abandon a row once its partial sum exceeds
-/// the current k-th threshold (a no-op push either way). Runs as a
-/// one-query tile of the scan behind KthDistanceScans.
-HDIDX_CONCURRENT_READ double KthDistanceScan(std::span<const float> query,
-                                             std::span<const float> rows,
-                                             size_t dim, size_t k,
-                                             const ScanOptions& opts);
-HDIDX_CONCURRENT_READ double KthDistanceScan(std::span<const float> query,
-                                             std::span<const float> rows,
-                                             size_t dim, size_t k,
-                                             const ScanOptions& opts,
-                                             KernelMode mode);
-
-/// KthDistanceScan for a tile of q = exclude_rows.size() queries in one
-/// pass: `queries` holds q row-major query points, and out[i] is bit for bit
-/// KthDistanceScan(query i, rows, dim, k, {.exclude_row = exclude_rows[i]}).
-/// The scan walks `rows` in L2-sized chunks and runs every query of the
-/// tile over a chunk before the next, so the rows are streamed once per
-/// tile rather than once per query. Each query keeps its own heap, sees its
-/// rows in ascending order and captures its abandonment threshold at each
-/// block start exactly as a one-query scan does, so its result does not
-/// depend on the tile it rides in. Tiles whose heaps would outgrow
-/// kScanTileHeapBytes are split into sub-tiles.
+/// k-th smallest squared L2 distance from each query of a tile to the
+/// n = rows.size() / dim row-major rows, in one pass: `queries` holds
+/// q = exclude_rows.size() row-major query points, and out[i] is query i's
+/// k-th smallest squared distance over every row except exclude_rows[i]
+/// (kNoRow: none; duplicates of the query point still count), +inf when
+/// fewer than k rows qualify. Each query keeps a bounded max-heap of its k
+/// smallest distances, fed in ascending row order with every distance
+/// accumulated in the scalar dimension order; the batched paths abandon a
+/// row once its partial sum exceeds the query's current k-th threshold (a
+/// no-op push either way), so every mode is bit-identical to the scalar
+/// oracle. The scan walks `rows` in L2-sized chunks and runs every query of
+/// the tile over a chunk before the next, so the rows are streamed once per
+/// tile rather than once per query. Each query captures its abandonment
+/// threshold at each block start exactly as a one-query tile does, so its
+/// result does not depend on the tile it rides in. Tiles whose heaps would
+/// outgrow kScanTileHeapBytes are split into sub-tiles.
 HDIDX_CONCURRENT_READ void KthDistanceScans(std::span<const float> queries,
                                             std::span<const size_t> exclude_rows,
                                             std::span<const float> rows,
@@ -311,13 +306,13 @@ HDIDX_CONCURRENT_READ void KthDistanceScans(std::span<const float> queries,
 
 /// The k nearest rows as (squared distance, row) pairs in ascending order
 /// (ties towards the lower row index — identical to partial_sort over all
-/// pairs). Fewer than k pairs when fewer rows qualify.
+/// pairs). Fewer than k pairs when fewer rows exist.
 HDIDX_CONCURRENT_READ std::vector<std::pair<double, size_t>> TopKNeighborScan(
     std::span<const float> query, std::span<const float> rows, size_t dim,
-    size_t k, const ScanOptions& opts);
+    size_t k);
 HDIDX_CONCURRENT_READ std::vector<std::pair<double, size_t>> TopKNeighborScan(
     std::span<const float> query, std::span<const float> rows, size_t dim,
-    size_t k, const ScanOptions& opts, KernelMode mode);
+    size_t k, KernelMode mode);
 
 /// Per-dimension raw moments of a set of row-major rows: sum[k] and
 /// sum_sq[k] are the sums from 0.0 of v and v * v, v being coordinate k of

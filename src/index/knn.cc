@@ -1,8 +1,8 @@
 #include "index/knn.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <functional>
+#include <queue>
 
 #include "common/check.h"
 #include "geometry/distance.h"
@@ -10,79 +10,25 @@
 
 namespace hdidx::index {
 
-KnnHeap::KnnHeap(size_t k) : k_(k) { HDIDX_CHECK(k > 0); }
-
-void KnnHeap::Push(double squared_distance) {
-  if (heap_.size() < k_) {
-    heap_.push(squared_distance);
-  } else if (squared_distance < heap_.top()) {
-    heap_.pop();
-    heap_.push(squared_distance);
-  }
-}
-
-double KnnHeap::KthSquared() const {
-  if (!full()) return std::numeric_limits<double>::infinity();
-  return heap_.top();
-}
-
-double KnnHeap::Kth() const { return std::sqrt(KthSquared()); }
-
-KnnPairHeap::KnnPairHeap(size_t k) : k_(k) { HDIDX_CHECK(k > 0); }
-
-void KnnPairHeap::Push(double squared_distance, size_t row) {
-  const std::pair<double, size_t> p(squared_distance, row);
-  if (heap_.size() < k_) {
-    heap_.push(p);
-  } else if (p < heap_.top()) {
-    heap_.pop();
-    heap_.push(p);
-  }
-}
-
-double KnnPairHeap::KthSquared() const {
-  if (!full()) return std::numeric_limits<double>::infinity();
-  return heap_.top().first;
-}
-
-std::vector<std::pair<double, size_t>> KnnPairHeap::TakeSortedAscending() {
-  std::vector<std::pair<double, size_t>> result(heap_.size());
-  for (size_t i = heap_.size(); i > 0; --i) {
-    result[i - 1] = heap_.top();
-    heap_.pop();
-  }
-  return result;
-}
-
-// The three exact scans below run on the batched kernels (vectorized across
-// rows with partial-distance early termination against the k-th heap
-// threshold); the kernel's scalar mode and the equivalence battery pin them
-// to the original per-row SquaredL2 + KnnHeap loops bit for bit.
-
-double ExactKthDistance(const data::Dataset& data,
-                        std::span<const float> query, size_t k,
-                        double exclude_within_sq) {
-  geometry::kernels::ScanOptions opts;
-  opts.exclude_within_sq = exclude_within_sq;
-  return std::sqrt(
-      geometry::kernels::KthDistanceScan(query, data.data(), data.dim(), k,
-                                         opts));
-}
+// The exact scans below run on the batched kernels (vectorized across rows
+// with partial-distance early termination against the k-th heap
+// threshold); the kernels' scalar mode and the equivalence battery pin them
+// to the per-row SquaredL2 + bounded-heap loops bit for bit.
 
 double ExactKthDistanceExcludingRow(const data::Dataset& data,
                                     std::span<const float> query, size_t k,
                                     size_t exclude_row) {
-  geometry::kernels::ScanOptions opts;
-  opts.exclude_row = exclude_row;
-  return std::sqrt(
-      geometry::kernels::KthDistanceScan(query, data.data(), data.dim(), k,
-                                         opts));
+  double kth_sq = 0.0;
+  geometry::kernels::KthDistanceScans(query, std::span(&exclude_row, 1),
+                                      data.data(), data.dim(), k,
+                                      std::span(&kth_sq, 1));
+  return std::sqrt(kth_sq);
 }
 
 std::vector<size_t> ExactKnn(const data::Dataset& data,
                              std::span<const float> query, size_t k) {
-  const auto pairs = geometry::kernels::TopKNeighborScan(
-      query, data.data(), data.dim(), k, geometry::kernels::ScanOptions());
+  const auto pairs =
+      geometry::kernels::TopKNeighborScan(query, data.data(), data.dim(), k);
   std::vector<size_t> result(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) result[i] = pairs[i].second;
   return result;
@@ -106,16 +52,15 @@ TreeKnnResult TreeKnnSearch(const RTree& tree, const data::Dataset& data,
   queue.push({geometry::SquaredMinDist(query, tree.node(tree.root()).box),
               tree.root()});
 
-  // Bounded pair-heap of the k best candidates. The old loop appended every
-  // leaf's points to a vector and re-sorted the whole vector per leaf;
-  // KnnPairHeap keeps the same pair ordering (so retention, neighbor order
-  // and the pruning bound are unchanged) at O(log k) per point.
-  KnnPairHeap candidates(k);
+  // Bounded pair-heap of the k best candidates: the same pair ordering as
+  // sorting every candidate (so retention, neighbor order and the pruning
+  // bound match) at O(log k) per point.
+  geometry::kernels::BoundedPairHeap candidates(k);
 
   while (!queue.empty()) {
     const Entry top = queue.top();
     queue.pop();
-    if (top.min_dist_sq > candidates.KthSquared()) break;
+    if (top.min_dist_sq > candidates.Threshold()) break;
     const RTreeNode& n = tree.node(top.node);
     if (n.is_leaf()) {
       ++result.accesses.leaf_accesses;
@@ -128,7 +73,7 @@ TreeKnnResult TreeKnnSearch(const RTree& tree, const data::Dataset& data,
       for (uint32_t child : n.children) {
         const double d2 =
             geometry::SquaredMinDist(query, tree.node(child).box);
-        if (d2 <= candidates.KthSquared()) queue.push({d2, child});
+        if (d2 <= candidates.Threshold()) queue.push({d2, child});
       }
     }
   }
@@ -137,34 +82,6 @@ TreeKnnResult TreeKnnSearch(const RTree& tree, const data::Dataset& data,
   result.neighbors.resize(best.size());
   for (size_t i = 0; i < best.size(); ++i) result.neighbors[i] = best[i].second;
   result.kth_distance = best.empty() ? 0.0 : std::sqrt(best.back().first);
-  return result;
-}
-
-std::vector<double> CountSphereLeafAccesses(
-    const RTree& tree, const data::Dataset& centers,
-    const std::vector<double>& radii, io::IoStats* io,
-    const common::ExecutionContext& ctx) {
-  HDIDX_CHECK(centers.size() == radii.size());
-  const size_t q = centers.size();
-  std::vector<double> result(q, 0.0);
-  std::vector<uint64_t> total_pages(q, 0);
-  ctx.ParallelFor(0, q, /*grain=*/0, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const RTree::AccessCount count =
-          tree.CountSphereAccesses(centers.row(i), radii[i]);
-      result[i] = static_cast<double>(count.leaf_accesses);
-      total_pages[i] = count.total();
-    }
-  });
-  if (io != nullptr) {
-    // Nearly all query-time page accesses are random (Section 5.1): one
-    // seek and one transfer per page touched. Reduced serially in query
-    // order so the counters match the serial implementation exactly.
-    for (size_t i = 0; i < q; ++i) {
-      io->page_seeks += total_pages[i];
-      io->page_transfers += total_pages[i];
-    }
-  }
   return result;
 }
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/check.h"
-#include "geometry/distance.h"
 
 namespace hdidx::index {
 
@@ -57,69 +56,6 @@ uint32_t RTree::AddDirectory(uint32_t level, std::vector<uint32_t> children) {
                             &arena_);
   nodes_.push_back(std::move(node));
   return id;
-}
-
-RTree::AccessCount RTree::CountSphereAccesses(std::span<const float> center,
-                                              double radius) const {
-  HDIDX_CHECK(radius >= 0.0) << "query sphere radius must be non-negative";
-  AccessCount count;
-  if (nodes_.empty()) return count;
-  const double r2 = radius * radius;
-  // Iterative DFS. A node's page is read when its MBR intersects the query
-  // sphere; the root page is read unconditionally (every search starts
-  // there), but its children are only explored on intersection.
-  const RTreeNode& root_node = nodes_[root_];
-  const bool root_hit = geometry::SquaredMinDist(center, root_node.box) <= r2;
-  if (root_node.is_leaf()) {
-    count.leaf_accesses = root_node.pages;
-    return count;
-  }
-  count.dir_accesses = root_node.pages;
-  if (!root_hit) return count;
-  // DFS over hit directory nodes; each pop tests all children against the
-  // node's SoA slab at once (SquaredMinDist <= r2 per child, in any kernel
-  // mode). Page totals are integer sums, so visit order cannot matter.
-  const geometry::kernels::KernelMode mode =
-      geometry::kernels::ActiveKernelMode();
-  std::vector<uint32_t> stack = {root_};
-  std::vector<uint32_t> hits;
-  while (!stack.empty()) {
-    const uint32_t id = stack.back();
-    stack.pop_back();
-    const RTreeNode& n = nodes_[id];
-    hits.clear();
-    geometry::kernels::AppendSphereHits(center, r2, child_slabs_[id], &hits,
-                                        mode);
-    for (const uint32_t hit : hits) {
-      const uint32_t child_id = n.children[hit];
-      const RTreeNode& child = nodes_[child_id];
-      if (child.is_leaf()) {
-        count.leaf_accesses += child.pages;
-      } else {
-        count.dir_accesses += child.pages;
-        stack.push_back(child_id);
-      }
-    }
-  }
-  return count;
-}
-
-size_t RTree::CountBoxAccesses(const geometry::BoundingBox& box) const {
-  size_t count = 0;
-  if (nodes_.empty()) return 0;
-  std::vector<uint32_t> stack = {root_};
-  while (!stack.empty()) {
-    const uint32_t id = stack.back();
-    stack.pop_back();
-    const RTreeNode& n = nodes_[id];
-    if (!n.box.Intersects(box)) continue;
-    if (n.is_leaf()) {
-      ++count;
-    } else {
-      for (uint32_t child : n.children) stack.push_back(child);
-    }
-  }
-  return count;
 }
 
 double RTree::TotalLeafVolume() const {

@@ -43,9 +43,9 @@ struct RTreeNode {
 ///
 /// The tree does not own point coordinates; leaves reference rows of the
 /// dataset it was built from through the permutation returned by order().
-/// Query methods count page accesses — the quantity the paper predicts —
-/// rather than returning result sets; the k-NN result itself comes from
-/// index/knn.h.
+/// The leaf pages a query region reads — the quantity the paper predicts —
+/// are counted by core::MeasureLeafAccesses; the k-NN result itself comes
+/// from index/knn.h.
 class RTree {
  public:
   /// Creates an empty tree over points of dimensionality `dim`.
@@ -67,6 +67,13 @@ class RTree {
   /// Level of the root node (= height of this tree in full-tree numbering
   /// when built completely).
   size_t root_level() const;
+
+  /// SoA slab over node `id`'s children's MBRs, in children order (empty
+  /// for a leaf). Tree searches test all of a node's children at once
+  /// against it, e.g. core::MeasureLeafAccesses.
+  const geometry::kernels::BoxSlab& child_slab(uint32_t id) const {
+    return child_slabs_[id];
+  }
 
   /// Ids of this tree's leaves, in left-to-right construction order.
   const std::vector<uint32_t>& leaf_ids() const { return leaf_ids_; }
@@ -101,29 +108,6 @@ class RTree {
   HDIDX_BUILD_ONLY void SetNodePages(uint32_t id, uint32_t pages) {
     nodes_[id].pages = pages;
   }
-
-  // ---- Queries ----
-
-  /// Page accesses an optimal NN search with the given query sphere incurs:
-  /// every node whose MBR intersects the sphere is read (the root is always
-  /// read). Returns (leaf accesses, directory accesses). Requires
-  /// radius >= 0 (a NaN radius used to silently count zero pages).
-  ///
-  /// Each visited directory node tests all its children at once against
-  /// the SoA slab built at AddDirectory time; every kernel mode counts
-  /// exactly the nodes with SquaredMinDist <= radius², so the result is
-  /// identical in every mode.
-  struct AccessCount {
-    size_t leaf_accesses = 0;
-    size_t dir_accesses = 0;
-    size_t total() const { return leaf_accesses + dir_accesses; }
-  };
-  HDIDX_CONCURRENT_READ AccessCount CountSphereAccesses(
-      std::span<const float> center, double radius) const;
-
-  /// Number of leaves whose MBR intersects `box` (range-query page count).
-  HDIDX_CONCURRENT_READ size_t CountBoxAccesses(
-      const geometry::BoundingBox& box) const;
 
   /// Sum of leaf-box volumes (diagnostic; shrinks under sampling, restored
   /// by compensation).

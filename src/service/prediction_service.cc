@@ -42,6 +42,45 @@ ResultKey KeyOf(const ServiceRequest& r, size_t memory) {
 
 }  // namespace
 
+std::string ValidateRequest(const ServiceRequest& request,
+                            const data::Dataset& dataset) {
+  if (request.method != "mini" && request.method != "cutoff" &&
+      request.method != "resampled") {
+    return "unknown method: " + request.method;
+  }
+  if (request.num_queries == 0 || request.k == 0 || request.memory == 0 ||
+      request.page_bytes == 0) {
+    return "num_queries, k, memory, and page_bytes must be > 0";
+  }
+  // A query's own row is excluded from its neighbors, so only N - 1 remain.
+  if (request.k >= dataset.size()) {
+    return "k must be < the dataset's " + std::to_string(dataset.size()) +
+           " points";
+  }
+  // Queries are drawn from the dataset, and their q·d floats are allocated
+  // up front, so q is bounded by N.
+  if (request.num_queries > dataset.size()) {
+    return "num_queries must be <= the dataset's " +
+           std::to_string(dataset.size()) + " points";
+  }
+  // A data page must hold two records (dim floats + a 4-byte id each), or
+  // the modeled tree has no fan-out to predict.
+  const size_t min_page_bytes = 2 * (dataset.dim() * sizeof(float) + 4);
+  if (request.page_bytes < min_page_bytes) {
+    return "page_bytes must be >= " + std::to_string(min_page_bytes) +
+           " (two data records at this dimensionality)";
+  }
+  io::DiskModel disk;
+  disk.page_bytes = request.page_bytes;
+  if (request.method != "mini" &&
+      index::TreeTopology::FromDisk(dataset.size(), dataset.dim(), disk)
+              .height() < 3) {
+    return "dataset too small for the " + request.method +
+           " method (index height < 3); use method=mini";
+  }
+  return "";
+}
+
 struct PredictionService::Shard {
   explicit Shard(const ServiceOptions& options, size_t threads)
       : pool(threads),
@@ -104,42 +143,12 @@ ServiceResponse PredictionService::Compute(Shard* shard,
     response.error = "unknown dataset: " + request.dataset;
     return response;
   }
-  if (request.method != "mini" && request.method != "cutoff" &&
-      request.method != "resampled") {
-    response.error = "unknown method: " + request.method;
-    return response;
-  }
-  if (request.num_queries == 0 || request.k == 0 || request.memory == 0 ||
-      request.page_bytes == 0) {
-    response.error = "num_queries, k, memory, and page_bytes must be > 0";
-    return response;
-  }
-  // A query's own row is excluded from its neighbors, so only N - 1 remain.
-  if (request.k >= dataset->size()) {
-    response.error = "k must be < the dataset's " +
-                     std::to_string(dataset->size()) + " points";
-    return response;
-  }
-  // Queries are drawn from the dataset, and their q·d floats are allocated
-  // up front, so q is bounded by N.
-  if (request.num_queries > dataset->size()) {
-    response.error = "num_queries must be <= the dataset's " +
-                     std::to_string(dataset->size()) + " points";
-    return response;
-  }
+  response.error = ValidateRequest(request, *dataset);
+  if (!response.error.empty()) return response;
   // A budget of N points already holds the whole dataset, so larger budgets
   // are served as N: same result, same cache entry. Unclamped, the resample
   // pass's k·M area offsets could overflow.
   const size_t memory = std::min(request.memory, dataset->size());
-  // A data page must hold two records (dim floats + a 4-byte id each), or
-  // the modeled tree has no fan-out to predict.
-  const size_t min_page_bytes = 2 * (dataset->dim() * sizeof(float) + 4);
-  if (request.page_bytes < min_page_bytes) {
-    response.error = "page_bytes must be >= " +
-                     std::to_string(min_page_bytes) +
-                     " (two data records at this dimensionality)";
-    return response;
-  }
 
   const ResultKey key = KeyOf(request, memory);
   std::shared_ptr<const core::PredictionResult> cached;
@@ -164,12 +173,6 @@ ServiceResponse PredictionService::Compute(Shard* shard,
   disk.page_bytes = request.page_bytes;
   const index::TreeTopology topology =
       index::TreeTopology::FromDisk(dataset->size(), dataset->dim(), disk);
-  if (request.method != "mini" && topology.height() < 3) {
-    response.error =
-        "dataset too small for the " + request.method +
-        " method (index height < 3); use method=mini";
-    return response;
-  }
 
   const common::ExecutionContext ctx(&shard->pool, request.seed);
 

@@ -44,6 +44,17 @@ struct ServiceRequest {
   bool per_query = false;
 };
 
+/// Checks `request` against `dataset` before anything is computed: a known
+/// method; num_queries, k, memory and page_bytes all > 0; k < N (a query's
+/// own row is not its neighbor); num_queries <= N (queries are drawn from
+/// the dataset); a page that holds two data records; and, for cutoff and
+/// resampled, an index of height >= 3. Returns "" when the request may be
+/// served, else the error the service responds with. PredictionService and
+/// hdidx_predict both call it, so the CLI refuses exactly what the service
+/// refuses.
+std::string ValidateRequest(const ServiceRequest& request,
+                            const data::Dataset& dataset);
+
 /// The deterministic payload plus serving metadata. Everything under
 /// `result` (and `result_valid`/`error`) is bit-identical for a given
 /// request regardless of shard count, arrival order, or cache state; the

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "common/check.h"
-#include "geometry/distance.h"
 #include "geometry/kernels.h"
 
 namespace hdidx::workload {
@@ -14,18 +13,26 @@ QueryWorkload::QueryWorkload(data::Dataset queries, std::vector<double> radii,
     : queries_(std::move(queries)),
       radii_(std::move(radii)),
       query_rows_(std::move(rows)),
-      k_(k) {}
-
-bool QueryWorkload::Intersects(size_t i,
-                               const geometry::BoundingBox& box) const {
-  return geometry::SquaredMinDist(queries_.row(i), box) <=
-         radii_[i] * radii_[i];
+      k_(k) {
+  HDIDX_CHECK(radii_.size() == queries_.size())
+      << "one radius per query: " << radii_.size() << " radii for "
+      << queries_.size() << " queries";
+  for (const double radius : radii_) {
+    HDIDX_CHECK(radius >= 0.0) << "query sphere radius must be non-negative";
+  }
 }
 
 size_t QueryWorkload::CountIntersections(
     size_t i, const geometry::kernels::BoxSlab& slab) const {
   return geometry::kernels::CountSphereHits(queries_.row(i),
                                             radii_[i] * radii_[i], slab);
+}
+
+void QueryWorkload::AppendIntersections(
+    size_t i, const geometry::kernels::BoxSlab& slab,
+    std::vector<uint32_t>* hits) const {
+  geometry::kernels::AppendSphereHits(queries_.row(i), radii_[i] * radii_[i],
+                                      slab, hits);
 }
 
 QueryWorkload QueryWorkload::Create(const data::Dataset& data, size_t q,

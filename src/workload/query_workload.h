@@ -2,6 +2,7 @@
 #define HDIDX_WORKLOAD_QUERY_WORKLOAD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/parallel.h"
@@ -19,9 +20,12 @@ namespace hdidx::workload {
 /// A batch of query regions tested against page MBRs — the common face of
 /// nearest-neighbor (sphere) and range (box) workloads. The paper's
 /// prediction pipeline only ever asks one question of a query: does its
-/// region intersect this page? Everything downstream of workload
-/// construction (predictors, measurement) is therefore written against this
-/// interface and serves both query types.
+/// region intersect this page? (An exact search for the query reads exactly
+/// the pages whose MBRs its region intersects.) Everything downstream of
+/// workload construction (predictors, measurement) is therefore written
+/// against this interface and serves both query types. Both questions below
+/// are answered by the dispatching kernels in ActiveKernelMode(), and every
+/// mode decides each box exactly as the scalar oracle does.
 class QueryRegions {
  public:
   virtual ~QueryRegions() = default;
@@ -29,16 +33,15 @@ class QueryRegions {
   /// Number of queries in the batch.
   virtual size_t size() const = 0;
 
-  /// True iff query i's region intersects `box` — i.e. an exact search for
-  /// query i would read a page with this MBR.
-  HDIDX_CONCURRENT_READ virtual bool Intersects(
-      size_t i, const geometry::BoundingBox& box) const = 0;
-
-  /// Number of `slab` boxes query i's region intersects, counted by the
-  /// dispatching kernel in ActiveKernelMode() — decision-identical to
-  /// Intersects on every box in every mode.
+  /// Number of `slab` boxes query i's region intersects.
   HDIDX_CONCURRENT_READ virtual size_t CountIntersections(
       size_t i, const geometry::kernels::BoxSlab& slab) const = 0;
+
+  /// Appends, in ascending order, the indices of the `slab` boxes query i's
+  /// region intersects: the step of a tree descent over RTree::child_slab.
+  HDIDX_CONCURRENT_READ virtual void AppendIntersections(
+      size_t i, const geometry::kernels::BoxSlab& slab,
+      std::vector<uint32_t>* hits) const = 0;
 };
 
 /// A density-biased k-NN query workload: q query points drawn uniformly from
@@ -70,11 +73,13 @@ class QueryWorkload : public QueryRegions {
       const data::Dataset& data, size_t q, size_t k, common::Rng* rng,
       const common::ExecutionContext& ctx = common::DefaultExecutionContext());
 
-  // QueryRegions: sphere-vs-box intersection with the exact k-NN radius.
+  // QueryRegions: sphere-vs-box intersection with the exact k-NN radius
+  // (SquaredMinDist <= radius²).
   size_t size() const override { return queries_.size(); }
-  bool Intersects(size_t i, const geometry::BoundingBox& box) const override;
   size_t CountIntersections(
       size_t i, const geometry::kernels::BoxSlab& slab) const override;
+  void AppendIntersections(size_t i, const geometry::kernels::BoxSlab& slab,
+                           std::vector<uint32_t>* hits) const override;
 
   size_t num_queries() const { return queries_.size(); }
   size_t k() const { return k_; }
@@ -86,7 +91,8 @@ class QueryWorkload : public QueryRegions {
   const std::vector<size_t>& query_rows() const { return query_rows_; }
 
   /// Direct constructor for callers that computed radii themselves; prefer
-  /// Create() elsewhere.
+  /// Create() elsewhere. Requires one radius per query row, each >= 0 (a
+  /// NaN radius would silently intersect nothing).
   QueryWorkload(data::Dataset queries, std::vector<double> radii,
                 std::vector<size_t> rows, size_t k);
 

@@ -80,14 +80,17 @@ RangeWorkload RangeWorkload::CreateWithCardinality(const data::Dataset& data,
   return RangeWorkload(std::move(boxes), std::move(rows));
 }
 
-bool RangeWorkload::Intersects(size_t i,
-                               const geometry::BoundingBox& box) const {
-  return boxes_[i].Intersects(box);
-}
-
 size_t RangeWorkload::CountIntersections(
     size_t i, const geometry::kernels::BoxSlab& slab) const {
-  return geometry::kernels::CountBoxHits(boxes_[i], slab);
+  std::vector<uint32_t> hits;
+  AppendIntersections(i, slab, &hits);
+  return hits.size();
+}
+
+void RangeWorkload::AppendIntersections(
+    size_t i, const geometry::kernels::BoxSlab& slab,
+    std::vector<uint32_t>* hits) const {
+  geometry::kernels::AppendBoxHits(boxes_[i], slab, hits);
 }
 
 }  // namespace hdidx::workload

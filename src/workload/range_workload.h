@@ -33,12 +33,12 @@ class RangeWorkload : public QueryRegions {
                                              size_t target_cardinality,
                                              common::Rng* rng);
 
-  // QueryRegions:
+  // QueryRegions: box-vs-box overlap (BoundingBox::Intersects).
   size_t size() const override { return boxes_.size(); }
-  bool Intersects(size_t i,
-                  const geometry::BoundingBox& box) const override;
   size_t CountIntersections(
       size_t i, const geometry::kernels::BoxSlab& slab) const override;
+  void AppendIntersections(size_t i, const geometry::kernels::BoxSlab& slab,
+                           std::vector<uint32_t>* hits) const override;
 
   const geometry::BoundingBox& box(size_t i) const { return boxes_[i]; }
 

@@ -38,7 +38,8 @@ TEST_F(MultiStepTest, ReturnsExactFullSpaceKnn) {
   for (int trial = 0; trial < 15; ++trial) {
     const auto query = full_.row(rng.NextBounded(full_.size()));
     const auto result = MultiStepKnn(*tree_, projected_, full_, query, 7);
-    const double exact = index::ExactKthDistance(full_, query, 7, -1.0);
+    const double exact = index::ExactKthDistanceExcludingRow(full_, query, 7,
+                                                             full_.size());
     EXPECT_NEAR(result.kth_distance, exact, 1e-9) << "trial " << trial;
     ASSERT_EQ(result.neighbors.size(), 7u);
     // Ascending full-space distances.
@@ -77,7 +78,8 @@ TEST_F(MultiStepTest, MoreIndexedDimsFewerRefinements) {
     prev = result.refinements;
     // Always exact regardless of the filter dimensionality.
     EXPECT_NEAR(result.kth_distance,
-                index::ExactKthDistance(full_, query, 5, -1.0), 1e-9);
+                index::ExactKthDistanceExcludingRow(full_, query, 5,
+                                                    full_.size()), 1e-9);
   }
   // Full-dimensional filter refines (nearly) only the k results.
   EXPECT_LE(prev, 8u);

@@ -6,10 +6,10 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/hupper.h"
+#include "core/predictor.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 
 namespace hdidx::core {
 namespace {
@@ -88,8 +88,8 @@ class CutoffPredictorTest : public ::testing::Test {
     index::BulkLoadOptions options;
     options.topology = topo_.get();
     const index::RTree tree = index::BulkLoadInMemory(data_, options);
-    measured_ = common::Mean(index::CountSphereLeafAccesses(
-        tree, workload_->queries(), workload_->radii(), nullptr));
+    measured_ =
+        common::Mean(core::MeasureLeafAccesses(tree, *workload_, nullptr));
   }
 
   data::Dataset data_{1};

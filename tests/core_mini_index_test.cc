@@ -4,10 +4,10 @@
 
 #include "common/random.h"
 #include "common/stats.h"
+#include "core/predictor.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "test_util.h"
 
 namespace hdidx::core {
@@ -20,8 +20,7 @@ double MeasureAverage(const data::Dataset& data,
   index::BulkLoadOptions options;
   options.topology = &topo;
   const index::RTree tree = index::BulkLoadInMemory(data, options);
-  const auto counts = index::CountSphereLeafAccesses(
-      tree, workload.queries(), workload.radii(), nullptr);
+  const auto counts = core::MeasureLeafAccesses(tree, workload, nullptr);
   return common::Mean(counts);
 }
 
@@ -123,8 +122,7 @@ TEST_F(MiniIndexTest, AdaptiveBuiltTreePredictedWithinFivePercent) {
   options.topology = topo_.get();
   options.split_strategy = index::SplitStrategy::kAdaptiveSample;
   const index::RTree tree = index::BulkLoadInMemory(data_, options);
-  const auto counts = index::CountSphereLeafAccesses(
-      tree, workload_->queries(), workload_->radii(), nullptr);
+  const auto counts = core::MeasureLeafAccesses(tree, *workload_, nullptr);
   const double measured = common::Mean(counts);
 
   MiniIndexParams params;
@@ -149,8 +147,7 @@ TEST_F(MiniIndexTest, AdaptiveFullSampleReproducesMeasurementExactly) {
   options.topology = topo_.get();
   options.split_strategy = index::SplitStrategy::kAdaptiveSample;
   const index::RTree tree = index::BulkLoadInMemory(data_, options);
-  const auto counts = index::CountSphereLeafAccesses(
-      tree, workload_->queries(), workload_->radii(), nullptr);
+  const auto counts = core::MeasureLeafAccesses(tree, *workload_, nullptr);
   const double measured = common::Mean(counts);
 
   MiniIndexParams params;

@@ -14,10 +14,10 @@
 #include "common/stats.h"
 #include "core/cutoff.h"
 #include "core/hupper.h"
+#include "core/predictor.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
 #include "test_util.h"
 
 namespace hdidx::core {
@@ -36,8 +36,7 @@ class ResampledPredictorTest : public ::testing::Test {
     index::BulkLoadOptions options;
     options.topology = topo_.get();
     const index::RTree tree = index::BulkLoadInMemory(data_, options);
-    per_query_measured_ = index::CountSphereLeafAccesses(
-        tree, workload_->queries(), workload_->radii(), nullptr);
+    per_query_measured_ = core::MeasureLeafAccesses(tree, *workload_, nullptr);
     measured_ = common::Mean(per_query_measured_);
   }
 
@@ -263,8 +262,8 @@ TEST(ResampledUniformTest, UniformDataValidation) {
   index::BulkLoadOptions options;
   options.topology = &topo;
   const index::RTree tree = index::BulkLoadInMemory(data, options);
-  const double measured = common::Mean(index::CountSphereLeafAccesses(
-      tree, workload.queries(), workload.radii(), nullptr));
+  const double measured =
+      common::Mean(core::MeasureLeafAccesses(tree, workload, nullptr));
 
   io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
   ResampledParams params;

@@ -21,9 +21,12 @@
 #include "geometry/distance.h"
 #include "geometry/isa/block_ops.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace hdidx::geometry::kernels {
 namespace {
+
+using hdidx::testing::OneQueryKthScan;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -222,18 +225,21 @@ TEST(KernelBoxHitsTest, MatchesIntersectsPerBox) {
     const BoxSlab slab{std::span<const BoundingBox>(boxes)};
     for (int trial = 0; trial < 20; ++trial) {
       const BoundingBox query = RandomBox(&rng, dim);
-      size_t expected = 0;
-      for (const auto& box : boxes) {
-        if (query.Intersects(box)) ++expected;
+      std::vector<uint32_t> expected;
+      for (uint32_t b = 0; b < boxes.size(); ++b) {
+        if (query.Intersects(boxes[b])) expected.push_back(b);
       }
       for (const KernelMode mode : AllModes()) {
-        EXPECT_EQ(CountBoxHits(query, slab, mode), expected)
-            << KernelModeName(mode);
+        std::vector<uint32_t> hits;
+        AppendBoxHits(query, slab, &hits, mode);
+        EXPECT_EQ(hits, expected) << KernelModeName(mode);
       }
     }
     // An empty query box intersects nothing in any mode.
     for (const KernelMode mode : AllModes()) {
-      EXPECT_EQ(CountBoxHits(BoundingBox(dim), slab, mode), 0u);
+      std::vector<uint32_t> hits;
+      AppendBoxHits(BoundingBox(dim), slab, &hits, mode);
+      EXPECT_TRUE(hits.empty());
     }
   }
 }
@@ -605,36 +611,16 @@ TEST(KernelGroupedRowBlockTest, EveryQueryMatchesItsOneQueryBlock) {
   }
 }
 
-TEST(KernelBatchedL2Test, BitIdenticalToScalarSquaredL2) {
-  common::Rng rng(31);
-  for (const size_t dim : {1u, 7u, 16u, 33u}) {
-    for (const size_t n : {1u, 7u, 8u, 9u, 40u}) {
-      std::vector<float> rows(n * dim);
-      for (auto& v : rows) v = static_cast<float>(rng.NextUniform(-2.0, 2.0));
-      const auto query = RandomPoint(&rng, dim);
-      for (const KernelMode mode : AllModes()) {
-        std::vector<double> out(n);
-        BatchedSquaredL2(query, rows.data(), n, dim, out.data(), mode);
-        for (size_t i = 0; i < n; ++i) {
-          const std::span<const float> row(rows.data() + i * dim, dim);
-          EXPECT_EQ(out[i], SquaredL2(query, row))
-              << KernelModeName(mode) << ", row " << i;
-        }
-      }
-    }
-  }
-}
-
-/// Scalar reference for the scan kernels: KnnHeap semantics over rows in
-/// order, written independently of the kernel implementation.
+/// Scalar reference for the scan kernels: the k-th smallest of the sorted
+/// distances, written independently of the kernel implementation.
 double ReferenceKth(std::span<const float> query, std::span<const float> rows,
-                    size_t dim, size_t k, const ScanOptions& opts) {
+                    size_t dim, size_t k, size_t exclude_row) {
   std::vector<std::pair<double, size_t>> kept;
   const size_t n = rows.size() / dim;
   for (size_t row = 0; row < n; ++row) {
     const double d2 =
         SquaredL2(query, std::span<const float>(rows.data() + row * dim, dim));
-    if (row == opts.exclude_row || d2 <= opts.exclude_within_sq) continue;
+    if (row == exclude_row) continue;
     kept.emplace_back(d2, row);
   }
   if (kept.size() < k) return kInf;
@@ -650,10 +636,11 @@ TEST(KernelScanTest, KthDistanceMatchesSortReference) {
     for (auto& v : rows) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
     for (const size_t k : {1u, 3u, 21u, 60u, 61u}) {
       const auto query = RandomPoint(&rng, dim, -1.0, 1.0);
-      const ScanOptions opts;
-      const double expected = ReferenceKth(query, rows, dim, k, opts);
+      const size_t exclude = k % 2 == 0 ? kNoRow : k % n;
+      const double expected = ReferenceKth(query, rows, dim, k, exclude);
       for (const KernelMode mode : AllModes()) {
-        EXPECT_EQ(KthDistanceScan(query, rows, dim, k, opts, mode), expected)
+        EXPECT_EQ(OneQueryKthScan(query, exclude, rows, dim, k, mode),
+                  expected)
             << KernelModeName(mode);
       }
     }
@@ -671,24 +658,15 @@ TEST(KernelScanTest, ExclusionRules) {
   const double near_d2 = static_cast<double>(0.1f) * static_cast<double>(0.1f);
   for (const KernelMode mode : AllModes()) {
     // No exclusions: the query's own row is the nearest.
-    EXPECT_EQ(KthDistanceScan(query, rows, dim, 1, ScanOptions(), mode), 0.0);
+    EXPECT_EQ(OneQueryKthScan(query, kNoRow, rows, dim, 1, mode), 0.0);
 
-    // Unconditional row exclusion drops row 0 but keeps its duplicate.
-    ScanOptions skip_row;
-    skip_row.exclude_row = 0;
-    EXPECT_EQ(KthDistanceScan(query, rows, dim, 1, skip_row, mode), 0.0);
-    EXPECT_EQ(KthDistanceScan(query, rows, dim, 2, skip_row, mode), near_d2);
+    // Row exclusion drops row 0 but keeps its duplicate.
+    EXPECT_EQ(OneQueryKthScan(query, 0, rows, dim, 1, mode), 0.0);
+    EXPECT_EQ(OneQueryKthScan(query, 0, rows, dim, 2, mode), near_d2);
 
     // A far excluded row is dropped too: row 2 gone, only 4 rows left.
-    ScanOptions drop_far;
-    drop_far.exclude_row = 2;
-    EXPECT_EQ(KthDistanceScan(query, rows, dim, 4, drop_far, mode), 8.0);
-    EXPECT_EQ(KthDistanceScan(query, rows, dim, 5, drop_far, mode), kInf);
-
-    // Distance-band exclusion drops both zero-distance rows.
-    ScanOptions band;
-    band.exclude_within_sq = 0.0;
-    EXPECT_EQ(KthDistanceScan(query, rows, dim, 1, band, mode), near_d2);
+    EXPECT_EQ(OneQueryKthScan(query, 2, rows, dim, 4, mode), 8.0);
+    EXPECT_EQ(OneQueryKthScan(query, 2, rows, dim, 5, mode), kInf);
   }
 }
 
@@ -713,18 +691,32 @@ TEST(KernelScanTest, TopKMatchesSortTruncate) {
     std::sort(expected.begin(), expected.end());
     expected.resize(std::min<size_t>(k, expected.size()));
     for (const KernelMode mode : AllModes()) {
-      EXPECT_EQ(TopKNeighborScan(query, rows, dim, k, ScanOptions(), mode),
-                expected)
+      EXPECT_EQ(TopKNeighborScan(query, rows, dim, k, mode), expected)
           << KernelModeName(mode);
     }
   }
   EXPECT_TRUE(TopKNeighborScan(std::vector<float>(dim, 0.f), rows, dim, 0,
-                               ScanOptions(), KernelMode::kGeneric)
+                               KernelMode::kGeneric)
                   .empty());
 }
 
-/// The query-tiled scan against per-query KthDistanceScan, bit for bit, in
-/// every mode and against the scalar oracle: tile widths {1, 3, 8, 100}, n
+TEST(KernelPairHeapTest, MatchesSortTruncateWithTies) {
+  // Pairs with duplicate distances: retention and output order must equal
+  // sorting everything and truncating to k (rows break the ties).
+  const std::vector<std::pair<double, size_t>> pushed = {
+      {4.0, 9}, {1.0, 5}, {4.0, 2}, {0.5, 7}, {1.0, 1}, {9.0, 0}};
+  BoundedPairHeap heap(3);
+  EXPECT_TRUE(std::isinf(heap.Threshold()));
+  std::vector<std::pair<double, size_t>> expected = pushed;
+  for (const auto& [d2, row] : pushed) heap.Push(d2, row);
+  std::sort(expected.begin(), expected.end());
+  expected.resize(3);
+  EXPECT_DOUBLE_EQ(heap.Threshold(), expected.back().first);
+  EXPECT_EQ(heap.TakeSortedAscending(), expected);
+}
+
+/// The query-tiled scan against one-query tiles, bit for bit, in every mode
+/// and against the scalar oracle: tile widths {1, 3, 8, 100}, n
 /// on no block or chunk boundary, the excluded row in the first chunk, the
 /// last full chunk and the scalar tail, and a point duplicated across every
 /// chunk.
@@ -768,16 +760,14 @@ TEST(KernelScanTest, TiledKthScansMatchPerQueryScans) {
             std::vector<double> out(width);
             KthDistanceScans(queries, exclude, rows, dim, k, out, mode);
             for (size_t i = 0; i < width; ++i) {
-              ScanOptions opts;
-              opts.exclude_row = exclude[i];
               const std::span<const float> query(queries.data() + i * dim,
                                                  dim);
-              EXPECT_EQ(out[i], KthDistanceScan(query, rows, dim, k, opts,
-                                                KernelMode::kScalar))
+              EXPECT_EQ(out[i], OneQueryKthScan(query, exclude[i], rows, dim,
+                                                k, KernelMode::kScalar))
                   << KernelModeName(mode) << ", d=" << dim << ", width "
                   << width << ", query " << i << ", k=" << k;
               EXPECT_EQ(out[i],
-                        KthDistanceScan(query, rows, dim, k, opts, mode))
+                        OneQueryKthScan(query, exclude[i], rows, dim, k, mode))
                   << KernelModeName(mode);
             }
           }
@@ -788,7 +778,7 @@ TEST(KernelScanTest, TiledKthScansMatchPerQueryScans) {
 }
 
 /// A tile whose heaps outgrow kScanTileHeapBytes runs as sub-tiles; the
-/// radii across the split are still those of per-query scans, bit for bit.
+/// radii across the split are still those of one-query tiles, bit for bit.
 TEST(KernelScanTest, TiledKthScansSplitIntoSubTiles) {
   const size_t n = 3 * kScanChunkRows + 29;
   const size_t dim = 3;
@@ -810,12 +800,10 @@ TEST(KernelScanTest, TiledKthScansSplitIntoSubTiles) {
     std::vector<double> out(q);
     KthDistanceScans(queries, exclude, rows, dim, k, out, mode);
     for (size_t i = 0; i < q; ++i) {
-      ScanOptions opts;
-      opts.exclude_row = exclude[i];
       EXPECT_EQ(out[i],
-                KthDistanceScan(std::span<const float>(queries.data() + i * dim,
-                                                       dim),
-                                rows, dim, k, opts, KernelMode::kScalar))
+                OneQueryKthScan(std::span<const float>(
+                                    queries.data() + i * dim, dim),
+                                exclude[i], rows, dim, k, KernelMode::kScalar))
           << KernelModeName(mode) << ", query " << i;
     }
   }
@@ -1135,7 +1123,8 @@ TEST(KernelModeDeathTest, UnsupportedEnvIsaDowngradesInsteadOfDying) {
 TEST(KernelDeathTest, KthDistanceScanRejectsZeroK) {
   const std::vector<float> rows = {0.f, 1.f};
   const std::vector<float> query = {0.f};
-  EXPECT_DEATH(KthDistanceScan(query, rows, 1, 0, ScanOptions()), "k > 0");
+  EXPECT_DEATH(OneQueryKthScan(query, kNoRow, rows, 1, 0, ActiveKernelMode()),
+               "k > 0");
 }
 
 TEST(KernelDeathTest, NearestBoxRejectsEmptySlab) {
@@ -1153,7 +1142,8 @@ TEST(KernelDeathTest, DimensionMismatchesAreFatal) {
   EXPECT_DEATH(CountSphereHits(p1, 1.0, slab), "dim");
   const std::vector<float> q = {0.f, 0.f};
   const std::vector<float> rows = {0.f, 1.f, 2.f};  // not a multiple of dim
-  EXPECT_DEATH(KthDistanceScan(q, rows, 2, 1, ScanOptions()), "dim");
+  EXPECT_DEATH(OneQueryKthScan(q, kNoRow, rows, 2, 1, ActiveKernelMode()),
+               "dim");
 }
 
 }  // namespace

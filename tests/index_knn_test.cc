@@ -7,28 +7,18 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/predictor.h"
 #include "data/generators.h"
 #include "geometry/distance.h"
 #include "gtest/gtest.h"
 #include "index/bulk_loader.h"
 #include "test_util.h"
+#include "workload/query_workload.h"
 
 namespace hdidx::index {
 namespace {
 
-TEST(KnnHeapTest, TracksKthSmallest) {
-  KnnHeap heap(3);
-  EXPECT_FALSE(heap.full());
-  EXPECT_TRUE(std::isinf(heap.KthSquared()));
-  for (double d : {9.0, 1.0, 4.0}) heap.Push(d);
-  EXPECT_TRUE(heap.full());
-  EXPECT_DOUBLE_EQ(heap.KthSquared(), 9.0);
-  heap.Push(2.0);  // evicts 9
-  EXPECT_DOUBLE_EQ(heap.KthSquared(), 4.0);
-  heap.Push(100.0);  // ignored
-  EXPECT_DOUBLE_EQ(heap.KthSquared(), 4.0);
-  EXPECT_DOUBLE_EQ(heap.Kth(), 2.0);
-}
+using hdidx::testing::MeasureSphere;
 
 TEST(ExactKthDistanceTest, SimpleLine) {
   data::Dataset d(1);
@@ -36,11 +26,13 @@ TEST(ExactKthDistanceTest, SimpleLine) {
     d.Append(std::vector<float>{x});
   }
   const std::vector<float> q = {0.f};
-  // Excluding the query point itself (distance 0).
-  EXPECT_DOUBLE_EQ(ExactKthDistance(d, q, 1, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(ExactKthDistance(d, q, 3, 0.0), 3.0);
+  // Excluding the query's own row (distance 0).
+  EXPECT_DOUBLE_EQ(ExactKthDistanceExcludingRow(d, q, 1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(ExactKthDistanceExcludingRow(d, q, 3, 0), 3.0);
   // Including it.
-  EXPECT_DOUBLE_EQ(ExactKthDistance(d, q, 1, -1.0), 0.0);
+  EXPECT_DOUBLE_EQ(ExactKthDistanceExcludingRow(d, q, 1, d.size()), 0.0);
+  // Fewer than k rows qualify.
+  EXPECT_TRUE(std::isinf(ExactKthDistanceExcludingRow(d, q, 5, 0)));
 }
 
 TEST(ExactKnnTest, ReturnsAscendingNeighbors) {
@@ -104,9 +96,8 @@ TEST_F(TreeKnnTest, AccessesMatchSphereCounting) {
     const size_t row = rng.NextBounded(data_.size());
     const auto query = data_.row(row);
     const auto result = TreeKnnSearch(*tree_, data_, query, 8);
-    const auto sphere =
-        tree_->CountSphereAccesses(query, result.kth_distance);
-    EXPECT_EQ(result.accesses.leaf_accesses, sphere.leaf_accesses)
+    const auto sphere = MeasureSphere(*tree_, query, result.kth_distance);
+    EXPECT_EQ(result.accesses.leaf_accesses, sphere.leaves)
         << "trial " << trial;
   }
 }
@@ -116,23 +107,9 @@ TEST_F(TreeKnnTest, KthDistanceMatchesExact) {
   const auto result = TreeKnnSearch(*tree_, data_, query, 4);
   // Exact 4th distance including the query point itself (it is in the
   // dataset, distance 0).
-  const double exact = ExactKthDistance(data_, query, 4, -1.0);
+  const double exact = ExactKthDistanceExcludingRow(data_, query, 4,
+                                                    data_.size());
   EXPECT_NEAR(result.kth_distance, exact, 1e-9);
-}
-
-TEST(KnnPairHeapTest, MatchesSortTruncateWithTies) {
-  // Pairs with duplicate distances: retention and output order must equal
-  // sorting everything and truncating to k (rows break the ties).
-  const std::vector<std::pair<double, size_t>> pushed = {
-      {4.0, 9}, {1.0, 5}, {4.0, 2}, {0.5, 7}, {1.0, 1}, {9.0, 0}};
-  KnnPairHeap heap(3);
-  EXPECT_TRUE(std::isinf(heap.KthSquared()));
-  std::vector<std::pair<double, size_t>> expected = pushed;
-  for (const auto& [d2, row] : pushed) heap.Push(d2, row);
-  std::sort(expected.begin(), expected.end());
-  expected.resize(3);
-  EXPECT_DOUBLE_EQ(heap.KthSquared(), expected.back().first);
-  EXPECT_EQ(heap.TakeSortedAscending(), expected);
 }
 
 TEST_F(TreeKnnTest, NeighborsIdenticalToExactKnnIncludingTies) {
@@ -161,28 +138,35 @@ TEST_F(TreeKnnTest, NeighborsIdenticalToExactKnnIncludingTies) {
 }
 
 TEST_F(TreeKnnTest, NegativeRadiusIsFatal) {
-  const auto query = data_.row(0);
-  EXPECT_DEATH(tree_->CountSphereAccesses(query, -1.0), "non-negative");
-  EXPECT_DEATH(tree_->CountSphereAccesses(query, std::nan("")),
-               "non-negative");
+  // A NaN radius would silently intersect nothing.
+  for (const double radius : {-1.0, std::nan("")}) {
+    EXPECT_DEATH(workload::QueryWorkload(data_.Select({0}), {radius}, {0}, 1),
+                 "non-negative");
+  }
+  EXPECT_DEATH(workload::QueryWorkload(data_.Select({0, 1}), {0.5}, {0, 1}, 1),
+               "one radius per query");
 }
 
-TEST_F(TreeKnnTest, CountSphereLeafAccessesBatch) {
+TEST_F(TreeKnnTest, MeasureLeafAccessesBatch) {
   common::Rng rng(3);
-  data::Dataset centers(data_.dim());
+  std::vector<size_t> rows;
   std::vector<double> radii;
   for (int i = 0; i < 5; ++i) {
-    centers.Append(data_.row(rng.NextBounded(data_.size())));
+    rows.push_back(rng.NextBounded(data_.size()));
     radii.push_back(0.05 * (i + 1));
   }
+  const workload::QueryWorkload spheres(data_.Select(rows), radii, rows, 1);
   io::IoStats io;
-  const auto counts =
-      CountSphereLeafAccesses(*tree_, centers, radii, &io);
+  const auto counts = core::MeasureLeafAccesses(*tree_, spheres, &io);
   ASSERT_EQ(counts.size(), 5u);
   // I/O: every page touched (leaf + dir) is one random access.
-  double total_leaves = 0;
-  for (double c : counts) total_leaves += c;
-  EXPECT_GE(static_cast<double>(io.page_transfers), total_leaves);
+  double total_pages = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const auto one = MeasureSphere(*tree_, data_.row(rows[i]), radii[i]);
+    EXPECT_EQ(counts[i], static_cast<double>(one.leaves));
+    total_pages += static_cast<double>(one.leaves + one.dirs);
+  }
+  EXPECT_EQ(static_cast<double>(io.page_transfers), total_pages);
   EXPECT_EQ(io.page_seeks, io.page_transfers);
 }
 
@@ -190,13 +174,13 @@ TEST_F(TreeKnnTest, GrowingRadiusIsMonotone) {
   const auto query = data_.row(100);
   size_t prev = 0;
   for (double r : {0.01, 0.05, 0.1, 0.5, 2.0}) {
-    const auto count = tree_->CountSphereAccesses(query, r);
-    EXPECT_GE(count.leaf_accesses, prev);
-    prev = count.leaf_accesses;
+    const auto count = MeasureSphere(*tree_, query, r);
+    EXPECT_GE(count.leaves, prev);
+    prev = count.leaves;
   }
   // A huge radius reaches every leaf.
-  const auto all = tree_->CountSphereAccesses(query, 1e6);
-  EXPECT_EQ(all.leaf_accesses, tree_->num_leaves());
+  const auto all = MeasureSphere(*tree_, query, 1e6);
+  EXPECT_EQ(all.leaves, tree_->num_leaves());
 }
 
 }  // namespace

@@ -72,7 +72,8 @@ TEST(RStarTreeTest, SnapshotKnnMatchesExactScan) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto query = data.row(rng.NextBounded(data.size()));
     const auto result = TreeKnnSearch(tree, data, query, 5);
-    const double exact = ExactKthDistance(data, query, 5, -1.0);
+    const double exact = ExactKthDistanceExcludingRow(data, query, 5,
+                                                      data.size());
     EXPECT_NEAR(result.kth_distance, exact, 1e-9);
   }
 }

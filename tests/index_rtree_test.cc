@@ -1,11 +1,18 @@
 #include "index/rtree.h"
 
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "data/dataset.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
+#include "workload/range_workload.h"
 
 namespace hdidx::index {
 namespace {
+
+using hdidx::testing::MeasureSphere;
 
 /// Hand-built 2-level tree over the unit square:
 ///   leaves: [0,0.4]x[0,1] and [0.6,1]x[0,1] under one root.
@@ -46,35 +53,41 @@ TEST(RTreeTest, OrderedIndexFollowsPermutation) {
 }
 
 TEST(RTreeTest, SphereAccessesBothLeaves) {
-  const RTree tree = MakeTwoLeafTree();
+  RTree tree = MakeTwoLeafTree();
   // Sphere in the middle reaching both leaves.
   const std::vector<float> center = {0.5f, 0.5f};
-  const auto count = tree.CountSphereAccesses(center, 0.2);
-  EXPECT_EQ(count.leaf_accesses, 2u);
-  EXPECT_EQ(count.dir_accesses, 1u);
+  const auto count = MeasureSphere(tree, center, 0.2);
+  EXPECT_EQ(count.leaves, 2u);
+  EXPECT_EQ(count.dirs, 1u);
+  // A leaf spanning two pages is charged both.
+  tree.SetNodePages(tree.leaf_ids()[0], 2);
+  EXPECT_EQ(MeasureSphere(tree, center, 0.2).leaves, 3u);
 }
 
 TEST(RTreeTest, SphereAccessesOneLeaf) {
   const RTree tree = MakeTwoLeafTree();
   const std::vector<float> center = {0.1f, 0.5f};
-  const auto count = tree.CountSphereAccesses(center, 0.1);
-  EXPECT_EQ(count.leaf_accesses, 1u);
+  const auto count = MeasureSphere(tree, center, 0.1);
+  EXPECT_EQ(count.leaves, 1u);
 }
 
 TEST(RTreeTest, SphereInGapTouchesNothingButRoot) {
   const RTree tree = MakeTwoLeafTree();
   const std::vector<float> center = {0.5f, 0.5f};
-  const auto count = tree.CountSphereAccesses(center, 0.05);
-  EXPECT_EQ(count.leaf_accesses, 0u);
-  EXPECT_EQ(count.dir_accesses, 1u);  // root always read
+  const auto count = MeasureSphere(tree, center, 0.05);
+  EXPECT_EQ(count.leaves, 0u);
+  EXPECT_EQ(count.dirs, 1u);  // root always read
 }
 
 TEST(RTreeTest, SphereOutsideEverythingReadsRootOnly) {
-  const RTree tree = MakeTwoLeafTree();
+  RTree tree = MakeTwoLeafTree();
   const std::vector<float> center = {5, 5};
-  const auto count = tree.CountSphereAccesses(center, 0.1);
-  EXPECT_EQ(count.leaf_accesses, 0u);
-  EXPECT_EQ(count.dir_accesses, 1u);
+  const auto count = MeasureSphere(tree, center, 0.1);
+  EXPECT_EQ(count.leaves, 0u);
+  EXPECT_EQ(count.dirs, 1u);
+  // An X-tree supernode root is charged all of its pages, and only them.
+  tree.SetNodePages(tree.root(), 3);
+  EXPECT_EQ(MeasureSphere(tree, center, 0.1).dirs, 3u);
 }
 
 TEST(RTreeTest, SingleLeafTreeAlwaysReadsThatPage) {
@@ -82,20 +95,32 @@ TEST(RTreeTest, SingleLeafTreeAlwaysReadsThatPage) {
   const uint32_t leaf =
       tree.AddLeaf(geometry::BoundingBox({0, 0}, {1, 1}), 1, 0, 5);
   tree.SetRoot(leaf);
-  const auto count =
-      tree.CountSphereAccesses(std::vector<float>{9, 9}, 0.001);
-  EXPECT_EQ(count.leaf_accesses, 1u);
-  EXPECT_EQ(count.dir_accesses, 0u);
+  const auto count = MeasureSphere(tree, std::vector<float>{9, 9}, 0.001);
+  EXPECT_EQ(count.leaves, 1u);
+  EXPECT_EQ(count.dirs, 0u);
+  // A multi-page root leaf is read whole.
+  tree.SetNodePages(leaf, 4);
+  EXPECT_EQ(MeasureSphere(tree, std::vector<float>{9, 9}, 0.001).leaves, 4u);
+}
+
+/// Leaf pages the box centered at `center` with `half_extents` reads.
+size_t BoxLeafAccesses(const RTree& tree, std::vector<float> center,
+                       std::vector<float> half_extents) {
+  data::Dataset centers(center.size());
+  centers.Append(center);
+  common::Rng rng(1);
+  const auto box = workload::RangeWorkload::Create(
+      centers, 1, std::move(half_extents), &rng);
+  const auto pages = hdidx::testing::MeasureOneQuery(tree, box);
+  EXPECT_EQ(pages.dirs, 1u);  // the root is always read
+  return pages.leaves;
 }
 
 TEST(RTreeTest, BoxAccessCounts) {
   const RTree tree = MakeTwoLeafTree();
-  EXPECT_EQ(tree.CountBoxAccesses(geometry::BoundingBox({0, 0}, {1, 1})), 2u);
-  EXPECT_EQ(
-      tree.CountBoxAccesses(geometry::BoundingBox({0, 0}, {0.3f, 0.3f})), 1u);
-  EXPECT_EQ(tree.CountBoxAccesses(
-                geometry::BoundingBox({0.45f, 0}, {0.55f, 1})),
-            0u);
+  EXPECT_EQ(BoxLeafAccesses(tree, {0.5f, 0.5f}, {0.5f, 0.5f}), 2u);
+  EXPECT_EQ(BoxLeafAccesses(tree, {0.15f, 0.15f}, {0.15f, 0.15f}), 1u);
+  EXPECT_EQ(BoxLeafAccesses(tree, {0.5f, 0.5f}, {0.05f, 0.5f}), 0u);
 }
 
 TEST(RTreeTest, TotalLeafVolume) {
@@ -114,9 +139,9 @@ TEST(RTreeTest, ThreeLevelTraversalPrunes) {
   tree.SetRoot(root);
 
   // Query near the left group: must not read d2 or l3.
-  const auto count = tree.CountSphereAccesses(std::vector<float>{1.5f}, 0.6);
-  EXPECT_EQ(count.leaf_accesses, 2u);
-  EXPECT_EQ(count.dir_accesses, 2u);  // root + d1
+  const auto count = MeasureSphere(tree, std::vector<float>{1.5f}, 0.6);
+  EXPECT_EQ(count.leaves, 2u);
+  EXPECT_EQ(count.dirs, 2u);  // root + d1
 }
 
 }  // namespace

@@ -55,7 +55,8 @@ TEST(VaFileTest, SearchIsExact) {
   for (int trial = 0; trial < 15; ++trial) {
     const auto query = data.row(rng.NextBounded(data.size()));
     const auto result = va.SearchKnn(query, 5, disk);
-    const double exact = ExactKthDistance(data, query, 5, -1.0);
+    const double exact = ExactKthDistanceExcludingRow(data, query, 5,
+                                                      data.size());
     EXPECT_NEAR(result.kth_distance, exact, 1e-9) << "trial " << trial;
     ASSERT_EQ(result.neighbors.size(), 5u);
     // Neighbors ascending by distance.

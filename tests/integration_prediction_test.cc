@@ -11,11 +11,11 @@
 #include "core/cutoff.h"
 #include "core/hupper.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "index/external_build.h"
-#include "index/knn.h"
 #include "test_util.h"
 
 namespace hdidx {
@@ -49,8 +49,8 @@ class EndToEndTest : public ::testing::Test {
     const data::Dataset reordered(
         std::vector<float>(file.raw().begin(), file.raw().end()), kDim);
     io::IoStats query_io;
-    per_query_measured_ = index::CountSphereLeafAccesses(
-        built.tree, workload_->queries(), workload_->radii(), &query_io);
+    per_query_measured_ =
+        core::MeasureLeafAccesses(built.tree, *workload_, &query_io);
     measured_ = common::Mean(per_query_measured_);
     on_disk_io_ = build_io_ + query_io;
     ASSERT_GT(measured_, 0.0);
@@ -154,8 +154,7 @@ TEST_F(EndToEndTest, OnDiskQueriesAreMostlyRandom) {
   index::BulkLoadOptions options;
   options.topology = topo_.get();
   const auto tree = index::BulkLoadInMemory(data_, options);
-  index::CountSphereLeafAccesses(tree, workload_->queries(),
-                                 workload_->radii(), &query_io);
+  core::MeasureLeafAccesses(tree, *workload_, &query_io);
   EXPECT_EQ(query_io.page_seeks, query_io.page_transfers);
 }
 

@@ -1,64 +1,54 @@
-#include "io/lru_cache.h"
+#include "io/keyed_lru_cache.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <tuple>
 
 #include "gtest/gtest.h"
-#include "io/keyed_lru_cache.h"
 
 namespace hdidx::io {
 namespace {
 
+// --- KeyedLruCache as a page cache, the way bench_ablations' A5 replay
+// drives it: an access is a Get, and a miss Puts the page. ---
+
+using PageCache = KeyedLruCache<uint64_t, bool>;
+
+/// One page access; true on a hit.
+bool Access(PageCache* cache, uint64_t page) {
+  if (cache->Get(page) != nullptr) return true;
+  cache->Put(page, std::make_shared<const bool>(true));
+  return false;
+}
+
 TEST(LruCacheTest, ColdAccessesMiss) {
-  LruCache cache(4);
-  EXPECT_FALSE(cache.Access(1));
-  EXPECT_FALSE(cache.Access(2));
+  PageCache cache(4);
+  EXPECT_FALSE(Access(&cache, 1));
+  EXPECT_FALSE(Access(&cache, 2));
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.stats().page_seeks, 2u);
-  EXPECT_EQ(cache.stats().page_transfers, 2u);
 }
 
 TEST(LruCacheTest, RepeatAccessHits) {
-  LruCache cache(4);
-  cache.Access(7);
-  EXPECT_TRUE(cache.Access(7));
+  PageCache cache(4);
+  Access(&cache, 7);
+  EXPECT_TRUE(Access(&cache, 7));
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.stats().page_seeks, 1u);  // only the miss charged
-}
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache cache(2);
-  cache.Access(1);
-  cache.Access(2);
-  cache.Access(1);  // 1 is now most recent
-  cache.Access(3);  // evicts 2
-  EXPECT_TRUE(cache.Access(1));
-  EXPECT_TRUE(cache.Access(3));
-  EXPECT_FALSE(cache.Access(2));  // was evicted
-}
-
-TEST(LruCacheTest, ZeroCapacityNeverHits) {
-  LruCache cache(0);
-  cache.Access(5);
-  EXPECT_FALSE(cache.Access(5));
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);  // only the first access missed
 }
 
 TEST(LruCacheTest, SizeBoundedByCapacity) {
-  LruCache cache(3);
-  for (uint64_t p = 0; p < 100; ++p) cache.Access(p);
+  PageCache cache(3);
+  for (uint64_t p = 0; p < 100; ++p) Access(&cache, p);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.misses(), 100u);
 }
 
 TEST(LruCacheTest, HitRateAndClear) {
-  LruCache cache(8);
+  PageCache cache(8);
   for (int round = 0; round < 4; ++round) {
-    for (uint64_t p = 0; p < 8; ++p) cache.Access(p);
+    for (uint64_t p = 0; p < 8; ++p) Access(&cache, p);
   }
   // 8 cold misses, 24 hits.
   EXPECT_DOUBLE_EQ(cache.HitRate(), 24.0 / 32.0);
@@ -71,37 +61,17 @@ TEST(LruCacheTest, HitRateAndClear) {
 TEST(LruCacheTest, ScanPatternThrashesSmallCache) {
   // Classic LRU pathology: a cyclic scan one page larger than the cache
   // never hits.
-  LruCache cache(4);
+  PageCache cache(4);
   for (int round = 0; round < 10; ++round) {
-    for (uint64_t p = 0; p < 5; ++p) cache.Access(p);
+    for (uint64_t p = 0; p < 5; ++p) Access(&cache, p);
   }
   EXPECT_EQ(cache.hits(), 0u);
   // Every miss after the first 4 evicted something.
   EXPECT_EQ(cache.evictions(), cache.misses() - 4);
 }
 
-TEST(LruCacheTest, EvictionCounterTracksRepeatedTouchOrder) {
-  // Repeated touches must refresh recency: after touching 1 and 2 again,
-  // inserting 4 and 5 evicts 3 first (the stalest), then 1.
-  LruCache cache(3);
-  cache.Access(1);
-  cache.Access(2);
-  cache.Access(3);
-  cache.Access(2);  // order (MRU->LRU): 2, 3, 1
-  cache.Access(1);  // order: 1, 2, 3
-  EXPECT_EQ(cache.evictions(), 0u);
-  cache.Access(4);  // evicts 3
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_TRUE(cache.Access(1));
-  EXPECT_TRUE(cache.Access(2));
-  EXPECT_FALSE(cache.Access(3));  // was evicted (this miss evicts 4)
-  EXPECT_EQ(cache.evictions(), 2u);
-  cache.Clear();
-  EXPECT_EQ(cache.evictions(), 0u);
-}
-
-// --- KeyedLruCache: the generalization the prediction service caches
-// mini-indexes and workloads in. ---
+// --- KeyedLruCache as the prediction service's cache of results and
+// workloads. ---
 
 using StringCache = KeyedLruCache<std::string, int>;
 
@@ -140,6 +110,8 @@ TEST(KeyedLruCacheTest, EvictionOrderIsLruUnderRepeatedTouches) {
   EXPECT_EQ(cache.Get("a"), nullptr);
   EXPECT_EQ(cache.evictions(), 2u);
   EXPECT_EQ(cache.size(), 3u);
+  cache.Clear();
+  EXPECT_EQ(cache.evictions(), 0u);
 }
 
 TEST(KeyedLruCacheTest, EvictedValueSurvivesThroughSharedPtr) {
@@ -169,8 +141,11 @@ TEST(KeyedLruCacheTest, ZeroCapacityNeverStores) {
   StringCache cache(0);
   cache.Put("a", Value(1));
   EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("a"), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(KeyedLruCacheTest, TupleKeysWork) {

@@ -99,37 +99,11 @@ TEST(ParallelDeterminismTest, MeasureLeafAccessesBitIdenticalWithIo) {
   }
 }
 
-TEST(ParallelDeterminismTest, CountSphereLeafAccessesBitIdenticalWithIo) {
-  const auto data = hdidx::testing::SmallClustered(2000, 5, 29);
-  const index::TreeTopology topo(data.size(), 33, 16);
-  index::BulkLoadOptions options;
-  options.topology = &topo;
-  const index::RTree tree = index::BulkLoadInMemory(data, options);
-  common::Rng wrng(13);
-  const workload::QueryWorkload queries =
-      workload::QueryWorkload::Create(data, 30, 5, &wrng);
-  struct Run {
-    std::vector<double> accesses;
-    io::IoStats io;
-  };
-  const auto runs = RunAtThreadCounts([&](const common::ExecutionContext& ctx) {
-    Run run;
-    run.accesses = index::CountSphereLeafAccesses(
-        tree, queries.queries(), queries.radii(), &run.io, ctx);
-    return run;
-  });
-  for (size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r].accesses, runs[0].accesses);
-    EXPECT_EQ(runs[r].io.page_seeks, runs[0].io.page_seeks);
-    EXPECT_EQ(runs[r].io.page_transfers, runs[0].io.page_transfers);
-  }
-}
-
 // The kernel-mode extension of the same contract: HDIDX_KERNEL=scalar and
 // the batched default must produce bit-identical results for every thread
 // count. One pass per (mode, threads) combination over every kernelized
 // entry point — workload radii, mini-index and resampled predictions, tree
-// sphere traversal, tree k-NN search, tree layout digests — all compared
+// leaf-access measurement, tree k-NN search, tree layout digests — all compared
 // exactly against the scalar single-thread reference.
 TEST(ParallelDeterminismKernelTest, ScalarAndBatchedBitIdentical) {
   namespace gk = geometry::kernels;
@@ -141,14 +115,15 @@ TEST(ParallelDeterminismKernelTest, ScalarAndBatchedBitIdentical) {
     std::vector<double> radii;
     std::vector<double> mini_accesses;
     std::vector<double> resampled_accesses;
-    std::vector<size_t> sphere_leaf, sphere_dir;
+    std::vector<double> measured;
+    uint64_t measured_pages = 0;
     std::vector<size_t> knn_neighbors;
     std::vector<double> knn_kth;
     uint64_t digest = 0;
   };
   const auto run_once = [&](const common::ExecutionContext& ctx) {
     Run run;
-    // Workload creation: KthDistanceScan per query.
+    // Workload creation: the query-tiled KthDistanceScans.
     common::Rng wrng(7);
     const workload::QueryWorkload queries =
         workload::QueryWorkload::Create(data, 30, 9, &wrng, ctx);
@@ -174,18 +149,17 @@ TEST(ParallelDeterminismKernelTest, ScalarAndBatchedBitIdentical) {
         core::PredictWithResampledTree(&file, topo, queries, res_params, ctx)
             .per_query_accesses;
 
-    // Tree traversal (AppendSphereHits over per-node child slabs), k-NN
-    // search (KnnPairHeap leaf scans) and the layout digest.
+    // Leaf-access measurement (AppendSphereHits over per-node child slabs),
+    // k-NN search (BoundedPairHeap leaf scans) and the layout digest.
     index::BulkLoadOptions options;
     options.topology = &topo;
     options.exec = &ctx;
     const index::RTree tree = index::BulkLoadInMemory(data, options);
     run.digest = index::TreeLayoutDigest(tree);
+    io::IoStats measured_io;
+    run.measured = core::MeasureLeafAccesses(tree, queries, &measured_io, ctx);
+    run.measured_pages = measured_io.page_seeks;
     for (size_t i = 0; i < queries.num_queries(); ++i) {
-      const auto accesses =
-          tree.CountSphereAccesses(queries.queries().row(i), queries.radius(i));
-      run.sphere_leaf.push_back(accesses.leaf_accesses);
-      run.sphere_dir.push_back(accesses.dir_accesses);
       const auto knn = index::TreeKnnSearch(tree, data, queries.queries().row(i),
                                             /*k=*/5);
       run.knn_neighbors.insert(run.knn_neighbors.end(), knn.neighbors.begin(),
@@ -217,8 +191,8 @@ TEST(ParallelDeterminismKernelTest, ScalarAndBatchedBitIdentical) {
     EXPECT_EQ(runs[r].radii, runs[0].radii);
     EXPECT_EQ(runs[r].mini_accesses, runs[0].mini_accesses);
     EXPECT_EQ(runs[r].resampled_accesses, runs[0].resampled_accesses);
-    EXPECT_EQ(runs[r].sphere_leaf, runs[0].sphere_leaf);
-    EXPECT_EQ(runs[r].sphere_dir, runs[0].sphere_dir);
+    EXPECT_EQ(runs[r].measured, runs[0].measured);
+    EXPECT_EQ(runs[r].measured_pages, runs[0].measured_pages);
     EXPECT_EQ(runs[r].knn_neighbors, runs[0].knn_neighbors);
     EXPECT_EQ(runs[r].knn_kth, runs[0].knn_kth);
     EXPECT_EQ(runs[r].digest, runs[0].digest);

@@ -88,7 +88,8 @@ TEST_P(VaFileProperty, ExactAcrossParameters) {
     const auto query = data.row(rng.NextBounded(data.size()));
     const auto result = va.SearchKnn(query, k, io::DiskModel{});
     EXPECT_NEAR(result.kth_distance,
-                index::ExactKthDistance(data, query, k, -1.0), 1e-9);
+                index::ExactKthDistanceExcludingRow(data, query, k,
+                                                    data.size()), 1e-9);
     EXPECT_GE(result.candidates, k);
   }
 }
@@ -124,7 +125,8 @@ TEST_P(RStarProperty, InvariantsAndExactSearch) {
   const auto query = data.row(rng.NextBounded(data.size()));
   const auto result = index::TreeKnnSearch(snapshot, data, query, 4);
   EXPECT_NEAR(result.kth_distance,
-              index::ExactKthDistance(data, query, 4, -1.0), 1e-9);
+              index::ExactKthDistanceExcludingRow(data, query, 4,
+                                                  data.size()), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -150,7 +152,8 @@ TEST_P(PyramidProperty, ExactKnn) {
     const auto query = data.row(rng.NextBounded(data.size()));
     const auto result = index.SearchKnn(query, 3);
     EXPECT_NEAR(result.kth_distance,
-                index::ExactKthDistance(data, query, 3, -1.0), 1e-9)
+                index::ExactKthDistanceExcludingRow(data, query, 3,
+                                                    data.size()), 1e-9)
         << "dim " << dim << " cap " << capacity;
   }
 }
@@ -183,7 +186,8 @@ TEST_P(SplitStrategyProperty, ValidTreeAndExactSearch) {
   const auto query = data.row(rng.NextBounded(data.size()));
   const auto result = index::TreeKnnSearch(tree, data, query, 6);
   EXPECT_NEAR(result.kth_distance,
-              index::ExactKthDistance(data, query, 6, -1.0), 1e-9);
+              index::ExactKthDistanceExcludingRow(data, query, 6,
+                                                  data.size()), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, SplitStrategyProperty,

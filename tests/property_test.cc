@@ -55,7 +55,8 @@ TEST_P(BulkLoadProperty, KnnSearchMatchesScan) {
   for (int trial = 0; trial < 3; ++trial) {
     const auto query = data.row(rng.NextBounded(n));
     const auto result = index::TreeKnnSearch(tree, data, query, 3);
-    const double exact = index::ExactKthDistance(data, query, 3, -1.0);
+    const double exact = index::ExactKthDistanceExcludingRow(data, query, 3,
+                                                             data.size());
     EXPECT_NEAR(result.kth_distance, exact, 1e-9);
   }
 }
@@ -283,9 +284,9 @@ TEST_P(KernelEquivalenceProperty, SphereAndBoxCountsBitIdentical) {
     gk::AppendSphereHits(center, r2, slab, &scalar_hits,
                          gk::KernelMode::kScalar);
     const auto query_box = boxes[rng.NextBounded(boxes.size())];
-    size_t box_brute = 0;
-    for (const auto& box : boxes) {
-      if (query_box.Intersects(box)) ++box_brute;
+    std::vector<uint32_t> box_brute;
+    for (uint32_t b = 0; b < boxes.size(); ++b) {
+      if (query_box.Intersects(boxes[b])) box_brute.push_back(b);
     }
     const gk::BoxRows rows{slab};
     const size_t scalar_nearest =
@@ -296,7 +297,9 @@ TEST_P(KernelEquivalenceProperty, SphereAndBoxCountsBitIdentical) {
       std::vector<uint32_t> mode_hits;
       gk::AppendSphereHits(center, r2, slab, &mode_hits, mode);
       EXPECT_EQ(mode_hits, scalar_hits);
-      EXPECT_EQ(gk::CountBoxHits(query_box, slab, mode), box_brute);
+      std::vector<uint32_t> box_hits;
+      gk::AppendBoxHits(query_box, slab, &box_hits, mode);
+      EXPECT_EQ(box_hits, box_brute);
       EXPECT_EQ(gk::NearestBox(center, slab, rows, mode), scalar_nearest);
     }
   }
@@ -312,27 +315,16 @@ TEST_P(KernelEquivalenceProperty, ScanKernelsBitIdentical) {
   for (int trial = 0; trial < 6; ++trial) {
     std::vector<float> query(dim);
     for (auto& v : query) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-    gk::ScanOptions opts;
-    switch (trial % 3) {
-      case 0:
-        break;
-      case 1:
-        opts.exclude_row = rng.NextBounded(n);
-        break;
-      default:
-        opts.exclude_within_sq = 0.0;
-        break;
-    }
-    const double scalar_kth =
-        gk::KthDistanceScan(query, rows, dim, k, opts, gk::KernelMode::kScalar);
-    const auto scalar_topk = gk::TopKNeighborScan(query, rows, dim, k, opts,
-                                                  gk::KernelMode::kScalar);
+    const size_t exclude = trial % 2 == 0 ? gk::kNoRow : rng.NextBounded(n);
+    const double scalar_kth = testing::OneQueryKthScan(
+        query, exclude, rows, dim, k, gk::KernelMode::kScalar);
+    const auto scalar_topk =
+        gk::TopKNeighborScan(query, rows, dim, k, gk::KernelMode::kScalar);
     for (const gk::KernelMode mode : gk::SupportedKernelModes()) {
       SCOPED_TRACE(std::string(gk::KernelModeName(mode)));
-      EXPECT_EQ(gk::KthDistanceScan(query, rows, dim, k, opts, mode),
+      EXPECT_EQ(testing::OneQueryKthScan(query, exclude, rows, dim, k, mode),
                 scalar_kth);
-      EXPECT_EQ(gk::TopKNeighborScan(query, rows, dim, k, opts, mode),
-                scalar_topk);
+      EXPECT_EQ(gk::TopKNeighborScan(query, rows, dim, k, mode), scalar_topk);
     }
   }
 
@@ -340,13 +332,11 @@ TEST_P(KernelEquivalenceProperty, ScanKernelsBitIdentical) {
   // rows, and early-exit never fires spuriously.
   std::vector<float> same(n * dim, 0.25f);
   std::vector<float> query(dim, -0.75f);
-  const auto scalar = gk::TopKNeighborScan(query, same, dim, k, gk::ScanOptions(),
-                                           gk::KernelMode::kScalar);
+  const auto scalar =
+      gk::TopKNeighborScan(query, same, dim, k, gk::KernelMode::kScalar);
   for (const gk::KernelMode mode : gk::SupportedKernelModes()) {
     SCOPED_TRACE(std::string(gk::KernelModeName(mode)));
-    EXPECT_EQ(gk::TopKNeighborScan(query, same, dim, k, gk::ScanOptions(),
-                                   mode),
-              scalar);
+    EXPECT_EQ(gk::TopKNeighborScan(query, same, dim, k, mode), scalar);
   }
   for (size_t i = 0; i < scalar.size(); ++i) {
     EXPECT_EQ(scalar[i].second, i);  // ties retain the lowest rows, in order
@@ -382,12 +372,10 @@ TEST_P(KernelEquivalenceProperty, TiledKthScansBitIdentical) {
         std::vector<double> out(width);
         gk::KthDistanceScans(queries, exclude, rows, dim, k, out, mode);
         for (size_t i = 0; i < width; ++i) {
-          gk::ScanOptions opts;
-          opts.exclude_row = exclude[i];
           EXPECT_EQ(out[i],
-                    gk::KthDistanceScan(
+                    testing::OneQueryKthScan(
                         std::span<const float>(queries.data() + i * dim, dim),
-                        rows, dim, k, opts, gk::KernelMode::kScalar));
+                        exclude[i], rows, dim, k, gk::KernelMode::kScalar));
         }
       }
     }
@@ -400,8 +388,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 7, 8, 9, 16, 17, 1037)));
 
 // ---------------------------------------------------------------------------
-// Sphere-counting consistency: leaf accesses counted through the tree match
-// a brute-force scan over leaf boxes, for random radii.
+// Sphere-counting consistency: leaf accesses measured on the tree
+// (core::MeasureLeafAccesses) match a brute-force scan over leaf boxes, for
+// random radii.
 // ---------------------------------------------------------------------------
 
 class SphereCountProperty : public ::testing::TestWithParam<size_t> {};
@@ -424,7 +413,7 @@ TEST_P(SphereCountProperty, TraversalMatchesBruteForce) {
         ++brute;
       }
     }
-    EXPECT_EQ(tree.CountSphereAccesses(center, radius).leaf_accesses, brute);
+    EXPECT_EQ(testing::MeasureSphere(tree, center, radius).leaves, brute);
   }
 }
 

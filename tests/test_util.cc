@@ -1,8 +1,10 @@
 #include "test_util.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "core/predictor.h"
 #include "gtest/gtest.h"
 
 namespace hdidx::testing {
@@ -80,6 +82,37 @@ void ExpectTreesIdentical(const index::RTree& expected,
   }
   EXPECT_EQ(index::TreeLayoutDigest(expected), index::TreeLayoutDigest(actual))
       << what;
+}
+
+MeasuredPages MeasureOneQuery(const index::RTree& tree,
+                              const workload::QueryRegions& region) {
+  EXPECT_EQ(region.size(), 1u);
+  io::IoStats io;
+  const std::vector<double> leaves =
+      core::MeasureLeafAccesses(tree, region, &io);
+  EXPECT_EQ(io.page_seeks, io.page_transfers);
+  MeasuredPages pages;
+  pages.leaves = static_cast<size_t>(leaves.at(0));
+  pages.dirs = static_cast<size_t>(io.page_seeks) - pages.leaves;
+  return pages;
+}
+
+MeasuredPages MeasureSphere(const index::RTree& tree,
+                            std::span<const float> center, double radius) {
+  data::Dataset centers(center.size());
+  centers.Append(center);
+  const workload::QueryWorkload sphere(std::move(centers), {radius}, {0},
+                                       /*k=*/1);
+  return MeasureOneQuery(tree, sphere);
+}
+
+double OneQueryKthScan(std::span<const float> query, size_t exclude_row,
+                       std::span<const float> rows, size_t dim, size_t k,
+                       geometry::kernels::KernelMode mode) {
+  double kth_sq = 0.0;
+  geometry::kernels::KthDistanceScans(query, std::span(&exclude_row, 1), rows,
+                                      dim, k, std::span(&kth_sq, 1), mode);
+  return kth_sq;
 }
 
 }  // namespace hdidx::testing

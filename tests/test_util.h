@@ -2,11 +2,14 @@
 #define HDIDX_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <span>
 
 #include "common/random.h"
 #include "data/dataset.h"
 #include "data/generators.h"
+#include "geometry/kernels.h"
 #include "index/rtree.h"
+#include "workload/query_workload.h"
 
 namespace hdidx::testing {
 
@@ -31,6 +34,28 @@ void ExpectValidTree(const index::RTree& tree, const data::Dataset& data,
 /// "4 threads vs serial").
 void ExpectTreesIdentical(const index::RTree& expected,
                           const index::RTree& actual, const char* what);
+
+/// Leaf and directory pages core::MeasureLeafAccesses charges one query.
+struct MeasuredPages {
+  size_t leaves = 0;
+  size_t dirs = 0;
+};
+
+/// Measures query 0 of the one-query `region` on `tree`; the directory
+/// pages are the charged I/O beyond the leaf pages.
+MeasuredPages MeasureOneQuery(const index::RTree& tree,
+                              const workload::QueryRegions& region);
+
+/// MeasureOneQuery for the sphere (center, radius).
+MeasuredPages MeasureSphere(const index::RTree& tree,
+                            std::span<const float> center, double radius);
+
+/// geometry::kernels::KthDistanceScans run as a one-query tile: the k-th
+/// smallest squared distance from `query` to the rows, `exclude_row`
+/// skipped.
+double OneQueryKthScan(std::span<const float> query, size_t exclude_row,
+                       std::span<const float> rows, size_t dim, size_t k,
+                       geometry::kernels::KernelMode mode);
 
 }  // namespace hdidx::testing
 

@@ -1,16 +1,23 @@
 #include "workload/range_workload.h"
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "core/hupper.h"
 #include "data/generators.h"
+#include "geometry/distance.h"
+#include "geometry/kernels.h"
 #include "gtest/gtest.h"
 #include "index/bulk_loader.h"
-#include "index/knn.h"
+#include "index/rstar.h"
 #include "test_util.h"
 
 namespace hdidx::workload {
@@ -36,8 +43,14 @@ TEST(RangeWorkloadTest, IntersectsMatchesBoxGeometry) {
   data.Append(std::vector<float>{0.5f, 0.5f});
   common::Rng rng(3);
   const RangeWorkload w = RangeWorkload::Create(data, 1, {0.1f, 0.1f}, &rng);
-  EXPECT_TRUE(w.Intersects(0, geometry::BoundingBox({0, 0}, {0.45f, 0.45f})));
-  EXPECT_FALSE(w.Intersects(0, geometry::BoundingBox({0, 0}, {0.3f, 0.3f})));
+  const std::vector<geometry::BoundingBox> pages = {
+      geometry::BoundingBox({0, 0}, {0.3f, 0.3f}),
+      geometry::BoundingBox({0, 0}, {0.45f, 0.45f})};
+  const geometry::kernels::BoxSlab slab{std::span(pages)};
+  std::vector<uint32_t> hits;
+  w.AppendIntersections(0, slab, &hits);
+  EXPECT_EQ(hits, std::vector<uint32_t>{1});
+  EXPECT_EQ(w.CountIntersections(0, slab), 1u);
 }
 
 TEST(RangeWorkloadTest, CardinalityTargetedBoxesContainTarget) {
@@ -122,20 +135,100 @@ TEST(RangePredictionTest, ResampledPredictsRangeQueries) {
   EXPECT_LT(std::abs(rel), 0.3) << "relative error " << rel;
 }
 
+/// Brute-force ground truth of core::MeasureLeafAccesses for one query:
+/// the root is read whole; any other node is read iff the query region
+/// intersects the root's box and the box of every node on the path down to
+/// it (scalar geometry, no slabs). Returns (leaf pages, all pages).
+template <typename IntersectsFn>
+std::pair<uint64_t, uint64_t> BrutePages(const index::RTree& tree,
+                                         IntersectsFn intersects) {
+  std::vector<uint32_t> parent(tree.num_nodes(), tree.root());
+  for (uint32_t id = 0; id < tree.num_nodes(); ++id) {
+    for (const uint32_t child : tree.node(id).children) parent[child] = id;
+  }
+  uint64_t leaves = 0;
+  uint64_t all = 0;
+  for (uint32_t id = 0; id < tree.num_nodes(); ++id) {
+    bool read = true;
+    for (uint32_t n = id; read && n != tree.root(); n = parent[n]) {
+      read = intersects(tree.node(n).box);
+    }
+    read = read && (id == tree.root() ||
+                    intersects(tree.node(tree.root()).box));
+    if (!read) continue;
+    const index::RTreeNode& node = tree.node(id);
+    all += node.pages;
+    if (node.is_leaf()) leaves += node.pages;
+  }
+  return {leaves, all};
+}
+
+/// Checks core::MeasureLeafAccesses on `tree` against BrutePages for every
+/// query of `regions`, leaf counts and charged I/O alike.
+template <typename IntersectsFn>
+void ExpectMeasuredMatchesBruteForce(const index::RTree& tree,
+                                     const QueryRegions& regions,
+                                     IntersectsFn intersects) {
+  io::IoStats io;
+  const std::vector<double> measured =
+      core::MeasureLeafAccesses(tree, regions, &io);
+  ASSERT_EQ(measured.size(), regions.size());
+  uint64_t all_pages = 0;
+  for (size_t i = 0; i < regions.size(); ++i) {
+    const auto [leaves, all] = BrutePages(
+        tree, [&](const geometry::BoundingBox& box) {
+          return intersects(i, box);
+        });
+    EXPECT_EQ(measured[i], static_cast<double>(leaves)) << "query " << i;
+    all_pages += all;
+  }
+  EXPECT_EQ(io.page_seeks, all_pages);
+  EXPECT_EQ(io.page_transfers, all_pages);
+}
+
 TEST(RangePredictionTest, MeasureLeafAccessesMatchesSphereCounting) {
-  // For a sphere workload, the generic region measurement must equal the
-  // sphere-specific counter.
+  // Sphere and box workloads on a VAMSplit tree and on an X-tree whose
+  // supernodes span several pages, including regions that miss the root
+  // box (only the root's pages are charged).
   const auto data = hdidx::testing::SmallClustered(3000, 5, 12);
   const index::TreeTopology topo(data.size(), 25, 6);
   index::BulkLoadOptions full;
   full.topology = &topo;
-  const index::RTree tree = index::BulkLoadInMemory(data, full);
-  common::Rng rng(13);
-  const QueryWorkload w = QueryWorkload::Create(data, 15, 5, &rng);
-  const auto generic = core::MeasureLeafAccesses(tree, w, nullptr);
-  const auto sphere = index::CountSphereLeafAccesses(
-      tree, w.queries(), w.radii(), nullptr);
-  EXPECT_EQ(generic, sphere);
+  index::RStarTree::Options xtree_options;
+  xtree_options.max_data_entries = 16;
+  xtree_options.max_dir_entries = 6;
+  xtree_options.supernode_overlap_threshold = 0.2;
+  const auto dense = hdidx::testing::SmallClustered(2500, 16, 64);
+  const index::RStarTree xtree =
+      index::RStarTree::BuildByInsertion(dense, xtree_options);
+  ASSERT_GT(xtree.CountSupernodes(), 0u);
+
+  const std::pair<const data::Dataset*, index::RTree> cases[] = {
+      {&data, index::BulkLoadInMemory(data, full)},
+      {&dense, xtree.ToRTree()}};
+  for (const auto& [points, tree] : cases) {
+    common::Rng rng(13);
+    const QueryWorkload spheres = QueryWorkload::Create(*points, 15, 5, &rng);
+    ExpectMeasuredMatchesBruteForce(
+        tree, spheres, [&](size_t i, const geometry::BoundingBox& box) {
+          return geometry::SquaredMinDist(spheres.queries().row(i), box) <=
+                 spheres.radius(i) * spheres.radius(i);
+        });
+    const RangeWorkload boxes = RangeWorkload::Create(
+        *points, 15, std::vector<float>(points->dim(), 0.05f), &rng);
+    ExpectMeasuredMatchesBruteForce(
+        tree, boxes, [&](size_t i, const geometry::BoundingBox& box) {
+          return boxes.box(i).Intersects(box);
+        });
+    // Far outside the data: every query misses the root box.
+    data::Dataset far(points->dim());
+    far.Append(std::vector<float>(points->dim(), 100.f));
+    const QueryWorkload outside(far.Select({0, 0}), {0.5, 1.0}, {0, 0}, 5);
+    io::IoStats io;
+    EXPECT_EQ(core::MeasureLeafAccesses(tree, outside, &io),
+              (std::vector<double>{0.0, 0.0}));
+    EXPECT_EQ(io.page_seeks, 2u * tree.node(tree.root()).pages);
+  }
 }
 
 }  // namespace

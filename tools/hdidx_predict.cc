@@ -24,14 +24,15 @@
 #include "core/cutoff.h"
 #include "core/hupper.h"
 #include "core/mini_index.h"
+#include "core/predictor.h"
 #include "core/resampled.h"
 #include "data/csv.h"
 #include "data/dataset_io.h"
 #include "flags.h"
 #include "index/external_build.h"
-#include "index/knn.h"
 #include "index/topology.h"
 #include "io/paged_file.h"
+#include "service/prediction_service.h"
 #include "workload/query_workload.h"
 
 int main(int argc, char** argv) {
@@ -72,23 +73,51 @@ int main(int argc, char** argv) {
   }
   const data::Dataset& dataset = *loaded;
 
+  // The request checks are the prediction service's own, so the CLI
+  // refuses (exit 2, the service's message) exactly what the service would
+  // answer with an error response.
+  service::ServiceRequest request;
+  request.method = flags.GetString("method", "resampled");
+  request.memory = flags.GetUint("memory", 10000);
+  request.num_queries = flags.GetUint("queries", 500);
+  request.k = flags.GetUint("k", 21);
+  request.seed = flags.GetUint("seed", 1);
+  request.page_bytes = flags.GetUint("page-bytes", 8192);
+  const bool explicit_h_upper = !flags.GetString("h-upper", "").empty();
+  const uint64_t h_upper_flag = flags.GetUint("h-upper", 0);
+  flags.ExitOnError();
+  const std::string invalid = service::ValidateRequest(request, dataset);
+  if (!invalid.empty()) {
+    std::fprintf(stderr, "error: %s\n", invalid.c_str());
+    return 2;
+  }
+
   io::DiskModel disk;
-  disk.page_bytes = flags.GetUint("page-bytes", 8192);
+  disk.page_bytes = request.page_bytes;
   const index::TreeTopology topology =
       index::TreeTopology::FromDisk(dataset.size(), dataset.dim(), disk);
-  const std::string method = flags.GetString("method", "resampled");
+  const std::string& method = request.method;
   // A budget of N points already holds the whole dataset, so larger budgets
   // are run as N, as the prediction service does.
-  const size_t memory =
-      std::min<size_t>(flags.GetUint("memory", 10000), dataset.size());
-  const size_t q = flags.GetUint("queries", 500);
-  const size_t k = flags.GetUint("k", 21);
-  const uint64_t seed = flags.GetUint("seed", 1);
+  const size_t memory = std::min<size_t>(request.memory, dataset.size());
+  const size_t q = request.num_queries;
+  const size_t k = request.k;
+  const uint64_t seed = request.seed;
+  // The upper tree must stop above the leaves: 1 <= h_upper < height.
+  if (explicit_h_upper &&
+      (h_upper_flag < 1 || h_upper_flag >= topology.height())) {
+    std::fprintf(stderr,
+                 "error: --h-upper must be in [1, %zu] for this index "
+                 "(height %zu), got %llu\n",
+                 topology.height() - 1, topology.height(),
+                 static_cast<unsigned long long>(h_upper_flag));
+    return 2;
+  }
   const size_t h_upper =
-      flags.GetUint("h-upper", topology.height() >= 3
-                                   ? core::ChooseHupper(topology, memory)
-                                   : 2);
-  flags.ExitOnError();
+      explicit_h_upper ? h_upper_flag
+                       : (topology.height() >= 3
+                              ? core::ChooseHupper(topology, memory)
+                              : 2);
 
   std::printf("dataset:  %zu points x %zu dims (%s)\n", dataset.size(),
               dataset.dim(), path.c_str());
@@ -156,9 +185,8 @@ int main(int argc, char** argv) {
     const index::ExternalBuildResult on_disk =
         index::BuildOnDisk(&file, build);
     io::IoStats query_io;
-    const double measured =
-        common::Mean(index::CountSphereLeafAccesses(
-            on_disk.tree, workload.queries(), workload.radii(), &query_io));
+    const double measured = common::Mean(
+        core::MeasureLeafAccesses(on_disk.tree, workload, &query_io));
     std::printf("measured:  %.1f leaf page accesses per query\n", measured);
     std::printf("relative error: %+.1f%%\n",
                 100.0 * common::RelativeError(result.avg_leaf_accesses,
