@@ -215,11 +215,11 @@ BENCHMARK(BM_MiniIndexPredictThreads)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
-// The parallel VAMSplit bulk load: fanned-out plan construction + serial
-// emission, bit-identical to the serial loader at every pool size. The
-// threads=1 config takes the serial path (BulkLoad only fans out for
-// pools larger than one), so speedup_vs_1t is measured against the true
-// serial build.
+// The VAMSplit bulk load's one plan, run in waves on the pool and emitted
+// by one post-order walk, bit-identical at every pool size. The threads=1
+// config runs the same plan depth-first on the calling thread (BulkLoad
+// only runs waves for pools larger than one), so speedup_vs_1t is measured
+// against the single-threaded build.
 void BM_BulkLoadThreads(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   const data::Dataset& data = SweepData();

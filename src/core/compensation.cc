@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 namespace hdidx::core {
 
@@ -21,6 +23,21 @@ double CompensationGrowthPerDim(double capacity, double zeta) {
 double CompensationDelta(double capacity, double zeta, size_t dim) {
   return std::pow(CompensationGrowthPerDim(capacity, zeta),
                   static_cast<double>(dim));
+}
+
+void AppendGrownLeaves(const index::RTree& tree, double zeta, bool compensate,
+                       std::vector<geometry::BoundingBox>* boxes,
+                       std::vector<double>* full_points) {
+  for (const uint32_t id : tree.leaf_ids()) {
+    const index::RTreeNode& node = tree.node(id);
+    const double full = static_cast<double>(node.count) / zeta;
+    geometry::BoundingBox box = node.box;
+    if (compensate) {
+      box.InflateAboutCenter(CompensationGrowthPerDim(full, zeta));
+    }
+    boxes->push_back(std::move(box));
+    if (full_points != nullptr) full_points->push_back(full);
+  }
 }
 
 }  // namespace hdidx::core

@@ -2,6 +2,10 @@
 #define HDIDX_CORE_COMPENSATION_H_
 
 #include <cstddef>
+#include <vector>
+
+#include "geometry/bounding_box.h"
+#include "index/rtree.h"
 
 namespace hdidx::core {
 
@@ -27,6 +31,16 @@ double CompensationGrowthPerDim(double capacity, double zeta);
 
 /// The volume growth factor delta(C, zeta) = growth^dim.
 double CompensationDelta(double capacity, double zeta, size_t dim);
+
+/// Appends the leaf boxes of `tree`, a build over a zeta-sample, to `boxes`
+/// in leaf order. With `compensate` each box is grown about its center by
+/// CompensationGrowthPerDim at the leaf's own estimated full occupancy
+/// count / zeta (the per-page analogue of C_eff,data); otherwise the raw
+/// boxes are appended. `full_points`, when non-null, receives each leaf's
+/// count / zeta in the same order.
+void AppendGrownLeaves(const index::RTree& tree, double zeta, bool compensate,
+                       std::vector<geometry::BoundingBox>* boxes,
+                       std::vector<double>* full_points);
 
 }  // namespace hdidx::core
 

@@ -41,15 +41,8 @@ PredictionResult PredictDynamicRStar(const data::Dataset& data,
   const index::RTree snapshot = mini.ToRTree();
   std::vector<geometry::BoundingBox> leaves;
   leaves.reserve(snapshot.num_leaves());
-  for (uint32_t id : snapshot.leaf_ids()) {
-    const index::RTreeNode& node = snapshot.node(id);
-    geometry::BoundingBox box = node.box;
-    if (params.compensate) {
-      const double full_capacity = static_cast<double>(node.count) / zeta;
-      box.InflateAboutCenter(CompensationGrowthPerDim(full_capacity, zeta));
-    }
-    leaves.push_back(std::move(box));
-  }
+  AppendGrownLeaves(snapshot, zeta, params.compensate, &leaves,
+                    /*full_points=*/nullptr);
   // Intersection counting runs on the batched geometry kernels: one SoA
   // slab over the mini R*-tree's (optionally compensated) leaves, shared by
   // all query chunks.

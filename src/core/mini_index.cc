@@ -41,15 +41,8 @@ std::vector<geometry::BoundingBox> BuildGrownMiniIndexLeaves(
   // per-page analogue of C_eff,data.
   std::vector<geometry::BoundingBox> leaves;
   leaves.reserve(mini.num_leaves());
-  for (uint32_t id : mini.leaf_ids()) {
-    const index::RTreeNode& node = mini.node(id);
-    geometry::BoundingBox box = node.box;
-    if (params.compensate) {
-      const double full_capacity = static_cast<double>(node.count) / zeta;
-      box.InflateAboutCenter(CompensationGrowthPerDim(full_capacity, zeta));
-    }
-    leaves.push_back(std::move(box));
-  }
+  AppendGrownLeaves(mini, zeta, params.compensate, &leaves,
+                    /*full_points=*/nullptr);
   return leaves;
 }
 

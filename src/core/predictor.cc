@@ -127,16 +127,8 @@ UpperTreeResult BuildGrownUpperTree(const data::Dataset& sample,
 
   result.grown_leaves.reserve(upper.num_leaves());
   result.full_points_per_leaf.reserve(upper.num_leaves());
-  for (uint32_t id : upper.leaf_ids()) {
-    const index::RTreeNode& node = upper.node(id);
-    const double full_points =
-        static_cast<double>(node.count) / sigma_upper;
-    geometry::BoundingBox box = node.box;
-    box.InflateAboutCenter(
-        CompensationGrowthPerDim(full_points, sigma_upper));
-    result.grown_leaves.push_back(std::move(box));
-    result.full_points_per_leaf.push_back(full_points);
-  }
+  AppendGrownLeaves(upper, sigma_upper, /*compensate=*/true,
+                    &result.grown_leaves, &result.full_points_per_leaf);
   return result;
 }
 

@@ -175,13 +175,8 @@ PredictionResult PredictWithResampledTree(
     options.exec = &ctx;
     const index::RTree lower = index::BulkLoadInMemory(lower_points, options);
 
-    for (uint32_t id : lower.leaf_ids()) {
-      const index::RTreeNode& node = lower.node(id);
-      geometry::BoundingBox box = node.box;
-      const double full_capacity = static_cast<double>(node.count) / zeta;
-      box.InflateAboutCenter(CompensationGrowthPerDim(full_capacity, zeta));
-      leaves.push_back(std::move(box));
-    }
+    AppendGrownLeaves(lower, zeta, /*compensate=*/true, &leaves,
+                      /*full_points=*/nullptr);
   }
 
   // Step 12: intersection counting (the only parallel section — the

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/random.h"
 #include "geometry/kernels.h"
 
 namespace hdidx::index {
@@ -20,6 +21,25 @@ size_t AdaptiveBucketLevel(const TreeTopology& topology, size_t root_level,
     if (topology.SubtreeCapacity(level) <= memory_points / 2) return level;
   }
   return stop_level;
+}
+
+AdaptiveSetup PrepareAdaptiveBuild(const BulkLoadOptions& options,
+                                   size_t root_level, size_t n) {
+  const AdaptiveOptions& adaptive = options.adaptive;
+  AdaptiveSetup setup;
+  setup.bucket_level =
+      AdaptiveBucketLevel(*options.topology, root_level, options.stop_level,
+                          adaptive.memory_points);
+  setup.bucket_capacity = ScaledSubtreeCapacity(options, setup.bucket_level);
+  setup.bucket_target = std::max(1.0, setup.bucket_capacity * 0.7);
+  const size_t sample_size = std::clamp<size_t>(
+      std::max<size_t>(adaptive.min_sample_points,
+                       static_cast<size_t>(std::llround(
+                           static_cast<double>(n) *
+                           adaptive.sampling_fraction))),
+      1, n);
+  common::Rng(adaptive.seed).SampleIndices(n, sample_size, &setup.sample_rows);
+  return setup;
 }
 
 size_t MaxRootsUnder(const TreeTopology& topology, size_t level,
@@ -50,10 +70,8 @@ int32_t SplitPlan::BuildCell(BuildState* state, std::vector<uint32_t>* subset,
     plan->nodes_.push_back(leaf);
     return id;
   };
-  const double fanout_d =
-      std::ceil(est_points / state->bucket_target - 1e-9);
-  if (subset->size() <= 1 || fanout_d <= 1.0) return make_bucket();
-  const size_t fanout = static_cast<size_t>(fanout_d);
+  const size_t fanout = VamSplitFanout(est_points, state->bucket_target);
+  if (subset->size() <= 1 || fanout <= 1) return make_bucket();
   const size_t left_fanout = (fanout + 1) / 2;
 
   // Split dimension: max variance over the sample subset.
@@ -130,8 +148,8 @@ std::vector<size_t> AdaptiveGroupBoundaries(size_t total_points,
                                             double bucket_capacity,
                                             size_t memory_points) {
   HDIDX_CHECK(total_points >= 1 && bucket_capacity >= 1.0);
-  const size_t total_roots = static_cast<size_t>(std::ceil(
-      static_cast<double>(total_points) / bucket_capacity - 1e-9));
+  const size_t total_roots =
+      VamSplitFanout(static_cast<double>(total_points), bucket_capacity);
   const size_t roots_per_group =
       memory_points == 0
           ? total_roots
@@ -176,17 +194,15 @@ class UpperPacker {
     }
     const size_t m = b - a;
     const size_t max_child = MaxRootsUnder(topo_, level - 1, bucket_level_, m);
-    const double scaled_cap = std::max(
-        1.0, static_cast<double>(topo_.SubtreeCapacity(level - 1)) *
-                 options_.scale);
     const size_t points = prefix_[b] - prefix_[a];
     // VAMSplit fanout on point counts, clamped to what the root counts make
     // feasible: every child needs at least one root and can absorb at most
     // max_child of them. When even dir_capacity children cannot absorb all
     // roots (pathological skew), the fanout exceeds the page capacity
     // rather than failing — an overfull directory beats no tree.
-    const size_t f_points = static_cast<size_t>(std::ceil(
-        static_cast<double>(points) / scaled_cap - 1e-9));
+    const size_t f_points =
+        VamSplitFanout(static_cast<double>(points),
+                       ScaledSubtreeCapacity(options_, level - 1));
     const size_t f_lo = (m + max_child - 1) / max_child;
     const size_t f_hi = std::min(m, std::max(topo_.dir_capacity(), f_lo));
     const size_t fanout = std::clamp(f_points, f_lo, f_hi);

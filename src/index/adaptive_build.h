@@ -33,6 +33,26 @@ namespace hdidx::index {
 size_t AdaptiveBucketLevel(const TreeTopology& topology, size_t root_level,
                            size_t stop_level, size_t memory_points);
 
+/// What both pipelines derive before their sample pass.
+struct AdaptiveSetup {
+  /// AdaptiveBucketLevel(options.adaptive.memory_points).
+  size_t bucket_level = 0;
+  /// ScaledSubtreeCapacity of the bucket level: the root stride of
+  /// AdaptiveGroupBoundaries.
+  double bucket_capacity = 1.0;
+  /// SplitPlan's bucket target: 0.7 of the capacity (at least 1), aiming
+  /// buckets slightly under capacity so sampling error rarely overfills.
+  double bucket_target = 1.0;
+  /// Ascending row positions the sample pass reads: Rng(seed) draws
+  /// sampling_fraction of n, at least min_sample_points, clamped to [1, n].
+  std::vector<size_t> sample_rows;
+};
+
+/// The setup of a kAdaptiveSample build of `n` points rooted at
+/// `root_level` (> options.stop_level).
+AdaptiveSetup PrepareAdaptiveBuild(const BulkLoadOptions& options,
+                                   size_t root_level, size_t n);
+
 /// Upper bound on how many level-`bucket_level` roots a subtree rooted at
 /// `level` can hold: dir_capacity^(level - bucket_level), saturated at
 /// `cap` to keep the power finite.

@@ -87,8 +87,8 @@ class PointSource {
   ///    default, and the external source's gate: its PagedFile I/O charging
   ///    is order-sensitive (a seek is charged only on non-adjacent access)
   ///    and its M-point memory window is shared state, so the simulated
-  ///    disk costs stay exactly the paper's numbers only when the serial
-  ///    recursion drives it.
+  ///    disk costs stay exactly the paper's numbers only when the build
+  ///    plan runs depth-first on one thread.
   ///  * kDisjointRanges: MaxVarianceDim / ChooseSplitDim / Partition /
   ///    ComputeBox may run concurrently from several threads as long as
   ///    their [lo, hi) ranges do not overlap, and each call's result
@@ -99,9 +99,9 @@ class PointSource {
 
   virtual ~PointSource() = default;
 
-  /// See Concurrency. BulkLoad only fans out over sources that declare
-  /// kDisjointRanges; everything else gets the serial recursion regardless
-  /// of the execution context it was handed.
+  /// See Concurrency. BulkLoad only runs the build plan in parallel waves
+  /// over sources that declare kDisjointRanges; everything else gets the
+  /// depth-first run regardless of the execution context it was handed.
   virtual Concurrency concurrency() const { return Concurrency::kSingleOwner; }
 
   virtual size_t dim() const = 0;
@@ -111,11 +111,10 @@ class PointSource {
   HDIDX_BUILD_ONLY virtual size_t MaxVarianceDim(size_t lo, size_t hi) = 0;
 
   /// Dimension chosen by `strategy` for a split at binary depth `depth`
-  /// within its node. The default implements kMaxExtent via ComputeBox and
-  /// kRoundRobin via the depth; sources may override with cheaper paths.
-  HDIDX_BUILD_ONLY virtual size_t ChooseSplitDim(size_t lo, size_t hi,
-                                                 SplitStrategy strategy,
-                                                 size_t depth);
+  /// within its node: kMaxExtent via ComputeBox, kRoundRobin via the depth,
+  /// kMaxVariance and kAdaptiveSample via MaxVarianceDim.
+  HDIDX_BUILD_ONLY size_t ChooseSplitDim(size_t lo, size_t hi,
+                                         SplitStrategy strategy, size_t depth);
 
   /// Rearranges [lo, hi) so that every point in [lo, pos) is <= every point
   /// in [pos, hi) along `split_dim` (nth_element semantics).
@@ -131,13 +130,13 @@ class PointSource {
   HDIDX_BUILD_ONLY virtual void Finish() {}
 
   /// Builds the whole tree (returning its root id) when the strategy is
-  /// kAdaptiveSample: BulkLoad dispatches here instead of running the
-  /// level-wise recursion, and the source drives its own sample-first
-  /// pipeline. Always serial — layouts are bit-identical for every thread
-  /// count by construction. The default covers sources with no native
-  /// pipeline: the classic serial recursion with max-variance splits.
+  /// kAdaptiveSample and root_level > options.stop_level: BulkLoad
+  /// dispatches here instead of running the level-wise plan over the whole
+  /// range, and the source drives its own sample-first pipeline, planning
+  /// each group's bucket roots depth-first (internal::BuildBucketRoots) —
+  /// layouts are bit-identical for every thread count by construction.
   HDIDX_BUILD_ONLY virtual uint32_t BuildAdaptiveRoot(
-      const BulkLoadOptions& options, size_t root_level, RTree* tree);
+      const BulkLoadOptions& options, size_t root_level, RTree* tree) = 0;
 };
 
 /// PointSource over an in-memory dataset. Construction permutes an index
@@ -160,8 +159,8 @@ class InMemoryPointSource : public PointSource {
   /// Sample-first pipeline over the in-memory dataset: sample rows choose a
   /// split-plane tree (adaptive_build.h), one classification pass plus a
   /// stable counting sort of the permutation forms the bucket ranges, each
-  /// bucket's subtree is finished with the serial recursion, and the upper
-  /// levels are packed over the bucket roots.
+  /// group's bucket roots are built by internal::BuildBucketRoots, and the
+  /// upper levels are packed over them.
   uint32_t BuildAdaptiveRoot(const BulkLoadOptions& options, size_t root_level,
                              RTree* tree) override;
 
@@ -201,22 +200,22 @@ struct BulkLoadOptions {
   /// Tuning for kAdaptiveSample (ignored by the other strategies).
   AdaptiveOptions adaptive;
 
-  /// Execution resources for the build. nullptr (the default) and serial
-  /// contexts run the classic depth-first recursion; a context with a pool
-  /// of 2+ threads fans sibling subtrees out over the pool's workers —
-  /// *only* for sources declaring Concurrency::kDisjointRanges (the
-  /// in-memory source). Single-owner sources (the external/on-disk build)
-  /// always take the serial path so their I/O charging order is untouched.
+  /// Execution resources for the build. Every build runs one plan of split
+  /// steps. nullptr (the default) and serial contexts run it depth-first on
+  /// the calling thread; a context with a pool of 2+ threads runs it in
+  /// waves over the pool's workers — *only* for sources declaring
+  /// Concurrency::kDisjointRanges (the in-memory source). Single-owner
+  /// sources (the external/on-disk build) always run depth-first, so their
+  /// I/O charging order is untouched.
   ///
-  /// Determinism: the parallel build is bit-identical to the serial one —
-  /// same node ids, levels, MBRs, leaf ranges, and point permutation — for
-  /// every thread count. Sibling subtrees cover disjoint ranges of the
-  /// permutation, the task graph is a deterministic function of the input,
-  /// and nodes are emitted by a serial post-order walk in exactly the
-  /// serial recursion's order. The split pipeline draws no randomness; a
-  /// future randomized SplitStrategy must draw from
-  /// exec->StreamRng(subtree id), keyed by the deterministic ids the task
-  /// graph carries (Rng::Fork), never from thread or wave identity.
+  /// Determinism: both runs are bit-identical — same node ids, levels,
+  /// MBRs, leaf ranges, and point permutation — for every thread count.
+  /// Sibling steps cover disjoint ranges of the permutation, the plan's
+  /// shape is a deterministic function of the input, and nodes are emitted
+  /// afterwards by one post-order walk. The split pipeline draws no
+  /// randomness; a future randomized SplitStrategy must draw from
+  /// exec->StreamRng(subtree id), keyed by the deterministic ids the plan
+  /// carries (Rng::Fork), never from thread or wave identity.
   const common::ExecutionContext* exec = nullptr;
 };
 
@@ -229,6 +228,17 @@ struct BulkLoadOptions {
 /// the (scaled) child capacity. With options.exec (see there) the
 /// partitioning fans out across threads with a bit-identical result.
 RTree BulkLoad(PointSource* source, const BulkLoadOptions& options);
+
+/// Scaled capacity of one subtree rooted at `level` (full-tree numbering):
+/// options.topology->SubtreeCapacity(level) times options.scale, so a
+/// mini-index sample reproduces the full tree's fanouts. Clamped to one
+/// point: a page of the mini-index must hold at least one point (Section
+/// 3.3's bound: the sample rate can never be below 1/C).
+double ScaledSubtreeCapacity(const BulkLoadOptions& options, size_t level);
+
+/// The VAMSplit fanout rule: ceil(points / capacity), with a 1e-9 slack so
+/// an exact multiple never rounds up to an extra, near-empty partition.
+size_t VamSplitFanout(double points, double capacity);
 
 /// Convenience wrapper: builds over an in-memory dataset and installs the
 /// permutation as the tree's order().
@@ -245,20 +255,13 @@ struct AdaptiveRoot {
   size_t points = 0;
 };
 
-/// Runs the classic serial recursion to build the subtree rooted at `level`
-/// over points [lo, hi); returns the new node's id. Exposed for the
-/// adaptive pipelines, which finish each bucket this way.
-HDIDX_BUILD_ONLY uint32_t BuildSerialNode(PointSource* source,
-                                          const BulkLoadOptions& options,
-                                          RTree* tree, size_t level, size_t lo,
-                                          size_t hi);
-
-/// Builds the bucket [lo, hi) as one or more subtrees rooted at
-/// `bucket_level`, appended to `roots` in left-to-right order. A bucket no
-/// larger than the scaled subtree capacity yields exactly one root; an
-/// overfull bucket (sampling deviation) is first split at capacity
-/// multiples by the recursive binary max-variance partitioner, so every
-/// root respects the level's capacity whenever the data is splittable.
+/// Builds the bucket group [lo, hi) as one or more subtrees rooted at
+/// `bucket_level`, appended to `roots` in left-to-right order: the children
+/// of one build-plan node at bucket_level + 1, planned depth-first on the
+/// calling thread and emitted without that parent. A group no larger than
+/// the scaled subtree capacity yields exactly one root; a larger one is
+/// split at capacity multiples by max-variance splits, so every root
+/// respects the level's capacity whenever the data is splittable.
 HDIDX_BUILD_ONLY void BuildBucketRoots(PointSource* source,
                                        const BulkLoadOptions& options,
                                        RTree* tree, size_t bucket_level,

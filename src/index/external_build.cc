@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/random.h"
 #include "geometry/kernels.h"
 #include "index/adaptive_build.h"
 #include "io/read_ahead.h"
@@ -24,9 +22,9 @@ namespace {
 /// window buffer, the scratch file and the charged PagedFile are shared,
 /// order-sensitive state (a seek is charged only on non-adjacent access,
 /// and window loads/flushes depend on the access sequence), so the
-/// simulated disk costs are the paper's numbers only under the serial
-/// depth-first recursion. BulkLoad's single-owner gate guarantees that no
-/// execution context can fan this source out.
+/// simulated disk costs are the paper's numbers only when the build plan
+/// runs depth-first. BulkLoad's single-owner gate guarantees that no
+/// execution context can run this source's plan in parallel waves.
 ///
 /// Every seek and transfer the source charges is also attributed to a phase
 /// of ExternalBuildIo by RAII scopes around the charging code paths;
@@ -118,11 +116,7 @@ class ExternalPointSource : public PointSource {
   uint32_t BuildAdaptiveRoot(const BulkLoadOptions& options, size_t root_level,
                              RTree* tree) override;
 
-  io::IoStats TotalIo() const {
-    io::IoStats total = file_->stats() + scratch_.stats();
-    if (overflow_scratch_ != nullptr) total += overflow_scratch_->stats();
-    return total;
-  }
+  io::IoStats TotalIo() const { return file_->stats() + scratch_.stats(); }
 
   const ExternalBuildIo& phases() const { return phases_; }
   double overlap_ratio() const { return overlap_ratio_; }
@@ -305,46 +299,23 @@ class ExternalPointSource : public PointSource {
   ExternalBuildIo phases_;
   size_t scope_depth_ = 0;
   double overlap_ratio_ = 0.0;
-  // Swapped in for `scratch_` while an oversized bucket group is finished
-  // by the recursive external partitioner, whose select scribbles scratch
-  // positions that still hold other groups' staged runs. Lazily created:
-  // most builds never have an oversized group.
-  std::unique_ptr<io::PagedFile> overflow_scratch_;
 };
 
 uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
                                                 size_t root_level,
                                                 RTree* tree) {
-  if (root_level == options.stop_level) {
-    // Single-leaf tree: nothing to place buckets under.
-    return PointSource::BuildAdaptiveRoot(options, root_level, tree);
-  }
-  const TreeTopology& topo = *options.topology;
   const size_t n = file_->size();
   const size_t d = dim_;
-  const AdaptiveOptions& adaptive = options.adaptive;
-  const size_t bucket_level = AdaptiveBucketLevel(
-      topo, root_level, options.stop_level, adaptive.memory_points);
-  const double scaled_cap = std::max(
-      1.0, static_cast<double>(topo.SubtreeCapacity(bucket_level)) *
-               options.scale);
-  // Aim buckets slightly under capacity so sampling error rarely overfills.
-  const double bucket_target = std::max(1.0, scaled_cap * 0.7);
+  const AdaptiveSetup setup = PrepareAdaptiveBuild(options, root_level, n);
 
-  // Sample pass: draw sorted indices and charge each distinct page once, in
-  // ascending order — the realistic cost of a sample sweep, and a
+  // Sample pass: charge each distinct page of the sorted sample rows once,
+  // in ascending order — the realistic cost of a sample sweep, and a
   // deterministic function of (size, seed) alone.
-  const size_t sample_size = std::clamp<size_t>(
-      std::max<size_t>(adaptive.min_sample_points,
-                       static_cast<size_t>(std::llround(
-                           static_cast<double>(n) *
-                           adaptive.sampling_fraction))),
-      1, n);
+  const std::vector<size_t>& idx = setup.sample_rows;
+  const size_t sample_size = idx.size();
   std::vector<float> sample(sample_size * d);
   {
     PhaseScope scope(this, &phases_.sample);
-    std::vector<size_t> idx;
-    common::Rng(adaptive.seed).SampleIndices(n, sample_size, &idx);
     const size_t ppp = file_->points_per_page();
     const auto raw = file_->raw();
     size_t i = 0;
@@ -359,7 +330,7 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
   }
   const SplitPlan plan = SplitPlan::Build(sample.data(), sample_size, d,
                                           static_cast<double>(n),
-                                          bucket_target);
+                                          setup.bucket_target);
   sample.clear();
   sample.shrink_to_fit();
 
@@ -383,7 +354,7 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
     common::ThreadPool* pool =
         options.exec != nullptr ? options.exec->pool : nullptr;
     io::ReadAheadSource reader(file_, std::move(read_plan),
-                               adaptive.read_ahead_window, pool);
+                               options.adaptive.read_ahead_window, pool);
     // Staged points persist across chunks; once half the memory budget is
     // staged, every bucket is flushed at once as a single contiguous,
     // bucket-ordered batch — one Write call, so the transfer cost is
@@ -444,7 +415,7 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
   // [0, N) in append order exactly as BulkLoad audits.
   std::vector<internal::AdaptiveRoot> roots;
   const std::vector<size_t> bounds =
-      AdaptiveGroupBoundaries(n, scaled_cap, memory_points_);
+      AdaptiveGroupBoundaries(n, setup.bucket_capacity, memory_points_);
   size_t run_idx = 0;
   size_t run_off = 0;
   // Collects the next `need` stream points as log extents, then sorts and
@@ -487,69 +458,34 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
     const size_t out_lo = bounds[g];
     const size_t out_hi = bounds[g + 1];
     const size_t group_points = out_hi - out_lo;
-    if (group_points <= memory_points_) {
-      {
-        PhaseScope scope(this, &phases_.partition);
-        buffer_.resize(group_points * d);
-        size_t off = 0;
-        for (const auto& e : gather_extents(group_points)) {
-          scratch_.Read(e.start, e.count, buffer_.data() + off * d);
-          off += e.count;
-        }
-        HDIDX_CHECK(off == group_points);
-        perm_.resize(group_points);
-        std::iota(perm_.begin(), perm_.end(), 0u);
-        window_lo_ = out_lo;
-        window_hi_ = out_hi;
-        window_valid_ = true;
+    // BuildOnDisk requires M >= the data page capacity, so the bucket
+    // level's capacity is at most M and a group of whole roots fits.
+    HDIDX_CHECK_OP(<=, group_points, memory_points_);
+    {
+      PhaseScope scope(this, &phases_.partition);
+      buffer_.resize(group_points * d);
+      size_t off = 0;
+      for (const auto& e : gather_extents(group_points)) {
+        scratch_.Read(e.start, e.count, buffer_.data() + off * d);
+        off += e.count;
       }
-      internal::BuildBucketRoots(this, options, tree, bucket_level, out_lo,
-                                 out_hi, &roots);
-      {
-        PhaseScope scope(this, &phases_.finish);
-        FlushWindow();
-      }
-    } else {
-      // A group can only exceed the window when a single bucket-level root
-      // does (memory so tight even one subtree plus slack doesn't fit):
-      // stream the slice back into file order and let the recursive
-      // external partitioner finish it. The select needs a scratch file of
-      // its own — the shared log still holds the later groups' runs — so
-      // the lazily created overflow scratch is swapped in around the
-      // recursion.
-      {
-        PhaseScope scope(this, &phases_.partition);
-        std::vector<float> copy_buf;
-        size_t pos = out_lo;
-        for (const auto& e : gather_extents(group_points)) {
-          size_t done = 0;
-          while (done < e.count) {
-            const size_t step = std::min(memory_points_, e.count - done);
-            copy_buf.resize(step * d);
-            scratch_.Read(e.start + done, step, copy_buf.data());
-            file_->Write(pos, step, copy_buf.data());
-            pos += step;
-            done += step;
-          }
-        }
-        HDIDX_CHECK(pos == out_hi);
-      }
-      if (overflow_scratch_ == nullptr) {
-        overflow_scratch_ =
-            std::make_unique<io::PagedFile>(d, file_->disk());
-      }
-      std::swap(scratch_, *overflow_scratch_);
-      internal::BuildBucketRoots(this, options, tree, bucket_level, out_lo,
-                                 out_hi, &roots);
-      {
-        PhaseScope scope(this, &phases_.finish);
-        FlushWindow();
-      }
-      std::swap(scratch_, *overflow_scratch_);
+      HDIDX_CHECK(off == group_points);
+      perm_.resize(group_points);
+      std::iota(perm_.begin(), perm_.end(), 0u);
+      window_lo_ = out_lo;
+      window_hi_ = out_hi;
+      window_valid_ = true;
+    }
+    internal::BuildBucketRoots(this, options, tree, setup.bucket_level, out_lo,
+                               out_hi, &roots);
+    {
+      PhaseScope scope(this, &phases_.finish);
+      FlushWindow();
     }
   }
   HDIDX_CHECK(run_idx == stream_runs.size()) << "bucket groups lost points";
-  return PackUpperLevels(options, bucket_level, root_level, roots, tree);
+  return PackUpperLevels(options, setup.bucket_level, root_level, roots,
+                         tree);
 }
 
 }  // namespace

@@ -28,13 +28,13 @@ struct ExternalBuildOptions {
   AdaptiveOptions adaptive;
   /// Execution resources. For the build *order* this is a no-op — the
   /// external point source declares itself single-owner
-  /// (PointSource::Concurrency), so BulkLoad never fans it out: every
-  /// PagedFile access — whose seek charging is order-sensitive — happens on
-  /// the calling thread in serial-recursion order, and the resulting
-  /// IoStats are identical for every thread count. kAdaptiveSample
-  /// additionally borrows the context's ThreadPool for read-ahead prefetch,
-  /// which by the ReadAheadSource contract changes wall-clock overlap only,
-  /// never the accounting.
+  /// (PointSource::Concurrency), so BulkLoad always runs its build plan
+  /// depth-first: every PagedFile access — whose seek charging is
+  /// order-sensitive — happens on the calling thread in depth-first order,
+  /// and the resulting IoStats are identical for every thread count.
+  /// kAdaptiveSample additionally borrows the context's ThreadPool for
+  /// read-ahead prefetch, which by the ReadAheadSource contract changes
+  /// wall-clock overlap only, never the accounting.
   const common::ExecutionContext* exec = nullptr;
 };
 

@@ -207,7 +207,7 @@ TEST(ConcurrencyStressTest, ServiceBatchingStaysBitIdentical) {
 
 // Several independent parallel bulk loads sharing one pool at once: the
 // builds publish ParallelFor waves concurrently, yet each must still emit
-// the bit-identical layout the serial loader produces. This is the
+// the bit-identical layout the depth-first, single-threaded run produces. This is the
 // deployment shape of the sharded service (many shards, one machine).
 TEST(ConcurrencyStressTest, ConcurrentParallelBuildsShareOnePool) {
   const data::Dataset data = testing::SmallClustered(3000, 8, 91);
@@ -242,10 +242,10 @@ TEST(ConcurrencyStressTest, ConcurrentParallelBuildsShareOnePool) {
 }
 
 // The external (on-disk) build must be completely unaffected by the
-// execution context: its point source is single-owner, so BulkLoad never
-// fans it out, and the simulated disk's order-sensitive seek accounting
-// stays exactly the serial recursion's. Same IoStats, same on-disk bytes,
-// same tree, for any thread count.
+// execution context: its point source is single-owner, so BulkLoad always
+// runs its build plan depth-first on the calling thread, and the simulated
+// disk's order-sensitive seek accounting never depends on the pool. Same
+// IoStats, same on-disk bytes, same tree, for any thread count.
 TEST(ConcurrencyStressTest, ExternalBuildIoStatsAreThreadCountInvariant) {
   const data::Dataset data = testing::SmallClustered(4000, 6, 77);
   const index::TreeTopology topo(data.size(), 25, 8);

@@ -75,9 +75,14 @@ Dataset AppendOneByOne(Dataset out, const Dataset& source,
 }
 
 /// Bit-level equality of two datasets' buffers (operator== compares floats,
-/// under which -0.0 == 0.0).
+/// under which -0.0 == 0.0). Empty buffers may have a null data(), which
+/// memcmp must not see even for a zero length.
 bool SameBytes(const Dataset& a, const Dataset& b) {
-  return a.dim() == b.dim() && a.size() == b.size() &&
+  if (a.dim() != b.dim() || a.size() != b.size() ||
+      a.data().size() != b.data().size()) {
+    return false;
+  }
+  return a.data().empty() ||
          std::memcmp(a.data().data(), b.data().data(),
                      a.data().size() * sizeof(float)) == 0;
 }

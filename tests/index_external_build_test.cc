@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
+#include "index/adaptive_build.h"
 #include "index/bulk_loader.h"
 #include "test_util.h"
 
@@ -260,12 +263,98 @@ TEST_F(ExternalAdaptiveBuildTest, DegenerateDatasetsTerminate) {
 }
 
 TEST_F(ExternalAdaptiveBuildTest, TinyMemoryStillBuilds) {
-  // Memory far below a single directory subtree: oversized bucket groups
-  // take the overflow-scratch path.
+  // Memory far below a single directory subtree: the buckets are single
+  // leaves, gathered a few to a window.
   const ExternalBuildResult result = BuildAdaptive(120);
   const data::Dataset reordered(
       std::vector<float>(file_->raw().begin(), file_->raw().end()), kDim);
   hdidx::testing::ExpectValidTree(result.tree, reordered, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Exact I/O pins. The seeks and transfers of an on-disk build are a pure
+// function of the data, the strategy and M, so they are pinned exactly —
+// each phase, the total, the tree layout and the reordered file's bytes —
+// for every strategy at two memory sizes. The values were captured at the
+// commit just before the bulk loader's serial recursion and bucket-root
+// splitter were folded into the one plan builder, and must not move: any
+// change to the order of the source's seeks, window loads or flushes shows
+// here.
+// ---------------------------------------------------------------------------
+
+struct PinnedBuild {
+  SplitStrategy strategy;
+  size_t memory_points;
+  io::IoStats total;
+  io::IoStats sample;
+  io::IoStats partition;
+  io::IoStats finish;
+  io::IoStats directory;
+  uint64_t layout_digest;
+  uint64_t file_digest;
+};
+
+/// FNV-1a over the raw bytes of the file's points.
+uint64_t FileDigest(const io::PagedFile& file) {
+  const auto raw = file.raw();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(raw.data());
+  uint64_t h = 1469598103934665603ull;
+  for (size_t i = 0; i < raw.size() * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST_F(ExternalBuildTest, ExactIoPinnedForEveryStrategyAndMemorySize) {
+  // At M = 120 the adaptive buckets are single leaves (a level-2 subtree
+  // holds 150 points), gathered four to a window; at M = 600 they are
+  // level-2 subtrees.
+  ASSERT_EQ(AdaptiveBucketLevel(*topo_, topo_->height(), 1, 120), 1u);
+  ASSERT_EQ(AdaptiveBucketLevel(*topo_, topo_->height(), 1, 600), 2u);
+
+  using S = SplitStrategy;
+  const PinnedBuild pins[] = {
+      {S::kMaxVariance, 120, {2368, 3793}, {0, 0}, {2188, 3521}, {179, 231},
+       {1, 41}, 17851680641878200069ull, 6401780301807197304ull},
+      {S::kMaxVariance, 600, {267, 949}, {0, 0}, {237, 828}, {29, 80},
+       {1, 41}, 13690250509856395585ull, 7318632255767046928ull},
+      {S::kMaxExtent, 120, {2227, 3491}, {0, 0}, {1991, 3041}, {235, 409},
+       {1, 41}, 7273197444741946947ull, 12336822756250114900ull},
+      {S::kMaxExtent, 600, {267, 931}, {0, 0}, {225, 725}, {41, 165},
+       {1, 41}, 16631803805155306488ull, 643936663531026840ull},
+      {S::kRoundRobin, 120, {2170, 3333}, {0, 0}, {2000, 3073}, {169, 219},
+       {1, 41}, 15189182000939409601ull, 1332517966248725200ull},
+      {S::kRoundRobin, 600, {258, 847}, {0, 0}, {230, 733}, {27, 73},
+       {1, 41}, 15189182000939409601ull, 5373094959888087292ull},
+      {S::kAdaptiveSample, 120, {533, 681}, {1, 20}, {481, 549}, {50, 69},
+       {1, 43}, 1448079837612210342ull, 11867090310286085192ull},
+      {S::kAdaptiveSample, 600, {93, 229}, {1, 20}, {82, 140}, {9, 28},
+       {1, 41}, 16604186611037779181ull, 8304722308659300436ull},
+  };
+  const auto expect_io = [](const io::IoStats& expected,
+                            const io::IoStats& actual, const char* what) {
+    EXPECT_EQ(actual.page_seeks, expected.page_seeks) << what;
+    EXPECT_EQ(actual.page_transfers, expected.page_transfers) << what;
+  };
+  for (const PinnedBuild& pin : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << "strategy " << static_cast<int>(pin.strategy) << ", M "
+                 << pin.memory_points);
+    file_ = std::make_unique<io::PagedFile>(
+        io::PagedFile::FromDataset(data_, io::DiskModel{}));
+    ExternalBuildOptions options;
+    options.topology = topo_.get();
+    options.memory_points = pin.memory_points;
+    options.split_strategy = pin.strategy;
+    const ExternalBuildResult result = BuildOnDisk(file_.get(), options);
+    expect_io(pin.total, result.io, "total");
+    expect_io(pin.sample, result.phases.sample, "sample");
+    expect_io(pin.partition, result.phases.partition, "partition");
+    expect_io(pin.finish, result.phases.finish, "finish");
+    expect_io(pin.directory, result.phases.directory, "directory");
+    EXPECT_EQ(TreeLayoutDigest(result.tree), pin.layout_digest);
+    EXPECT_EQ(FileDigest(*file_), pin.file_digest);
+  }
 }
 
 using ExternalBuildDeathTest = ExternalBuildTest;
