@@ -8,6 +8,10 @@
 //
 // maxpd operand-order and NaN notes are in block_ops_avx2.cc; AVX-512
 // vmaxpd keeps the same (src1 > src2) ? src1 : src2, NaN -> src2 rule.
+// Conversions and maxes use the all-lanes maskz forms: the plain
+// intrinsics pass an _mm512_undefined_* source that gcc 12 reports as
+// maybe-uninitialized under ASan, and the masked forms compile to the
+// same instructions with every lane written.
 #include "geometry/isa/block_ops.h"
 
 #if defined(__x86_64__) && defined(__AVX512F__)
@@ -33,13 +37,14 @@ bool SphereBlock(const float* center, const BoxSlab& slab, size_t base,
   __m512d acc_v = zero;
   for (size_t d = 0; d < dim; ++d) {
     const __m512d q = _mm512_set1_pd(static_cast<double>(center[d]));
-    const __m512d lo =
-        _mm512_cvtps_pd(_mm256_load_ps(slab.lo_plane(d) + base));
-    const __m512d hi =
-        _mm512_cvtps_pd(_mm256_load_ps(slab.hi_plane(d) + base));
+    const __m512d lo = _mm512_maskz_cvtps_pd(
+        0xFF, _mm256_load_ps(slab.lo_plane(d) + base));
+    const __m512d hi = _mm512_maskz_cvtps_pd(
+        0xFF, _mm256_load_ps(slab.hi_plane(d) + base));
     // term = std::max(std::max(0.0, lo - q), q - hi)
-    const __m512d t = _mm512_max_pd(
-        _mm512_sub_pd(q, hi), _mm512_max_pd(_mm512_sub_pd(lo, q), zero));
+    const __m512d t = _mm512_maskz_max_pd(
+        0xFF, _mm512_sub_pd(q, hi),
+        _mm512_maskz_max_pd(0xFF, _mm512_sub_pd(lo, q), zero));
     acc_v = _mm512_add_pd(acc_v, _mm512_mul_pd(t, t));
     if ((d & 7) == 7 && d + 1 < dim) {
       if (_mm512_cmp_pd_mask(acc_v, thresh, _CMP_GT_OQ) == 0xFF) {
@@ -83,7 +88,8 @@ uint32_t GroupRowBlockOf(const double* const* queries, const float* lanes,
          ++d) {
       // Staged: dimension d's eight lanes are one aligned 32-byte run,
       // loaded once for the whole group.
-      const __m512d r = _mm512_cvtps_pd(_mm256_load_ps(lanes + d * kBlock));
+      const __m512d r =
+          _mm512_maskz_cvtps_pd(0xFF, _mm256_load_ps(lanes + d * kBlock));
 #pragma GCC unroll 4
       for (size_t g = 0; g < kCount; ++g) {
         const __m512d diff = _mm512_sub_pd(r, _mm512_set1_pd(queries[g][d]));
@@ -161,6 +167,10 @@ void MomentsChunk(const float* base, size_t dim, const uint32_t* index,
   const size_t last = 8 * (kVecs - 1);
   const __mmask8 tail_mask =
       static_cast<__mmask8>((1u << (width - last)) - 1);
+  // The same tail as a vmaskmovps lane mask (sign bit set = load).
+  const __m256i tail_lanes =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(width - last)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   __m512d s[kVecs];
   __m512d q[kVecs];
 #pragma GCC unroll 8
@@ -174,13 +184,14 @@ void MomentsChunk(const float* base, size_t dim, const uint32_t* index,
     const float* p = base + (index != nullptr ? index[i] : i) * dim + d0;
 #pragma GCC unroll 8
     for (size_t v = 0; v + 1 < kVecs; ++v) {
-      const __m512d x = _mm512_cvtps_pd(_mm256_loadu_ps(p + 8 * v));
+      const __m512d x =
+          _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p + 8 * v));
       s[v] = _mm512_add_pd(s[v], x);
       q[v] = _mm512_add_pd(q[v], _mm512_mul_pd(x, x));
     }
     // Masked-off lanes are not read (no fault past the row) and load 0.
-    const __m512d x = _mm512_cvtps_pd(_mm512_castps512_ps256(
-        _mm512_maskz_loadu_ps(static_cast<__mmask16>(tail_mask), p + last)));
+    const __m512d x =
+        _mm512_maskz_cvtps_pd(0xFF, _mm256_maskload_ps(p + last, tail_lanes));
     s[kVecs - 1] = _mm512_add_pd(s[kVecs - 1], x);
     q[kVecs - 1] = _mm512_add_pd(q[kVecs - 1], _mm512_mul_pd(x, x));
   }

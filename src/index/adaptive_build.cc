@@ -212,8 +212,7 @@ class UpperPacker {
     HDIDX_CHECK(!children.empty() && children.size() <= fanout)
         << "upper level " << level << " packed " << children.size()
         << " children for target fanout " << fanout;
-    return tree_->AddDirectory(static_cast<uint32_t>(level),
-                               std::move(children));
+    return tree_->AddDirectory(static_cast<uint32_t>(level), children);
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -109,11 +110,18 @@ class PlanBuilder {
  public:
   PlanBuilder(PointSource* source, const BulkLoadOptions& options, RTree* tree,
               bool fan_out)
-      : source_(source), options_(options), tree_(tree), fan_out_(fan_out) {}
+      : source_(source), options_(options), tree_(tree), fan_out_(fan_out) {
+    // Emit's stack holds about one directory's child ids per level.
+    emit_ids_.reserve(options.topology->height() *
+                      options.topology->dir_capacity());
+  }
 
   /// Plans the subtree under `node`, whose level and range are set.
   void Plan(PlanNode* node) {
     std::vector<SplitTask> pending;
+    // Depth-first, the stack holds about one step per binary split level
+    // of the current path, so this never regrows.
+    pending.reserve(64);
     Expand(node, &pending);
     if (fan_out_) {
       common::ForkJoinWaves(
@@ -123,13 +131,14 @@ class PlanBuilder {
           });
       return;
     }
-    std::vector<SplitTask> spawn;
     while (!pending.empty()) {
       const SplitTask task = pending.back();
       pending.pop_back();
-      spawn.clear();
-      Split(task, &spawn);
-      pending.insert(pending.end(), spawn.rbegin(), spawn.rend());
+      // Spawned steps go on the stack right to left: the left runs first.
+      const size_t mark = pending.size();
+      Split(task, &pending);
+      std::reverse(pending.begin() + static_cast<std::ptrdiff_t>(mark),
+                   pending.end());
     }
   }
 
@@ -142,13 +151,17 @@ class PlanBuilder {
                             static_cast<uint32_t>(node->lo),
                             static_cast<uint32_t>(node->hi - node->lo));
     }
-    std::vector<uint32_t> children;
-    children.reserve(node->children.size());
+    // Child ids stack up in one buffer shared by the whole walk: each
+    // directory appends its ids after its ancestors' and truncates back.
+    const size_t mark = emit_ids_.size();
     for (PlanNode& child : node->children) {
-      if (child.hi > child.lo) children.push_back(Emit(&child));
+      if (child.hi > child.lo) emit_ids_.push_back(Emit(&child));
     }
-    return tree_->AddDirectory(static_cast<uint32_t>(node->level),
-                               std::move(children));
+    const uint32_t id = tree_->AddDirectory(
+        static_cast<uint32_t>(node->level),
+        std::span<const uint32_t>(emit_ids_).subspan(mark));
+    emit_ids_.resize(mark);
+    return id;
   }
 
  private:
@@ -212,6 +225,8 @@ class PlanBuilder {
   const BulkLoadOptions& options_;
   RTree* tree_;
   const bool fan_out_;
+  /// Emit's child-id stack.
+  std::vector<uint32_t> emit_ids_;
 };
 
 }  // namespace

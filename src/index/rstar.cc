@@ -396,8 +396,7 @@ RTree RStarTree::ToRTree() const {
       child_level = std::max(child_level, r.level);
     }
     const size_t fanout = children.size();
-    const uint32_t id = tree.AddDirectory(child_level + 1,
-                                          std::move(children));
+    const uint32_t id = tree.AddDirectory(child_level + 1, children);
     if (node.supernode) {
       // A supernode occupies as many directory pages as its fanout needs.
       tree.SetNodePages(id, static_cast<uint32_t>(

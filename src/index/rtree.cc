@@ -29,7 +29,8 @@ uint32_t RTree::AddLeaf(geometry::BoundingBox box, uint32_t level,
   return id;
 }
 
-uint32_t RTree::AddDirectory(uint32_t level, std::vector<uint32_t> children) {
+uint32_t RTree::AddDirectory(uint32_t level,
+                             std::span<const uint32_t> children) {
   HDIDX_CHECK(!children.empty());
   RTreeNode node(dim_);
   node.level = level;
@@ -40,7 +41,7 @@ uint32_t RTree::AddDirectory(uint32_t level, std::vector<uint32_t> children) {
     node.box.ExtendBox(nodes_[child].box);
     child_boxes.push_back(&nodes_[child].box);
   }
-  // The id array moves into the tree's arena (first touch happens here, on
+  // The id array is copied into the tree's arena (first touch happens here, on
   // the building thread), so directory payloads and slab planes share the
   // same few cacheline-aligned blocks.
   uint32_t* ids = arena_.AllocateArray<uint32_t>(children.size());

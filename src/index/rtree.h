@@ -94,10 +94,10 @@ class RTree {
   HDIDX_BUILD_ONLY uint32_t AddLeaf(geometry::BoundingBox box, uint32_t level,
                                     uint32_t start, uint32_t count);
 
-  /// Appends a directory node; `children` must be valid ids. The node's box
-  /// is the union of the children's boxes.
+  /// Appends a directory node; `children` must be valid ids, and is copied
+  /// into the tree. The node's box is the union of the children's boxes.
   HDIDX_BUILD_ONLY uint32_t AddDirectory(uint32_t level,
-                                         std::vector<uint32_t> children);
+                                         std::span<const uint32_t> children);
 
   HDIDX_BUILD_ONLY void SetRoot(uint32_t id) { root_ = id; }
   HDIDX_BUILD_ONLY void SetOrder(std::vector<uint32_t> order) {

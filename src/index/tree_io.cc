@@ -153,7 +153,7 @@ std::optional<RTree> ReadTree(const std::string& path, std::string* error) {
           return std::nullopt;
         }
       }
-      tree.AddDirectory(level, std::move(children));
+      tree.AddDirectory(level, children);
     }
   }
   if (header.root >= tree.num_nodes()) {

@@ -1,7 +1,6 @@
 #include "service/async_server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -10,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -23,32 +23,24 @@
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "service/wire.h"
 
 namespace hdidx::service {
 
 namespace {
 
-bool Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message + ": " + std::strerror(errno);
-  return false;
-}
-
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-/// Every socket write goes through here: MSG_NOSIGNAL turns a peer that
-/// vanished mid-response into an EPIPE return (handled at the call site)
-/// instead of a process-killing SIGPIPE.
-ssize_t SendBytes(int fd, const char* data, size_t size) {
-  return ::send(fd, data, size, MSG_NOSIGNAL);
-}
-
 /// Final-flush grace at shutdown: per connection, at most this many
 /// POLLOUT waits of kFlushPollMs each before the fd is closed anyway.
 constexpr int kFlushPollRounds = 10;
 constexpr int kFlushPollMs = 20;
+
+/// Per-connection outbound high watermark: above this many buffered bytes
+/// the loop stops reading the connection until its buffer fully drains.
+constexpr size_t kWriteBufferLimit = size_t{4} << 20;
+
+/// How long the listen socket stays out of the interest set after accept
+/// ran out of descriptors or buffers.
+constexpr std::chrono::milliseconds kAcceptBackoff{20};
 
 void WakeEventFd(int fd) {
   const uint64_t one = 1;
@@ -63,16 +55,14 @@ void DrainEventFd(int fd) {
   }
 }
 
-/// One accepted socket. The reactor that owns the connection is the only
-/// thread that reads it and the only thread that writes the fd; shard
-/// workers hand response bytes over through the mutex-guarded outbound
-/// buffer and an eventfd nudge.
+/// One accepted socket. The event loop is the only thread that reads it
+/// and the only thread that writes the fd; shard workers hand response
+/// bytes over through the mutex-guarded outbound buffer and an eventfd
+/// nudge.
 struct Connection {
-  Connection(int fd_in, size_t reactor_in) : fd(fd_in), reactor(reactor_in) {}
+  explicit Connection(int fd_in) : fd(fd_in) {}
 
   const int fd;
-  /// Index of the owning reactor (fixed at accept time).
-  const size_t reactor;
 
   common::Mutex mu;
   /// Bytes awaiting write; [out_offset, size) is the undrained suffix.
@@ -81,18 +71,43 @@ struct Connection {
   bool closed HDIDX_GUARDED_BY(mu) = false;
   bool close_after_flush HDIDX_GUARDED_BY(mu) = false;
 
-  /// Read/framing state, touched only by the owning reactor thread.
+  /// Writes the undrained outbound bytes until they are gone or the socket
+  /// is full; a full socket is waited on (POLLOUT, kFlushPollMs each) up to
+  /// `poll_rounds` times. False iff the peer vanished mid-write. Every
+  /// socket write goes through here: MSG_NOSIGNAL turns a vanished peer
+  /// into an EPIPE return instead of a process-killing SIGPIPE.
+  bool WriteOutbound(int poll_rounds) HDIDX_REQUIRES(mu) {
+    while (out_offset < outbound.size()) {
+      const ssize_t n = ::send(fd, outbound.data() + out_offset,
+                               outbound.size() - out_offset, MSG_NOSIGNAL);
+      if (n > 0) {
+        out_offset += static_cast<size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (poll_rounds-- <= 0) return true;
+        pollfd pfd{fd, POLLOUT, 0};
+        ::poll(&pfd, 1, kFlushPollMs);
+        continue;
+      }
+      return false;
+    }
+    return true;
+  }
+
+  /// Read/framing state, touched only by the event loop.
   std::string inbound HDIDX_UNGUARDED;
-  /// Epoll interest currently registered — owning reactor only.
+  /// Epoll interest currently registered — event loop only.
   uint32_t armed_events HDIDX_UNGUARDED = 0;
   bool reading_paused HDIDX_UNGUARDED = false;
 };
 
-/// A predict frame waiting for its shard worker, still encoded: the
-/// reactor only peeks the routing key (dataset → shard), so payload decode
-/// cost lands on the worker, not the shared event loop. The payload is
-/// copied out of the connection's inbound buffer, which the reactor
-/// compacts as soon as the frame is consumed.
+/// A predict frame waiting for its shard worker, still encoded: the event
+/// loop only peeks the routing key (dataset → shard), so payload decode
+/// cost lands on the worker, not the shared loop. The payload is copied out
+/// of the connection's inbound buffer, which the loop compacts as soon as
+/// the frame is consumed.
 struct QueueItem {
   std::shared_ptr<Connection> conn;
   wire::FrameHeader header;
@@ -206,25 +221,6 @@ class ShardQueue {
   bool shutdown_ HDIDX_GUARDED_BY(mu_) = false;
 };
 
-/// One epoll event loop. `conns` is owned by the loop thread; other
-/// threads communicate through the inbox + eventfd.
-struct Reactor {
-  Reactor(int epoll_fd_in, int wake_fd_in)
-      : epoll_fd(epoll_fd_in), wake_fd(wake_fd_in) {}
-
-  const int epoll_fd;
-  const int wake_fd;
-
-  /// Live connections by fd — owning reactor thread only.
-  std::unordered_map<int, std::shared_ptr<Connection>> conns HDIDX_UNGUARDED;
-
-  common::Mutex inbox_mu;
-  std::vector<std::shared_ptr<Connection>> pending_adds
-      HDIDX_GUARDED_BY(inbox_mu);
-  std::vector<std::shared_ptr<Connection>> pending_flushes
-      HDIDX_GUARDED_BY(inbox_mu);
-};
-
 }  // namespace
 
 class AsyncServer::Impl {
@@ -251,31 +247,34 @@ class AsyncServer::Impl {
   void ResumeServing();
 
  private:
-  void AcceptLoop();
-  void ReactorLoop(size_t index);
+  void EventLoop();
   void WorkerLoop(size_t shard);
 
-  void HandleInbox(Reactor& r);
-  void ReadConnection(Reactor& r, const std::shared_ptr<Connection>& conn);
-  void ProcessInbound(Reactor& r, const std::shared_ptr<Connection>& conn);
-  void HandleFrame(Reactor& r, const std::shared_ptr<Connection>& conn,
+  /// Adds `fd` to the loop's interest set, level-triggered on `events`.
+  bool Watch(int fd, uint32_t events);
+  /// Accepts every pending connection. False when accept ran out of
+  /// descriptors or buffers, so the caller backs off.
+  bool AcceptConnections();
+  void HandleFlushes();
+  void ReadConnection(const std::shared_ptr<Connection>& conn);
+  void ProcessInbound(const std::shared_ptr<Connection>& conn);
+  void HandleFrame(const std::shared_ptr<Connection>& conn,
                    const wire::FrameHeader& header, std::string_view payload);
-  void HandleLoad(Reactor& r, const std::shared_ptr<Connection>& conn,
-                  uint64_t id, const RequestLine& request);
-  void HandleShutdown(Reactor& r, const std::shared_ptr<Connection>& conn,
-                      uint64_t id);
+  void HandleLoad(const std::shared_ptr<Connection>& conn, uint64_t id,
+                  const RequestLine& request);
+  void HandleShutdown(const std::shared_ptr<Connection>& conn, uint64_t id);
 
-  /// Appends bytes on the reactor's own thread and flushes immediately.
-  void ReactorSend(Reactor& r, const std::shared_ptr<Connection>& conn,
-                   std::string frame, bool close_after = false);
-  /// Appends bytes from a shard worker and nudges the owning reactor.
+  /// Appends bytes on the loop's own thread and flushes immediately.
+  void LoopSend(const std::shared_ptr<Connection>& conn, std::string frame,
+                bool close_after = false);
+  /// Appends bytes from a shard worker and nudges the loop.
   void SendFromWorker(const std::shared_ptr<Connection>& conn,
                       std::string frame);
-  void FlushConnection(Reactor& r, const std::shared_ptr<Connection>& conn);
-  void UpdateInterest(Reactor& r, const std::shared_ptr<Connection>& conn,
+  void FlushConnection(const std::shared_ptr<Connection>& conn);
+  void UpdateInterest(const std::shared_ptr<Connection>& conn,
                       bool want_write, size_t pending_bytes);
-  void CloseConnection(Reactor& r, const std::shared_ptr<Connection>& conn);
-  void CleanupReactor(Reactor& r);
+  void CloseConnection(const std::shared_ptr<Connection>& conn);
+  void CloseAllConnections();
   void JoinAll();
   void CloseFds();
 
@@ -290,14 +289,19 @@ class AsyncServer::Impl {
   /// Sockets and thread/queue containers are created in Start() before
   /// any server thread exists and are structurally immutable afterwards.
   int listen_fd_ HDIDX_UNGUARDED = -1;
-  int accept_epoll_ HDIDX_UNGUARDED = -1;
-  int accept_wake_ HDIDX_UNGUARDED = -1;
+  int epoll_fd_ HDIDX_UNGUARDED = -1;
+  int wake_fd_ HDIDX_UNGUARDED = -1;
   uint16_t port_ HDIDX_UNGUARDED = 0;
-  std::vector<std::unique_ptr<Reactor>> reactors_ HDIDX_UNGUARDED;
   std::vector<std::unique_ptr<ShardQueue>> queues_ HDIDX_UNGUARDED;
   std::vector<std::thread> threads_ HDIDX_UNGUARDED;
-  /// Acceptor-thread-owned round-robin cursor.
-  size_t next_reactor_ HDIDX_UNGUARDED = 0;
+
+  /// Live connections by fd — event loop only.
+  std::unordered_map<int, std::shared_ptr<Connection>> conns_ HDIDX_UNGUARDED;
+  /// Connections a shard worker gave bytes to while their outbound buffer
+  /// was drained; the loop flushes them when woken.
+  common::Mutex flush_mu_;
+  std::vector<std::shared_ptr<Connection>> pending_flushes_
+      HDIDX_GUARDED_BY(flush_mu_);
 
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> protocol_errors_{0};
@@ -307,16 +311,18 @@ class AsyncServer::Impl {
   common::Mutex state_mu_;
   common::CondVar state_cv_;
   bool stop_requested_ HDIDX_GUARDED_BY(state_mu_) = false;
-
-  /// Serializes registry mutation (the `load` op) across reactors.
-  common::Mutex load_mu_;
 };
 
 bool AsyncServer::Impl::Start(std::string* error) {
   HDIDX_CHECK(threads_.empty()) << "Start() called twice";
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Fail(error, "socket");
+  const auto fail = [&](const std::string& what) {
+    if (error != nullptr) *error = what + ": " + std::strerror(errno);
+    CloseFds();
+    return false;
+  };
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (listen_fd_ < 0) return fail("socket");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -330,57 +336,23 @@ bool AsyncServer::Impl::Start(std::string* error) {
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
-    const bool ok = Fail(error, "bind " + options_.host + ":" +
-                                    std::to_string(options_.port));
-    CloseFds();
-    return ok;
+    return fail("bind " + options_.host + ":" + std::to_string(options_.port));
   }
-  if (::listen(listen_fd_, 128) != 0) {
-    const bool ok = Fail(error, "listen");
-    CloseFds();
-    return ok;
-  }
+  if (::listen(listen_fd_, 128) != 0) return fail("listen");
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
                     &bound_len) != 0) {
-    const bool ok = Fail(error, "getsockname");
-    CloseFds();
-    return ok;
+    return fail("getsockname");
   }
   // HostToNet16 is an involution, so it also converts net->host.
   port_ = wire::HostToNet16(bound.sin_port);
-  SetNonBlocking(listen_fd_);
 
-  accept_epoll_ = ::epoll_create1(0);
-  accept_wake_ = ::eventfd(0, EFD_NONBLOCK);
-  if (accept_epoll_ < 0 || accept_wake_ < 0) {
-    const bool ok = Fail(error, "epoll/eventfd");
-    CloseFds();
-    return ok;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(accept_epoll_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = accept_wake_;
-  ::epoll_ctl(accept_epoll_, EPOLL_CTL_ADD, accept_wake_, &ev);
-
-  const size_t num_reactors = std::max<size_t>(1, options_.num_reactors);
-  reactors_.reserve(num_reactors);
-  for (size_t i = 0; i < num_reactors; ++i) {
-    const int epoll_fd = ::epoll_create1(0);
-    const int wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    if (epoll_fd < 0 || wake_fd < 0) {
-      const bool ok = Fail(error, "reactor epoll/eventfd");
-      CloseFds();
-      return ok;
-    }
-    epoll_event wake_ev{};
-    wake_ev.events = EPOLLIN;
-    wake_ev.data.fd = wake_fd;
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &wake_ev);
-    reactors_.push_back(std::make_unique<Reactor>(epoll_fd, wake_fd));
+  epoll_fd_ = ::epoll_create1(0);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (epoll_fd_ < 0 || wake_fd_ < 0 || !Watch(wake_fd_, EPOLLIN) ||
+      !Watch(listen_fd_, EPOLLIN)) {
+    return fail("epoll/eventfd");
   }
 
   const size_t num_shards = service_->num_shards();
@@ -390,10 +362,7 @@ bool AsyncServer::Impl::Start(std::string* error) {
         std::max<size_t>(1, options_.shard_queue_capacity)));
   }
 
-  threads_.emplace_back([this] { AcceptLoop(); });
-  for (size_t i = 0; i < num_reactors; ++i) {
-    threads_.emplace_back([this, i] { ReactorLoop(i); });
-  }
+  threads_.emplace_back([this] { EventLoop(); });
   for (size_t s = 0; s < num_shards; ++s) {
     threads_.emplace_back([this, s] { WorkerLoop(s); });
   }
@@ -417,8 +386,7 @@ void AsyncServer::Impl::Stop() {
   }
   stopping_.store(true, std::memory_order_release);
   for (auto& queue : queues_) queue->Shutdown();
-  if (accept_wake_ >= 0) WakeEventFd(accept_wake_);
-  for (auto& reactor : reactors_) WakeEventFd(reactor->wake_fd);
+  if (wake_fd_ >= 0) WakeEventFd(wake_fd_);
   {
     common::MutexLock lock(&state_mu_);
     state_cv_.NotifyAll();
@@ -434,15 +402,10 @@ void AsyncServer::Impl::JoinAll() {
 }
 
 void AsyncServer::Impl::CloseFds() {
-  for (auto& reactor : reactors_) {
-    if (reactor->epoll_fd >= 0) ::close(reactor->epoll_fd);
-    if (reactor->wake_fd >= 0) ::close(reactor->wake_fd);
+  for (int* fd : {&epoll_fd_, &wake_fd_, &listen_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
-  reactors_.clear();
-  if (accept_epoll_ >= 0) ::close(accept_epoll_);
-  if (accept_wake_ >= 0) ::close(accept_wake_);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  accept_epoll_ = accept_wake_ = listen_fd_ = -1;
 }
 
 ServiceMetrics AsyncServer::Impl::MetricsSnapshot() const {
@@ -467,88 +430,99 @@ void AsyncServer::Impl::ResumeServing() {
   for (auto& queue : queues_) queue->Resume();
 }
 
-void AsyncServer::Impl::AcceptLoop() {
-  epoll_event events[8];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(accept_epoll_, events, 8, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.fd == accept_wake_) {
-        DrainEventFd(accept_wake_);
-        continue;
-      }
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-          if (errno == EINTR) continue;
-          if (errno == ECONNABORTED) continue;  // that peer is gone; next
-          if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-              errno == ENOMEM) {
-            // Out of descriptors/buffers: the backlog entry stays, so
-            // level-triggered epoll re-fires immediately — back off
-            // briefly instead of busy-spinning, and retry once existing
-            // connections close and free fds.
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          }
-          break;  // EAGAIN (backlog drained) or a hard error
-        }
-        SetNonBlocking(fd);
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        const size_t index = next_reactor_ % reactors_.size();
-        ++next_reactor_;
-        auto conn = std::make_shared<Connection>(fd, index);
-        Reactor& r = *reactors_[index];
-        {
-          common::MutexLock lock(&r.inbox_mu);
-          r.pending_adds.push_back(std::move(conn));
-        }
-        WakeEventFd(r.wake_fd);
-      }
-    }
-  }
+bool AsyncServer::Impl::Watch(int fd, uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
-void AsyncServer::Impl::ReactorLoop(size_t index) {
-  Reactor& r = *reactors_[index];
+void AsyncServer::Impl::EventLoop() {
+  using Clock = std::chrono::steady_clock;
+  // After accept ran out of descriptors or buffers, the listen socket is
+  // out of the interest set until `rearm_at`: its backlog entry stays, so
+  // the level-triggered socket would re-fire at once. The loop keeps
+  // serving its connections meanwhile.
+  bool listening = true;
+  Clock::time_point rearm_at;
   epoll_event events[64];
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(r.epoll_fd, events, 64, -1);
+    int timeout_ms = -1;
+    if (!listening) {
+      timeout_ms = static_cast<int>(std::max<Clock::rep>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(rearm_at -
+                                                          Clock::now())
+                 .count()));
+    }
+    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
+    if (!listening && Clock::now() >= rearm_at) {
+      listening = Watch(listen_fd_, EPOLLIN);
+      if (!listening) rearm_at = Clock::now() + kAcceptBackoff;
+    }
     for (int i = 0; i < n; ++i) {
-      if (events[i].data.fd == r.wake_fd) {
-        DrainEventFd(r.wake_fd);
-        HandleInbox(r);
+      const int fd = events[i].data.fd;
+      if (fd == wake_fd_) {
+        DrainEventFd(wake_fd_);
+        HandleFlushes();
         continue;
       }
-      const auto it = r.conns.find(events[i].data.fd);
-      if (it == r.conns.end()) continue;
+      if (fd == listen_fd_) {
+        if (!AcceptConnections()) {
+          ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+          listening = false;
+          rearm_at = Clock::now() + kAcceptBackoff;
+        }
+        continue;
+      }
+      const auto it = conns_.find(fd);
+      if (it == conns_.end()) continue;
       // Copy: handlers may erase the map entry.
       const std::shared_ptr<Connection> conn = it->second;
       const uint32_t mask = events[i].events;
       if ((mask & (EPOLLHUP | EPOLLERR)) != 0) {
-        CloseConnection(r, conn);
+        CloseConnection(conn);
         continue;
       }
-      if ((mask & EPOLLOUT) != 0) FlushConnection(r, conn);
-      if ((mask & EPOLLIN) != 0) ReadConnection(r, conn);
+      if ((mask & EPOLLOUT) != 0) FlushConnection(conn);
+      if ((mask & EPOLLIN) != 0) ReadConnection(conn);
     }
   }
-  CleanupReactor(r);
+  CloseAllConnections();
+}
+
+bool AsyncServer::Impl::AcceptConnections() {
+  while (true) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      if (errno == ECONNABORTED) continue;  // that peer is gone; next
+      // EAGAIN (backlog drained) or a hard error end this round; running
+      // out of descriptors or buffers asks for a backoff.
+      return errno != EMFILE && errno != ENFILE && errno != ENOBUFS &&
+             errno != ENOMEM;
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (!Watch(fd, EPOLLIN)) {
+      ::close(fd);
+      continue;
+    }
+    auto conn = std::make_shared<Connection>(fd);
+    conn->armed_events = EPOLLIN;
+    conns_.emplace(fd, std::move(conn));
+  }
 }
 
 void AsyncServer::Impl::WorkerLoop(size_t shard) {
   ShardQueue& queue = *queues_[shard];
   QueueItem item;
   while (queue.Pop(&item)) {
-    // Decode here, off the reactor. The frame boundary was already sound
-    // (NextFrame accepted it), so a decode failure only poisons this
+    // Decode here, off the event loop. The frame boundary was already
+    // sound (NextFrame accepted it), so a decode failure only poisons this
     // request: report against its id and leave the connection serving.
     // Per-shard FIFO keeps the error in admission order relative to the
     // connection's other predicts.
@@ -570,40 +544,26 @@ void AsyncServer::Impl::WorkerLoop(size_t shard) {
   }
 }
 
-void AsyncServer::Impl::HandleInbox(Reactor& r) {
-  std::vector<std::shared_ptr<Connection>> adds;
+void AsyncServer::Impl::HandleFlushes() {
   std::vector<std::shared_ptr<Connection>> flushes;
   {
-    common::MutexLock lock(&r.inbox_mu);
-    adds.swap(r.pending_adds);
-    flushes.swap(r.pending_flushes);
+    common::MutexLock lock(&flush_mu_);
+    flushes.swap(pending_flushes_);
   }
-  for (auto& conn : adds) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = conn->fd;
-    if (::epoll_ctl(r.epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
-      ::close(conn->fd);
-      continue;
-    }
-    conn->armed_events = EPOLLIN;
-    r.conns.emplace(conn->fd, std::move(conn));
-  }
-  for (auto& conn : flushes) {
-    if (r.conns.count(conn->fd) != 0) FlushConnection(r, conn);
-  }
+  // FlushConnection skips a connection closed since its worker queued it.
+  for (const auto& conn : flushes) FlushConnection(conn);
 }
 
 void AsyncServer::Impl::ReadConnection(
-    Reactor& r, const std::shared_ptr<Connection>& conn) {
+    const std::shared_ptr<Connection>& conn) {
   char buffer[64 * 1024];
   bool peer_done = false;
   while (!conn->reading_paused) {
     const ssize_t n = ::read(conn->fd, buffer, sizeof(buffer));
     if (n > 0) {
       conn->inbound.append(buffer, static_cast<size_t>(n));
-      ProcessInbound(r, conn);
-      if (r.conns.count(conn->fd) == 0) return;  // handler closed it
+      ProcessInbound(conn);
+      if (conns_.count(conn->fd) == 0) return;  // handler closed it
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -611,11 +571,11 @@ void AsyncServer::Impl::ReadConnection(
     peer_done = true;  // EOF or hard error
     break;
   }
-  if (peer_done) CloseConnection(r, conn);
+  if (peer_done) CloseConnection(conn);
 }
 
 void AsyncServer::Impl::ProcessInbound(
-    Reactor& r, const std::shared_ptr<Connection>& conn) {
+    const std::shared_ptr<Connection>& conn) {
   size_t offset = 0;
   bool poisoned = false;
   bool done = false;
@@ -627,7 +587,7 @@ void AsyncServer::Impl::ProcessInbound(
     const std::string_view rest(conn->inbound.data() + offset,
                                 conn->inbound.size() - offset);
     const wire::FrameStatus status =
-        wire::NextFrame(rest, options_.max_frame_payload, &consumed, &header,
+        wire::NextFrame(rest, wire::kDefaultMaxPayload, &consumed, &header,
                         &payload, &error);
     switch (status) {
       case wire::FrameStatus::kNeedMore:
@@ -635,17 +595,14 @@ void AsyncServer::Impl::ProcessInbound(
         break;
       case wire::FrameStatus::kFrame:
         offset += consumed;
-        HandleFrame(r, conn, header, payload);
-        if (r.conns.count(conn->fd) == 0 || IsClosed(conn)) {
-          done = true;
-        }
+        HandleFrame(conn, header, payload);
+        if (conns_.count(conn->fd) == 0 || IsClosed(conn)) done = true;
         break;
       case wire::FrameStatus::kError:
         // Framing is lost: answer with one protocol-error frame and close
         // once it is flushed. Nothing after this point is parseable.
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        ReactorSend(r, conn, wire::EncodeErrorFrame(0, error),
-                    /*close_after=*/true);
+        LoopSend(conn, wire::EncodeErrorFrame(0, error), /*close_after=*/true);
         poisoned = true;
         done = true;
         break;
@@ -658,24 +615,22 @@ void AsyncServer::Impl::ProcessInbound(
   }
 }
 
-void AsyncServer::Impl::HandleFrame(Reactor& r,
-                                    const std::shared_ptr<Connection>& conn,
+void AsyncServer::Impl::HandleFrame(const std::shared_ptr<Connection>& conn,
                                     const wire::FrameHeader& header,
                                     std::string_view payload) {
   if (header.op == wire::WireOp::kPredict &&
       (header.flags & wire::kFlagResponse) == 0) {
-    // Predicts are the hot path: the reactor peeks only the routing key
-    // and hands the still-encoded frame to the shard worker, which decodes
+    // Predicts are the hot path: the loop peeks only the routing key and
+    // hands the still-encoded frame to the shard worker, which decodes
     // before serving. Admission control stays here so shed responses are
     // deterministic under backpressure (a full queue answers immediately,
     // in arrival order, regardless of worker progress).
     std::string dataset;
     if (!wire::PeekPredictDataset(payload, &dataset)) {
       // Too short to carry a routing key — no shard to decode it on, so
-      // this is the one predict decode error reported from the reactor.
-      ReactorSend(r, conn,
-                  wire::EncodeErrorFrame(header.id,
-                                         "malformed predict payload"));
+      // this is the one predict decode error reported from the loop.
+      LoopSend(conn, wire::EncodeErrorFrame(header.id,
+                                            "malformed predict payload"));
       return;
     }
     const size_t shard = service_->registry().ShardOf(dataset);
@@ -684,21 +639,20 @@ void AsyncServer::Impl::HandleFrame(Reactor& r,
     item.header = header;
     item.payload = std::string(payload);
     if (!queues_[shard]->TryPush(std::move(item))) {
-      ReactorSend(r, conn,
-                  wire::EncodeShedResponse(header.id,
-                                           static_cast<uint32_t>(shard),
-                                           options_.retry_after_ms));
+      LoopSend(conn, wire::EncodeShedResponse(header.id,
+                                              static_cast<uint32_t>(shard),
+                                              options_.retry_after_ms));
     }
     return;
   }
   // Control-plane ops (load/stats/shutdown) are rare and tiny: decode and
-  // handle inline on the reactor.
+  // handle inline on the loop.
   RequestLine request;
   std::string error;
   if (!wire::DecodeRequest(header, payload, &request, &error)) {
     // The frame boundary was sound, so the stream stays usable: report
     // against this id and keep serving the connection.
-    ReactorSend(r, conn, wire::EncodeErrorFrame(header.id, error));
+    LoopSend(conn, wire::EncodeErrorFrame(header.id, error));
     return;
   }
   switch (request.op) {
@@ -706,83 +660,71 @@ void AsyncServer::Impl::HandleFrame(Reactor& r,
       // Unreachable: predicts took the peek-and-enqueue path above.
       break;
     case RequestLine::Op::kLoad:
-      HandleLoad(r, conn, header.id, request);
+      HandleLoad(conn, header.id, request);
       break;
     case RequestLine::Op::kStats:
-      ReactorSend(r, conn,
-                  wire::EncodeStatsResponse(header.id, MetricsSnapshot()));
+      LoopSend(conn, wire::EncodeStatsResponse(header.id, MetricsSnapshot()));
       break;
     case RequestLine::Op::kShutdown:
-      HandleShutdown(r, conn, header.id);
+      HandleShutdown(conn, header.id);
       break;
   }
 }
 
-void AsyncServer::Impl::HandleLoad(Reactor& r,
-                                   const std::shared_ptr<Connection>& conn,
+void AsyncServer::Impl::HandleLoad(const std::shared_ptr<Connection>& conn,
                                    uint64_t id, const RequestLine& request) {
+  // Registry mutation is HDIDX_BUILD_ONLY: park every shard worker and
+  // wait out the in-flight serves so no Find() races the load. Only
+  // in-flight — queued predicts stay queued (a parked worker cannot drain
+  // them, so waiting for empty queues here would deadlock the loop) and
+  // are served against the updated registry after Resume. The loop itself
+  // is the only thread that loads or admits, so nothing else contends.
   wire::LoadResult result;
   result.dataset = request.load_dataset;
-  {
-    // Registry mutation is HDIDX_BUILD_ONLY: park every shard worker and
-    // wait out the in-flight serves so no Find() races the load. Only
-    // in-flight — queued predicts stay queued (a parked worker cannot
-    // drain them, so waiting for empty queues here would deadlock the
-    // reactor) and are served against the updated registry after Resume.
-    // Other reactors keep accepting; their predicts queue up, or shed
-    // when the paused queues fill.
-    common::MutexLock lock(&load_mu_);
-    for (auto& queue : queues_) queue->Pause();
-    for (auto& queue : queues_) queue->WaitActiveDrained();
-    std::string load_error;
-    result.ok = service_->registry().LoadFile(request.load_dataset,
-                                              request.load_path, &load_error);
-    if (result.ok) {
-      const data::Dataset* dataset =
-          service_->registry().Find(request.load_dataset);
-      result.points = dataset->size();
-      result.dims = static_cast<uint32_t>(dataset->dim());
-      result.shard = static_cast<uint32_t>(
-          service_->registry().ShardOf(request.load_dataset));
-    } else {
-      result.error = load_error;
-    }
-    for (auto& queue : queues_) queue->Resume();
+  for (auto& queue : queues_) queue->Pause();
+  for (auto& queue : queues_) queue->WaitActiveDrained();
+  std::string load_error;
+  result.ok = service_->registry().LoadFile(request.load_dataset,
+                                            request.load_path, &load_error);
+  if (result.ok) {
+    const data::Dataset* dataset =
+        service_->registry().Find(request.load_dataset);
+    result.points = dataset->size();
+    result.dims = static_cast<uint32_t>(dataset->dim());
+    result.shard = static_cast<uint32_t>(
+        service_->registry().ShardOf(request.load_dataset));
+  } else {
+    result.error = load_error;
   }
-  ReactorSend(r, conn, wire::EncodeLoadResponse(id, result));
+  for (auto& queue : queues_) queue->Resume();
+  LoopSend(conn, wire::EncodeLoadResponse(id, result));
 }
 
-void AsyncServer::Impl::HandleShutdown(
-    Reactor& r, const std::shared_ptr<Connection>& conn, uint64_t id) {
+void AsyncServer::Impl::HandleShutdown(const std::shared_ptr<Connection>& conn,
+                                       uint64_t id) {
   // Drain first so every admitted predict's response is buffered on its
   // connection before the ack — a pipelined client that reads to the ack
-  // has, by then, every response it was owed. Three things keep the
-  // drain finite: BeginDrain sheds new predicts (sustained arrivals from
-  // other reactors cannot extend the wait), Resume unparks workers (a
-  // test-seam pause would otherwise stall WaitIdle forever), and
-  // load_mu_ keeps the Resume from unparking workers in the middle of a
-  // concurrent registry load.
-  {
-    common::MutexLock lock(&load_mu_);
-    for (auto& queue : queues_) queue->BeginDrain();
-    for (auto& queue : queues_) queue->Resume();
-    for (auto& queue : queues_) queue->WaitIdle();
-  }
-  ReactorSend(r, conn, wire::EncodeShutdownResponse(
-                           id, served_.load(std::memory_order_relaxed)));
+  // has, by then, every response it was owed. The loop is the only thread
+  // that admits predicts, so the drain is finite; BeginDrain sheds the
+  // predicts parsed after this frame, and Resume unparks workers (a
+  // test-seam pause would otherwise stall WaitIdle forever).
+  for (auto& queue : queues_) queue->BeginDrain();
+  for (auto& queue : queues_) queue->Resume();
+  for (auto& queue : queues_) queue->WaitIdle();
+  LoopSend(conn, wire::EncodeShutdownResponse(
+                     id, served_.load(std::memory_order_relaxed)));
   Stop();
 }
 
-void AsyncServer::Impl::ReactorSend(Reactor& r,
-                                    const std::shared_ptr<Connection>& conn,
-                                    std::string frame, bool close_after) {
+void AsyncServer::Impl::LoopSend(const std::shared_ptr<Connection>& conn,
+                                 std::string frame, bool close_after) {
   {
     common::MutexLock lock(&conn->mu);
     if (conn->closed) return;
     conn->outbound.append(frame);
     if (close_after) conn->close_after_flush = true;
   }
-  FlushConnection(r, conn);
+  FlushConnection(conn);
 }
 
 void AsyncServer::Impl::SendFromWorker(
@@ -795,38 +737,25 @@ void AsyncServer::Impl::SendFromWorker(
     conn->outbound.append(frame);
   }
   if (was_drained) {
-    // First bytes since the last full drain: the reactor has neither
-    // EPOLLOUT armed nor a flush pending, so nudge it.
-    Reactor& r = *reactors_[conn->reactor];
+    // First bytes since the last full drain: the loop has neither EPOLLOUT
+    // armed nor a flush pending, so nudge it.
     {
-      common::MutexLock lock(&r.inbox_mu);
-      r.pending_flushes.push_back(conn);
+      common::MutexLock lock(&flush_mu_);
+      pending_flushes_.push_back(conn);
     }
-    WakeEventFd(r.wake_fd);
+    WakeEventFd(wake_fd_);
   }
 }
 
 void AsyncServer::Impl::FlushConnection(
-    Reactor& r, const std::shared_ptr<Connection>& conn) {
+    const std::shared_ptr<Connection>& conn) {
   bool close_now = false;
   bool want_write = false;
   size_t pending = 0;
   {
     common::MutexLock lock(&conn->mu);
     if (conn->closed) return;
-    while (conn->out_offset < conn->outbound.size()) {
-      const ssize_t n =
-          SendBytes(conn->fd, conn->outbound.data() + conn->out_offset,
-                    conn->outbound.size() - conn->out_offset);
-      if (n > 0) {
-        conn->out_offset += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      close_now = true;  // peer vanished mid-write
-      break;
-    }
+    close_now = !conn->WriteOutbound(/*poll_rounds=*/0);
     if (!close_now) {
       if (conn->out_offset == conn->outbound.size()) {
         conn->outbound.clear();
@@ -839,19 +768,18 @@ void AsyncServer::Impl::FlushConnection(
     }
   }
   if (close_now) {
-    CloseConnection(r, conn);
+    CloseConnection(conn);
     return;
   }
-  UpdateInterest(r, conn, want_write, pending);
+  UpdateInterest(conn, want_write, pending);
 }
 
-void AsyncServer::Impl::UpdateInterest(
-    Reactor& r, const std::shared_ptr<Connection>& conn, bool want_write,
-    size_t pending_bytes) {
+void AsyncServer::Impl::UpdateInterest(const std::shared_ptr<Connection>& conn,
+                                       bool want_write, size_t pending_bytes) {
   // Backpressure: a peer that stops reading accumulates outbound bytes;
   // past the limit we stop reading *it* until its buffer fully drains, so
   // a slow consumer cannot pin unbounded response memory.
-  if (pending_bytes > options_.write_buffer_limit) {
+  if (pending_bytes > kWriteBufferLimit) {
     conn->reading_paused = true;
   } else if (pending_bytes == 0) {
     conn->reading_paused = false;
@@ -862,55 +790,37 @@ void AsyncServer::Impl::UpdateInterest(
   epoll_event ev{};
   ev.events = wanted;
   ev.data.fd = conn->fd;
-  if (::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
     conn->armed_events = wanted;
   }
 }
 
 void AsyncServer::Impl::CloseConnection(
-    Reactor& r, const std::shared_ptr<Connection>& conn) {
-  const auto it = r.conns.find(conn->fd);
-  if (it == r.conns.end()) return;  // already closed
+    const std::shared_ptr<Connection>& conn) {
+  const auto it = conns_.find(conn->fd);
+  if (it == conns_.end()) return;  // already closed
   {
     common::MutexLock lock(&conn->mu);
     conn->closed = true;
   }
-  ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
-  r.conns.erase(it);
+  conns_.erase(it);
 }
 
-void AsyncServer::Impl::CleanupReactor(Reactor& r) {
+void AsyncServer::Impl::CloseAllConnections() {
   // Deliver what is already buffered (e.g. the shutdown ack) with a
   // bounded best-effort flush, then close everything. The fd stays
   // non-blocking throughout: a peer that stopped reading gets a small
   // POLLOUT grace budget, not a hold on shutdown — an unflushed tail is
   // the peer's loss, a wedged Wait()/JoinAll() would be everyone's.
-  for (auto& [fd, conn] : r.conns) {
+  for (auto& [fd, conn] : conns_) {
     common::MutexLock lock(&conn->mu);
     conn->closed = true;
-    int budget = kFlushPollRounds;
-    while (conn->out_offset < conn->outbound.size()) {
-      const ssize_t n =
-          SendBytes(fd, conn->outbound.data() + conn->out_offset,
-                    conn->outbound.size() - conn->out_offset);
-      if (n > 0) {
-        conn->out_offset += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
-          budget > 0) {
-        --budget;
-        pollfd pfd{fd, POLLOUT, 0};
-        ::poll(&pfd, 1, kFlushPollMs);
-        continue;
-      }
-      break;  // peer vanished, or the grace budget is spent
-    }
+    conn->WriteOutbound(kFlushPollRounds);
     ::close(fd);
   }
-  r.conns.clear();
+  conns_.clear();
 }
 
 AsyncServer::AsyncServer(PredictionService* service,

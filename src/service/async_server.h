@@ -6,7 +6,6 @@
 #include <string>
 
 #include "service/prediction_service.h"
-#include "service/wire.h"
 
 namespace hdidx::service {
 
@@ -16,44 +15,39 @@ struct AsyncServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Event-loop threads connections are round-robined across.
-  size_t num_reactors = 1;
   /// Admission-control bound on each shard's request queue; a predict
   /// arriving at a full queue is answered with a load-shed frame.
   size_t shard_queue_capacity = 64;
   /// Retry-after hint carried by load-shed responses.
   uint32_t retry_after_ms = 50;
-  /// Largest accepted frame payload.
-  size_t max_frame_payload = wire::kDefaultMaxPayload;
-  /// Per-connection outbound high watermark: above this many buffered
-  /// bytes the reactor stops reading the connection (pipelining
-  /// backpressure) until the peer drains half of it.
-  size_t write_buffer_limit = 4u << 20;
 };
 
 /// Epoll-based binary-protocol front-end over a PredictionService.
 ///
-/// Architecture: one non-blocking acceptor thread round-robins incoming
-/// connections across `num_reactors` epoll event loops; reactors only read
-/// and frame requests (see wire.h) — for predicts they peek the leading
-/// dataset string to pick a shard and enqueue the still-encoded frame onto
-/// that shard's bounded queue, so payload decode runs on the shard worker,
-/// not the shared event loop. One worker thread per shard decodes, serves
-/// via PredictionService::ServeOnShard, and hands the encoded response back
-/// to the owning reactor to write. A well-framed payload that fails to
-/// decode on the worker is answered with a kError frame echoing the id,
-/// in per-shard FIFO order, and the connection keeps serving (the
-/// two-level error contract of wire.h is placement-invariant). Control
-/// ops (load/stats/shutdown) stay reactor-inline. Connections are fully
-/// pipelined: any number of in-flight requests, responses matched by frame
-/// id (responses may interleave across shards, not within one).
+/// Architecture: one epoll event loop accepts connections on the
+/// non-blocking listen socket and reads and frames their requests (see
+/// wire.h) — for predicts it peeks the leading dataset string to pick a
+/// shard and enqueues the still-encoded frame onto that shard's bounded
+/// queue, so payload decode runs on the shard worker, not the shared loop.
+/// One worker thread per shard decodes, serves via
+/// PredictionService::ServeOnShard, and hands the encoded response back to
+/// the loop to write. A started server runs 1 + num_shards threads. A
+/// well-framed payload that fails to decode on the worker is answered with
+/// a kError frame echoing the id, in per-shard FIFO order, and the
+/// connection keeps serving (the two-level error contract of wire.h is
+/// placement-invariant). Control ops (load/stats/shutdown) run inline on
+/// the loop. Connections are fully pipelined: any number of in-flight
+/// requests, responses matched by frame id (responses may interleave
+/// across shards, not within one). When accept runs out of descriptors or
+/// buffers, the listen socket leaves the interest set for a 20 ms backoff
+/// while connected clients keep being served.
 ///
 /// Admission control: a predict that finds its shard queue full is
 /// answered immediately with a kFlagShed frame carrying retry_after_ms;
 /// queue depth, peak depth, and shed counts surface per shard through the
-/// stats op. A connection whose outbound buffer passes write_buffer_limit
-/// stops being read until it drains — slow readers throttle themselves,
-/// not the server.
+/// stats op. A connection with more than 4 MiB of unsent responses stops
+/// being read until they drain — slow readers throttle themselves, not the
+/// server. Frame payloads are bounded by wire::kDefaultMaxPayload.
 ///
 /// The deterministic payload of every predict response is bit-identical
 /// to what the JSON transport would serve for the same request (the
@@ -67,7 +61,7 @@ class AsyncServer {
   AsyncServer(const AsyncServer&) = delete;
   AsyncServer& operator=(const AsyncServer&) = delete;
 
-  /// Binds, listens, and spawns the acceptor/reactor/worker threads.
+  /// Binds, listens, and spawns the event-loop and shard-worker threads.
   /// Returns false (with *error set) on socket failures.
   bool Start(std::string* error);
 
@@ -80,8 +74,8 @@ class AsyncServer {
   /// served (shed responses excluded), matching the JSON loop's count.
   uint64_t Wait();
 
-  /// Signals the server to stop; safe from any thread (including a
-  /// reactor). Threads are joined by Wait() or the destructor.
+  /// Signals the server to stop; safe from any thread (including the
+  /// event loop). Threads are joined by Wait() or the destructor.
   void Stop();
 
   /// Predict responses served so far (shed responses excluded).

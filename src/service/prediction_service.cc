@@ -81,6 +81,40 @@ std::string ValidateRequest(const ServiceRequest& request,
   return "";
 }
 
+core::PredictionResult PredictRequest(const ServiceRequest& request,
+                                      const data::Dataset& dataset,
+                                      const index::TreeTopology& topology,
+                                      const workload::QueryWorkload& workload,
+                                      size_t h_upper, uint64_t seed,
+                                      const common::ExecutionContext& ctx) {
+  const size_t memory = std::min(request.memory, dataset.size());
+  if (request.method == "mini") {
+    core::MiniIndexParams params;
+    params.sampling_fraction =
+        static_cast<double>(memory) / static_cast<double>(dataset.size());
+    params.seed = seed;
+    return core::PredictWithMiniIndex(dataset, topology, workload, params,
+                                      ctx);
+  }
+  io::DiskModel disk;
+  disk.page_bytes = request.page_bytes;
+  io::PagedFile file = io::PagedFile::View(dataset, disk);
+  if (h_upper == 0) h_upper = core::ChooseHupper(topology, memory);
+  if (request.method == "cutoff") {
+    core::CutoffParams params;
+    params.memory_points = memory;
+    params.h_upper = h_upper;
+    params.seed = seed;
+    return core::PredictWithCutoffTree(&file, topology, workload, params, ctx);
+  }
+  core::ResampledParams params;
+  params.memory_points = memory;
+  params.h_upper = h_upper;
+  params.seed = seed;
+  return core::PredictWithResampledTree(&file, topology, workload, params,
+                                        ctx);
+}
+
 struct PredictionService::Shard {
   explicit Shard(const ServiceOptions& options, size_t threads)
       : pool(threads),
@@ -199,32 +233,8 @@ ServiceResponse PredictionService::Compute(Shard* shard,
     workload = std::move(fresh);
   }
 
-  const uint64_t prediction_seed = request.seed + 1;
-  if (request.method == "mini") {
-    core::MiniIndexParams params;
-    params.sampling_fraction =
-        std::min(1.0, static_cast<double>(memory) /
-                          static_cast<double>(dataset->size()));
-    params.seed = prediction_seed;
-    response.result = core::PredictWithMiniIndex(*dataset, topology,
-                                                 *workload, params, ctx);
-  } else if (request.method == "cutoff") {
-    io::PagedFile file = io::PagedFile::View(*dataset, disk);
-    core::CutoffParams params;
-    params.memory_points = memory;
-    params.h_upper = core::ChooseHupper(topology, memory);
-    params.seed = prediction_seed;
-    response.result =
-        core::PredictWithCutoffTree(&file, topology, *workload, params, ctx);
-  } else {
-    io::PagedFile file = io::PagedFile::View(*dataset, disk);
-    core::ResampledParams params;
-    params.memory_points = memory;
-    params.h_upper = core::ChooseHupper(topology, memory);
-    params.seed = prediction_seed;
-    response.result = core::PredictWithResampledTree(&file, topology,
-                                                     *workload, params, ctx);
-  }
+  response.result = PredictRequest(request, *dataset, topology, *workload,
+                                   /*h_upper=*/0, request.seed + 1, ctx);
   response.ok = true;
   response.served_io = response.result.io;
   {

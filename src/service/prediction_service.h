@@ -10,6 +10,7 @@
 
 #include "common/parallel.h"
 #include "core/predictor.h"
+#include "index/topology.h"
 #include "io/io_stats.h"
 #include "io/keyed_lru_cache.h"
 #include "service/dataset_registry.h"
@@ -54,6 +55,20 @@ struct ServiceRequest {
 /// refuses.
 std::string ValidateRequest(const ServiceRequest& request,
                             const data::Dataset& dataset);
+
+/// Runs `request.method` over `workload` with prediction seed `seed`, the
+/// memory budget served as M = min(request.memory, N): mini samples a
+/// fraction M / N of `dataset`; cutoff and resampled read it through a
+/// PagedFile::View of `request.page_bytes` pages, with upper-tree height
+/// `h_upper` (0 picks core::ChooseHupper(topology, M)). `request` must
+/// have passed ValidateRequest. PredictionService and hdidx_predict both
+/// call it, so the CLI predicts exactly what the service serves.
+core::PredictionResult PredictRequest(const ServiceRequest& request,
+                                      const data::Dataset& dataset,
+                                      const index::TreeTopology& topology,
+                                      const workload::QueryWorkload& workload,
+                                      size_t h_upper, uint64_t seed,
+                                      const common::ExecutionContext& ctx);
 
 /// The deterministic payload plus serving metadata. Everything under
 /// `result` (and `result_valid`/`error`) is bit-identical for a given

@@ -1,5 +1,6 @@
 #include "index/rtree.h"
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -22,7 +23,7 @@ RTree MakeTwoLeafTree() {
       tree.AddLeaf(geometry::BoundingBox({0, 0}, {0.4f, 1}), 1, 0, 10);
   const uint32_t b =
       tree.AddLeaf(geometry::BoundingBox({0.6f, 0}, {1, 1}), 1, 10, 10);
-  const uint32_t root = tree.AddDirectory(2, {a, b});
+  const uint32_t root = tree.AddDirectory(2, std::array{a, b});
   tree.SetRoot(root);
   return tree;
 }
@@ -133,9 +134,9 @@ TEST(RTreeTest, ThreeLevelTraversalPrunes) {
   const uint32_t l1 = tree.AddLeaf(geometry::BoundingBox({0}, {1}), 1, 0, 2);
   const uint32_t l2 = tree.AddLeaf(geometry::BoundingBox({2}, {3}), 1, 2, 2);
   const uint32_t l3 = tree.AddLeaf(geometry::BoundingBox({8}, {9}), 1, 4, 2);
-  const uint32_t d1 = tree.AddDirectory(2, {l1, l2});
-  const uint32_t d2 = tree.AddDirectory(2, {l3});
-  const uint32_t root = tree.AddDirectory(3, {d1, d2});
+  const uint32_t d1 = tree.AddDirectory(2, std::array{l1, l2});
+  const uint32_t d2 = tree.AddDirectory(2, std::array{l3});
+  const uint32_t root = tree.AddDirectory(3, std::array{d1, d2});
   tree.SetRoot(root);
 
   // Query near the left group: must not read d2 or l3.

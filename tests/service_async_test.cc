@@ -2,6 +2,8 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -134,6 +136,13 @@ class WireClient {
     }
   }
 
+  /// True iff response bytes arrive within `timeout_ms`.
+  bool Readable(int timeout_ms) {
+    if (!buffer_.empty()) return true;
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, timeout_ms) == 1;
+  }
+
   /// True iff the server closes the connection without sending more frames.
   bool ReadClosed() {
     wire::FrameHeader header;
@@ -169,6 +178,52 @@ uint64_t ShutdownAndWait(WireClient* client, AsyncServer* server) {
   EXPECT_EQ(header.id, 999u);
   EXPECT_EQ(server->Wait(), served);
   return served;
+}
+
+/// Sends one predict with `id` and expects it served.
+void ExpectServed(WireClient* client, uint64_t id) {
+  ASSERT_TRUE(
+      client->Send(wire::EncodePredictRequest(Req("alpha", "mini", 1, id))));
+  wire::FrameHeader header;
+  std::string payload;
+  std::string error;
+  ASSERT_TRUE(client->Read(&header, &payload, &error)) << error;
+  wire::PredictReply reply;
+  ASSERT_TRUE(wire::DecodePredictResponse(header, payload, &reply, &error))
+      << error;
+  EXPECT_TRUE(reply.response.ok) << reply.response.error;
+  EXPECT_EQ(reply.response.id, id);
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE until Restore() or scope exit.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() { Restore(); }
+
+  bool ok() const { return ok_; }
+  void Restore() {
+    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+    ok_ = false;
+  }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+/// User plus system CPU time of the whole process, in seconds.
+double ProcessCpuSeconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(usage.ru_utime.tv_usec +
+                                    usage.ru_stime.tv_usec);
 }
 
 /// The determinism battery: one request per (dataset, method, seed).
@@ -243,42 +298,47 @@ TEST(AsyncServerTest, BinaryMatchesJsonAcrossShardCountsPipelined) {
 
   for (const size_t shards : {1, 2, 4}) {
     auto svc = MakeService(shards);
-    AsyncServerOptions options;
-    options.num_reactors = 2;
-    AsyncServer server(svc.get(), options);
+    AsyncServer server(svc.get(), AsyncServerOptions{});
     std::string error;
     ASSERT_TRUE(server.Start(&error)) << error;
 
-    WireClient client;
-    ASSERT_TRUE(client.Connect(server.port()));
-    // Fully pipelined: every request frame on the wire before any response
-    // is read. Responses interleave across shards — match by id.
-    std::string frames;
+    // Two clients pipeline the whole battery at once on the one event
+    // loop: every request frame of both is on the wire, interleaved
+    // request by request, before any response is read. Responses
+    // interleave across shards — each client matches its own by id.
+    WireClient clients[2];
+    for (WireClient& client : clients) {
+      ASSERT_TRUE(client.Connect(server.port()));
+    }
     for (const ServiceRequest& r : requests) {
-      frames += wire::EncodePredictRequest(r);
+      for (WireClient& client : clients) {
+        ASSERT_TRUE(client.Send(wire::EncodePredictRequest(r)));
+      }
     }
-    ASSERT_TRUE(client.Send(frames));
 
-    size_t matched = 0;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      wire::FrameHeader header;
-      std::string payload;
-      ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
-      wire::PredictReply reply;
-      ASSERT_TRUE(
-          wire::DecodePredictResponse(header, payload, &reply, &error))
-          << error;
-      ASSERT_TRUE(reply.response.ok) << reply.response.error;
-      ASSERT_FALSE(reply.shed);
-      const auto it = reference.find(reply.response.id);
-      ASSERT_NE(it, reference.end());
-      EXPECT_EQ(SerializeResult(reply.response, reply.per_query), it->second)
-          << "request id " << reply.response.id << ", " << shards
-          << " shards";
-      ++matched;
+    for (size_t c = 0; c < 2; ++c) {
+      std::map<uint64_t, size_t> answered;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        wire::FrameHeader header;
+        std::string payload;
+        ASSERT_TRUE(clients[c].Read(&header, &payload, &error)) << error;
+        wire::PredictReply reply;
+        ASSERT_TRUE(
+            wire::DecodePredictResponse(header, payload, &reply, &error))
+            << error;
+        ASSERT_TRUE(reply.response.ok) << reply.response.error;
+        ASSERT_FALSE(reply.shed);
+        const auto it = reference.find(reply.response.id);
+        ASSERT_NE(it, reference.end());
+        EXPECT_EQ(SerializeResult(reply.response, reply.per_query),
+                  it->second)
+            << "client " << c << ", request id " << reply.response.id
+            << ", " << shards << " shards";
+        ++answered[reply.response.id];
+      }
+      EXPECT_EQ(answered.size(), requests.size()) << "client " << c;
     }
-    EXPECT_EQ(matched, requests.size());
-    EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());
+    EXPECT_EQ(ShutdownAndWait(&clients[0], &server), 2 * requests.size());
   }
 }
 
@@ -796,6 +856,57 @@ TEST(AsyncServerTest, WorkerDecodeErrorsKeepIdAndOrderAndSkipServedCount) {
 
   // Only the two well-formed predicts count as served.
   EXPECT_EQ(ShutdownAndWait(&client, &server), 2u);
+}
+
+TEST(AsyncServerTest, AcceptBacksOffOnFdExhaustionAndKeepsServing) {
+  auto svc = MakeService(1);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient a;
+  ASSERT_TRUE(a.Connect(server.port()));
+  ASSERT_NO_FATAL_FAILURE(ExpectServed(&a, 1));  // A is accepted
+
+  // B's socket takes the lowest free descriptor number. With the soft
+  // limit just above it, B connects (the kernel completes the handshake
+  // into the listen backlog) but the server's accept, which needs a
+  // higher number, fails with EMFILE.
+  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(probe, 0);
+  ::close(probe);
+  ScopedFdLimit limit(static_cast<rlim_t>(probe) + 1);
+  ASSERT_TRUE(limit.ok());
+  WireClient b;
+  ASSERT_TRUE(b.Connect(server.port()));
+  ASSERT_TRUE(
+      b.Send(wire::EncodePredictRequest(Req("alpha", "mini", 2, 100))));
+
+  // B stays unserved, and the loop backs off instead of spinning on the
+  // failing accept: 300 ms of waiting cost the process little CPU.
+  const double cpu_before = ProcessCpuSeconds();
+  EXPECT_FALSE(b.Readable(300));
+  EXPECT_LT(ProcessCpuSeconds() - cpu_before, 0.15);
+  // A is served throughout.
+  for (uint64_t id = 2; id <= 4; ++id) {
+    ASSERT_NO_FATAL_FAILURE(ExpectServed(&a, id));
+  }
+  EXPECT_FALSE(b.Readable(0));
+
+  // Descriptors are back: the re-armed listen socket accepts B, whose
+  // queued predict is then served, within a bounded wait.
+  limit.Restore();
+  ASSERT_TRUE(b.Readable(5000));
+  wire::FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(b.Read(&header, &payload, &error)) << error;
+  wire::PredictReply reply;
+  ASSERT_TRUE(wire::DecodePredictResponse(header, payload, &reply, &error))
+      << error;
+  EXPECT_TRUE(reply.response.ok) << reply.response.error;
+  EXPECT_EQ(reply.response.id, 100u);
+  ASSERT_NO_FATAL_FAILURE(ExpectServed(&b, 101));
+
+  EXPECT_EQ(ShutdownAndWait(&a, &server), 6u);
 }
 
 TEST(AsyncServerFuzzTest, RandomStreamsNeverCrashTheServer) {

@@ -21,11 +21,7 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/confidence.h"
-#include "core/cutoff.h"
-#include "core/hupper.h"
-#include "core/mini_index.h"
 #include "core/predictor.h"
-#include "core/resampled.h"
 #include "data/csv.h"
 #include "data/dataset_io.h"
 #include "flags.h"
@@ -113,11 +109,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(h_upper_flag));
     return 2;
   }
-  const size_t h_upper =
-      explicit_h_upper ? h_upper_flag
-                       : (topology.height() >= 3
-                              ? core::ChooseHupper(topology, memory)
-                              : 2);
 
   std::printf("dataset:  %zu points x %zu dims (%s)\n", dataset.size(),
               dataset.dim(), path.c_str());
@@ -132,27 +123,10 @@ int main(int argc, char** argv) {
       workload::QueryWorkload::Create(dataset, q, k, &rng);
 
   auto predict_once = [&](uint64_t prediction_seed) {
-    if (method == "mini") {
-      core::MiniIndexParams params;
-      params.sampling_fraction =
-          std::min(1.0, static_cast<double>(memory) /
-                            static_cast<double>(dataset.size()));
-      params.seed = prediction_seed;
-      return core::PredictWithMiniIndex(dataset, topology, workload, params);
-    }
-    io::PagedFile file = io::PagedFile::View(dataset, disk);
-    if (method == "cutoff") {
-      core::CutoffParams params;
-      params.memory_points = memory;
-      params.h_upper = h_upper;
-      params.seed = prediction_seed;
-      return core::PredictWithCutoffTree(&file, topology, workload, params);
-    }
-    core::ResampledParams params;
-    params.memory_points = memory;
-    params.h_upper = h_upper;
-    params.seed = prediction_seed;
-    return core::PredictWithResampledTree(&file, topology, workload, params);
+    return service::PredictRequest(request, dataset, topology, workload,
+                                   explicit_h_upper ? h_upper_flag : 0,
+                                   prediction_seed,
+                                   common::DefaultExecutionContext());
   };
 
   const core::PredictionResult result = predict_once(seed + 1);

@@ -2,8 +2,9 @@
 //
 // Default transport: the epoll-based async server speaking the
 // length-prefixed binary wire protocol over TCP (see src/service/wire.h,
-// src/service/async_server.h). On startup it prints one JSON ready line
-// carrying the bound port, then serves until a shutdown frame:
+// src/service/async_server.h): one event-loop thread accepts and frames,
+// one worker thread per shard serves. On startup it prints one JSON ready
+// line carrying the bound port, then serves until a shutdown frame:
 //   {"op":"ready","transport":"wire","port":43215,"shards":2,...}
 //
 // Debug transport: --json speaks the original line-delimited flat-JSON
@@ -17,7 +18,7 @@
 //   hdidx_serve [--shards 2] [--threads 8] [--cache-entries 64]
 //               [--workload-cache-entries 32]
 //               [--preload name=path[,name=path...]]
-//               [--port 0] [--host 127.0.0.1] [--reactors 1]
+//               [--port 0] [--host 127.0.0.1]
 //               [--queue-capacity 64] [--retry-after-ms 50]
 //               [--json]
 //
@@ -50,7 +51,7 @@ constexpr char kUsage[] =
     "usage: hdidx_serve [--shards N] [--threads T] [--cache-entries E]\n"
     "                   [--workload-cache-entries E]\n"
     "                   [--preload name=path[,name=path...]]\n"
-    "                   [--port P] [--host H] [--reactors R]\n"
+    "                   [--port P] [--host H]\n"
     "                   [--queue-capacity C] [--retry-after-ms MS]\n"
     "                   [--json]\n";
 
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
   const tools::Flags flags(argc, argv,
                            {"shards", "threads", "cache-entries",
                             "workload-cache-entries", "preload", "port",
-                            "host", "reactors", "queue-capacity",
+                            "host", "queue-capacity",
                             "retry-after-ms", "json"});
 
   service::ServiceOptions options;
@@ -73,7 +74,6 @@ int main(int argc, char** argv) {
   service::AsyncServerOptions async_options;
   async_options.host = flags.GetString("host", "127.0.0.1");
   async_options.port = static_cast<uint16_t>(flags.GetUint("port", 0));
-  async_options.num_reactors = flags.GetUint("reactors", 1);
   async_options.shard_queue_capacity = flags.GetUint("queue-capacity", 64);
   async_options.retry_after_ms =
       static_cast<uint32_t>(flags.GetUint("retry-after-ms", 50));
