@@ -252,8 +252,6 @@ BENCHMARK(BM_BulkLoadThreads)
 //   data_passes         — total page transfers over the data file's pages
 //                         (the issue's headline: adaptive <= half),
 //   pages_read          — total page transfers, exact,
-//   overlap_ratio       — fraction of read-ahead fills already resident
-//                         when consumed (adaptive rows; advisory),
 //   speedup_vs_vamsplit — vamsplit mean wall time over this row's (0 on
 //                         the vamsplit rows themselves).
 // data_passes and pages_read are pure functions of the inputs — no timing
@@ -266,10 +264,7 @@ void BM_ExternalBuild(benchmark::State& state) {
   constexpr size_t kDim = 16;
   const auto data = MakeData(n, kDim);
   const index::TreeTopology topo(n, 33, 16);
-  common::ThreadPool pool(4);
-  const common::ExecutionContext ctx(&pool);
   io::IoStats io;
-  double overlap = 0.0;
   double data_pages = 1.0;
   double total_ns = 0.0;
   for (auto _ : state) {
@@ -283,7 +278,6 @@ void BM_ExternalBuild(benchmark::State& state) {
     options.memory_points = n / 10;
     if (adaptive) {
       options.split_strategy = index::SplitStrategy::kAdaptiveSample;
-      options.exec = &ctx;
     }
     const index::ExternalBuildResult result =
         index::BuildOnDisk(&file, options);
@@ -291,7 +285,6 @@ void BM_ExternalBuild(benchmark::State& state) {
                     std::chrono::steady_clock::now() - start)
                     .count();
     io = result.io;
-    overlap = result.overlap_ratio;
     benchmark::DoNotOptimize(result.tree.num_nodes());
   }
   const std::string family = "external-build/" + std::to_string(n);
@@ -302,7 +295,6 @@ void BM_ExternalBuild(benchmark::State& state) {
   state.counters["data_passes"] =
       static_cast<double>(io.page_transfers) / data_pages;
   state.counters["pages_read"] = static_cast<double>(io.page_transfers);
-  state.counters["overlap_ratio"] = overlap;
   state.counters["speedup_vs_vamsplit"] =
       adaptive && baseline > 0.0 && mean_ns > 0.0 ? baseline / mean_ns : 0.0;
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -416,7 +408,8 @@ void ModeDimSweep(benchmark::internal::Benchmark* b) {
 
 // The predictor hot loop: q=100 k-NN query spheres against every leaf MBR
 // of a 20k-point tree (the slab is built once per prediction inside
-// CountLeafIntersections and shared across queries).
+// CountLeafIntersections and shared across queries). It runs on a serial
+// context, so cpu_time times the kernel, not pool dispatch.
 void BM_CountLeafIntersections(benchmark::State& state) {
   const auto mode = SweepMode(state);
   if (!CheckSweepMode(state, mode)) return;
@@ -432,11 +425,12 @@ void BM_CountLeafIntersections(benchmark::State& state) {
   common::Rng rng(11);
   const auto queries = workload::QueryWorkload::Create(data, 100, 21, &rng);
   geometry::kernels::SetKernelMode(mode);
+  const common::ExecutionContext serial;
   double total_ns = 0.0;
   for (auto _ : state) {
     core::PredictionResult result;
     const auto start = std::chrono::steady_clock::now();
-    core::CountLeafIntersections(leaves, queries, &result);
+    core::CountLeafIntersections(leaves, queries, &result, serial);
     total_ns += std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - start)
                     .count();

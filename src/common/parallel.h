@@ -66,11 +66,11 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 
-  /// Enqueues a fire-and-forget task (the async read-ahead layer's prefetch
-  /// fills). Tasks interleave with ParallelFor jobs: an idle worker prefers
-  /// a queued task, a busy pool runs it when a worker frees up. On a
-  /// 1-thread pool the task runs inline here — same code path, no threads —
-  /// so anything built on Submit is trivially deterministic at 1 thread.
+  /// Enqueues a fire-and-forget task. Tasks interleave with ParallelFor
+  /// jobs: an idle worker prefers a queued task, a busy pool runs it when a
+  /// worker frees up. On a 1-thread pool the task runs inline here — same
+  /// code path, no threads — so anything built on Submit is trivially
+  /// deterministic at 1 thread.
   ///
   /// Tasks must not throw and must synchronize their own completion (the
   /// pool offers no join handle). Tasks still queued when the pool is

@@ -19,8 +19,7 @@ namespace hdidx::index {
 /// roots, and the packing of the upper directory levels over finished
 /// bucket roots. Everything here is a
 /// pure deterministic function of its inputs — no threads, no I/O — which
-/// is what makes adaptive layouts bit-identical across thread counts and
-/// read-ahead windows.
+/// is what makes adaptive layouts bit-identical across thread counts.
 
 /// The level whose subtrees the streaming pass classifies as whole units:
 /// the largest level in [stop_level, root_level - 1] whose UNSCALED subtree

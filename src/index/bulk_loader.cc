@@ -321,8 +321,8 @@ RTree BulkLoad(PointSource* source, const BulkLoadOptions& options) {
   if (options.split_strategy == SplitStrategy::kAdaptiveSample &&
       root_level > options.stop_level) {
     // The source drives its own sample-first pipeline, whose bucket roots
-    // are planned depth-first: bit-identical across thread counts and
-    // read-ahead windows by construction.
+    // are planned depth-first: bit-identical across thread counts by
+    // construction.
     root = source->BuildAdaptiveRoot(options, root_level, &tree);
   } else {
     // Single-owner gate: only sources whose primitives are safe on disjoint

@@ -40,8 +40,7 @@ enum class SplitStrategy {
 
 /// Tuning for SplitStrategy::kAdaptiveSample. All of it is part of the
 /// deterministic layout function: two builds with equal options (and equal
-/// data) produce bit-identical trees regardless of thread count or
-/// read-ahead window.
+/// data) produce bit-identical trees regardless of thread count.
 struct AdaptiveOptions {
   /// Fraction of the points drawn (without replacement, Rng(seed)) by the
   /// split-plane sample pass.
@@ -59,11 +58,6 @@ struct AdaptiveOptions {
   /// bucket level (the capacities compared are unscaled, so the choice is
   /// sampling-fraction invariant).
   size_t memory_points = 0;
-  /// External builds: how many classification chunks the async read-ahead
-  /// layer keeps in flight ahead of the consumer (io/read_ahead.h). 0
-  /// disables prefetch. Never affects the layout or the IoStats tally —
-  /// only wall-clock overlap.
-  size_t read_ahead_window = 4;
 };
 
 struct BulkLoadOptions;

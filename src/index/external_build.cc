@@ -10,11 +10,16 @@
 #include "common/check.h"
 #include "geometry/kernels.h"
 #include "index/adaptive_build.h"
-#include "io/read_ahead.h"
 
 namespace hdidx::index {
 
 namespace {
+
+/// `count` points starting at point index `start` of a file.
+struct Extent {
+  size_t start = 0;
+  size_t count = 0;
+};
 
 /// PointSource over a simulated on-disk file with an M-point memory window.
 ///
@@ -119,7 +124,6 @@ class ExternalPointSource : public PointSource {
   io::IoStats TotalIo() const { return file_->stats() + scratch_.stats(); }
 
   const ExternalBuildIo& phases() const { return phases_; }
-  double overlap_ratio() const { return overlap_ratio_; }
 
  private:
   /// Attributes all I/O charged while the outermost scope is alive to one
@@ -176,12 +180,12 @@ class ExternalPointSource : public PointSource {
   void FlushWindow() {
     if (!window_valid_) return;
     const size_t count = window_hi_ - window_lo_;
-    std::vector<float> out(count * dim_);
+    flush_buffer_.resize(count * dim_);
     for (size_t i = 0; i < count; ++i) {
-      std::memcpy(out.data() + i * dim_, buffer_.data() + perm_[i] * dim_,
-                  dim_ * sizeof(float));
+      std::memcpy(flush_buffer_.data() + i * dim_,
+                  buffer_.data() + perm_[i] * dim_, dim_ * sizeof(float));
     }
-    file_->Write(window_lo_, count, out.data());
+    file_->Write(window_lo_, count, flush_buffer_.data());
     window_valid_ = false;
   }
 
@@ -292,13 +296,13 @@ class ExternalPointSource : public PointSource {
 
   std::vector<float> buffer_;
   std::vector<uint32_t> perm_;
+  std::vector<float> flush_buffer_;  // FlushWindow's leaf-order staging
   size_t window_lo_ = 0;
   size_t window_hi_ = 0;
   bool window_valid_ = false;
 
   ExternalBuildIo phases_;
   size_t scope_depth_ = 0;
-  double overlap_ratio_ = 0.0;
 };
 
 uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
@@ -334,75 +338,76 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
   sample.clear();
   sample.shrink_to_fit();
 
-  // Streaming classification pass: one prefetched sequential sweep over the
-  // file; each chunk's points are routed by the plan and appended as
-  // per-bucket runs to a log on the scratch file. The chunk size is a
-  // page-aligned function of M only, so layouts and IoStats are identical
-  // for every read-ahead window and thread count.
-  std::vector<std::vector<io::ReadAheadSource::Extent>> bucket_runs(
-      plan.num_buckets());
+  // Streaming classification pass: one sequential sweep over the file in
+  // page-aligned chunks whose size is a function of M only. Each chunk is
+  // charged in plan order and its points are routed by the plan straight
+  // out of raw(), the same in-place read as ClassifyPass.
+  std::vector<std::vector<Extent>> bucket_runs(plan.num_buckets());
   {
     PhaseScope scope(this, &phases_.partition);
     if (scratch_.size() < n) scratch_.Resize(n);
     const size_t ppp = file_->points_per_page();
     const size_t chunk = std::max(ppp, memory_points_ / 8 / ppp * ppp);
-    std::vector<io::ReadAheadSource::Extent> read_plan;
-    read_plan.reserve(n / chunk + 1);
-    for (size_t lo = 0; lo < n; lo += chunk) {
-      read_plan.push_back({lo, std::min(chunk, n - lo)});
-    }
-    common::ThreadPool* pool =
-        options.exec != nullptr ? options.exec->pool : nullptr;
-    io::ReadAheadSource reader(file_, std::move(read_plan),
-                               options.adaptive.read_ahead_window, pool);
+    const auto raw = file_->raw();
     // Staged points persist across chunks; once half the memory budget is
     // staged, every bucket is flushed at once as a single contiguous,
     // bucket-ordered batch — one Write call, so the transfer cost is
     // ceil(batch / page) instead of one-plus per bucket, and each batch
     // later contributes one contiguous extent per gather group. The flush
-    // schedule depends only on the chunk sequence, which is itself window-
-    // and thread-invariant.
-    std::vector<std::vector<float>> stage(plan.num_buckets());
-    size_t staged = 0;
-    size_t frontier = 0;
+    // schedule depends only on the chunk sequence.
+    //
+    // Chunks tile the file in order and every staged point is flushed, so
+    // the staged points are always the rows [frontier, frontier + staged);
+    // the stage keeps only their bucket ids, and the flush counting-sorts
+    // the rows (stably: chronological within a bucket) into `batch`.
     const size_t stage_budget = std::max(chunk, memory_points_ / 2);
-    std::vector<float> batch;
+    std::vector<uint32_t> stage;
+    stage.reserve(stage_budget + chunk);
+    // The window stays empty until the gather below, so its buffer holds
+    // the batch: one allocation serves both passes.
+    HDIDX_CHECK(!window_valid_);
+    buffer_.resize((stage_budget + chunk) * d);
+    float* const batch = buffer_.data();
+    // Staged points per bucket; during a flush, the bucket's next batch row.
+    std::vector<size_t> bucket_fill(plan.num_buckets(), 0);
+    size_t frontier = 0;
     const auto flush_all = [&] {
-      if (staged == 0) return;
-      batch.clear();
-      size_t pos = frontier;
-      for (size_t b = 0; b < stage.size(); ++b) {
-        const size_t run = stage[b].size() / d;
+      if (stage.empty()) return;
+      size_t pos = 0;
+      for (size_t b = 0; b < bucket_fill.size(); ++b) {
+        const size_t run = bucket_fill[b];
         if (run == 0) continue;
-        batch.insert(batch.end(), stage[b].begin(), stage[b].end());
-        bucket_runs[b].push_back({pos, run});
+        bucket_runs[b].push_back({frontier + pos, run});
+        bucket_fill[b] = pos;
         pos += run;
-        stage[b].clear();
       }
-      scratch_.Write(frontier, staged, batch.data());
-      frontier = pos;
-      staged = 0;
+      for (size_t i = 0; i < stage.size(); ++i) {
+        std::copy_n(raw.data() + (frontier + i) * d, d,
+                    batch + bucket_fill[stage[i]]++ * d);
+      }
+      scratch_.Write(frontier, stage.size(), batch);
+      frontier += stage.size();
+      stage.clear();
+      std::fill(bucket_fill.begin(), bucket_fill.end(), 0);
     };
-    while (!reader.done()) {
-      const auto rows = reader.Next();
-      const size_t count = rows.size() / d;
-      for (size_t i = 0; i < count; ++i) {
-        const float* row = rows.data() + i * d;
-        const size_t b = plan.BucketOf(row);
-        stage[b].insert(stage[b].end(), row, row + d);
+    for (size_t lo = 0; lo < n; lo += chunk) {
+      const size_t count = std::min(chunk, n - lo);
+      file_->ChargeAccess(lo, count);
+      for (size_t i = lo; i < lo + count; ++i) {
+        const size_t b = plan.BucketOf(raw.data() + i * d);
+        ++bucket_fill[b];
+        stage.push_back(static_cast<uint32_t>(b));
       }
-      staged += count;
-      if (staged > stage_budget) flush_all();
+      if (stage.size() > stage_budget) flush_all();
     }
     flush_all();
     HDIDX_CHECK(frontier == n) << "classification lost points";
-    overlap_ratio_ = reader.overlap_ratio();
   }
 
   // Concatenated in bucket order (runs chronological within a bucket), the
   // staged runs are the full dataset in classified stream order — the same
   // order the in-memory pipeline's counting sort produces.
-  std::vector<io::ReadAheadSource::Extent> stream_runs;
+  std::vector<Extent> stream_runs;
   stream_runs.reserve(n / file_->points_per_page() + plan.num_buckets());
   for (size_t b = 0; b < plan.num_buckets(); ++b) {
     stream_runs.insert(stream_runs.end(), bucket_runs[b].begin(),
@@ -425,7 +430,7 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
   // deterministic permutation of the group, which the in-window quickselect
   // re-partitions anyway.
   const auto gather_extents = [&](size_t need) {
-    std::vector<io::ReadAheadSource::Extent> parts;
+    std::vector<Extent> parts;
     while (need > 0) {
       HDIDX_CHECK(run_idx < stream_runs.size()) << "staged runs exhausted";
       const auto& run = stream_runs[run_idx];
@@ -439,11 +444,10 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
       }
     }
     std::sort(parts.begin(), parts.end(),
-              [](const io::ReadAheadSource::Extent& a,
-                 const io::ReadAheadSource::Extent& b) {
+              [](const Extent& a, const Extent& b) {
                 return a.start < b.start;
               });
-    std::vector<io::ReadAheadSource::Extent> merged;
+    std::vector<Extent> merged;
     for (const auto& e : parts) {
       if (!merged.empty() &&
           merged.back().start + merged.back().count == e.start) {
@@ -523,13 +527,11 @@ ExternalBuildResult BuildOnDisk(io::PagedFile* file,
   load.adaptive.memory_points = options.memory_points;
   // The source's kSingleOwner contract makes this a no-op for the build
   // order; forwarding it anyway keeps the call shape uniform and exercises
-  // the gate (tests assert IoStats are thread-count invariant). The
-  // adaptive pipeline additionally borrows the pool for read-ahead.
+  // the gate (tests assert IoStats are thread-count invariant).
   load.exec = options.exec;
   ExternalBuildResult result{BulkLoad(&source, load), io::IoStats{},
                              ExternalBuildIo{}, 0.0};
   result.phases = source.phases();
-  result.overlap_ratio = source.overlap_ratio();
 
   // Charge writing the directory pages: one sequential write of all
   // non-leaf nodes (one page each). The seek lands on the file; the

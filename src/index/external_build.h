@@ -20,7 +20,7 @@ struct ExternalBuildOptions {
   /// How the external partitioning works (see SplitStrategy). The classic
   /// strategies drive the multi-pass external quickselect; kAdaptiveSample
   /// replaces it with one sample pass choosing the whole split-plane tree
-  /// and one streaming classification pass with async read-ahead.
+  /// and one streaming classification pass.
   SplitStrategy split_strategy = SplitStrategy::kMaxVariance;
   /// Tuning for kAdaptiveSample (ignored otherwise). BuildOnDisk overrides
   /// adaptive.memory_points with `memory_points` so bucket placement always
@@ -31,10 +31,8 @@ struct ExternalBuildOptions {
   /// (PointSource::Concurrency), so BulkLoad always runs its build plan
   /// depth-first: every PagedFile access — whose seek charging is
   /// order-sensitive — happens on the calling thread in depth-first order,
-  /// and the resulting IoStats are identical for every thread count.
-  /// kAdaptiveSample additionally borrows the context's ThreadPool for
-  /// read-ahead prefetch, which by the ReadAheadSource contract changes
-  /// wall-clock overlap only, never the accounting.
+  /// and the resulting IoStats are identical for every thread count. The
+  /// external build itself starts no threads.
   const common::ExecutionContext* exec = nullptr;
 };
 
@@ -77,10 +75,7 @@ struct ExternalBuildResult {
   io::IoStats io;
   /// Where `io` came from, phase by phase (audited: phases sum to io).
   ExternalBuildIo phases;
-  /// Fraction of streaming-classification chunks whose prefetch had already
-  /// completed when the consumer needed them (kAdaptiveSample with a
-  /// read-ahead window and a 2+ thread pool; 0 otherwise). Advisory
-  /// wall-clock measure — never part of the simulated cost.
+  /// Always 0; kept only because perfbench still reads it.
   double overlap_ratio = 0.0;
 };
 
@@ -99,9 +94,9 @@ struct ExternalBuildResult {
 ///
 /// With split_strategy == kAdaptiveSample the quickselect passes are
 /// replaced by the sample-first pipeline (index/adaptive_build.h): a sample
-/// pass chooses every split plane up front, a single streaming pass —
-/// prefetched by io/read_ahead.h — classifies each page's points into
-/// per-bucket staging runs on the scratch file, and the classified stream
+/// pass chooses every split plane up front, a single streaming pass — each
+/// chunk charged in order and read in place — classifies each page's points
+/// into per-bucket staging runs on the scratch file, and the classified stream
 /// is gathered into the window one memory-sized group of whole bucket-level
 /// roots at a time and finished in memory. The whole build touches the data
 /// a constant number of times instead of once per quickselect pass per
