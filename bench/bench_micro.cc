@@ -344,8 +344,8 @@ BENCHMARK(BM_AdaptivePredictorError)
 
 // ---------------------------------------------------------------------------
 // Kernel-mode sweep: each benchmark runs once per kernel mode, range(0)
-// holding the KernelMode enumerator (0=scalar, 1=generic, 2=avx2, 3=avx512,
-// 4=neon; ISAs the host cannot run are skipped with an error so the JSON
+// holding the KernelMode enumerator (0=scalar, 1=generic, 2=avx2,
+// 3=avx512; ISAs the host cannot run are skipped with an error so the JSON
 // still lists them). Registration order seeds the baselines: scalar first,
 // then generic — which is bit-for-bit the PR 5 batched implementation, so
 // it doubles as the PR 5 baseline. Reported counters:
@@ -394,7 +394,7 @@ void ReportKernelSweep(benchmark::State& state, const std::string& family,
       bytes_per_iteration * static_cast<double>(state.iterations());
 }
 
-/// Registers the scalar/generic/avx2/avx512/neon sweep for a benchmark with
+/// Registers the scalar/generic/avx2/avx512 sweep for a benchmark with
 /// a (mode, dim) argument pair.
 void ModeDimSweep(benchmark::internal::Benchmark* b) {
   for (int64_t dim : {16, 60}) {

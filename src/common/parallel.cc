@@ -63,15 +63,6 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.NotifyAll();
   for (auto& w : workers_) w.join();
-  // Workers drain queued tasks before exiting, but a task submitted after
-  // the last worker passed its shutdown check would be stranded — run any
-  // leftovers here so a Submit-based completion is always signaled.
-  std::deque<std::function<void()>> leftover;
-  {
-    MutexLock lock(&mu_);
-    leftover.swap(tasks_);
-  }
-  for (const auto& task : leftover) RunTask(task);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -79,19 +70,7 @@ void ThreadPool::WorkerLoop() {
   for (;;) {
     size_t num_chunks;
     mu_.Lock();
-    while (!shutdown_ && job_epoch_ == seen_epoch && tasks_.empty()) {
-      work_cv_.Wait(mu_);
-    }
-    if (!tasks_.empty()) {
-      // Tasks before chunks: a prefetch fill someone may already be
-      // blocked on beats stealing one more chunk of a job that has the
-      // whole pool on it. Also drains the queue on shutdown.
-      std::function<void()> task = std::move(tasks_.front());
-      tasks_.pop_front();
-      mu_.Unlock();
-      RunTask(task);
-      continue;
-    }
+    while (!shutdown_ && job_epoch_ == seen_epoch) work_cv_.Wait(mu_);
     if (shutdown_) {
       mu_.Unlock();
       return;
@@ -101,25 +80,6 @@ void ThreadPool::WorkerLoop() {
     mu_.Unlock();
     RunChunks(seen_epoch, num_chunks);
   }
-}
-
-void ThreadPool::RunTask(const std::function<void()>& task) {
-  const bool was_in_section = tls_in_parallel_section;
-  tls_in_parallel_section = true;
-  task();
-  tls_in_parallel_section = was_in_section;
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  if (num_threads_ == 1) {
-    RunTask(task);
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    tasks_.push_back(std::move(task));
-  }
-  work_cv_.NotifyOne();
 }
 
 void ThreadPool::RunChunks(uint32_t epoch, size_t num_chunks) {

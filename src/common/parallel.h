@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -66,24 +65,8 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 
-  /// Enqueues a fire-and-forget task. Tasks interleave with ParallelFor
-  /// jobs: an idle worker prefers a queued task, a busy pool runs it when a
-  /// worker frees up. On a 1-thread pool the task runs inline here — same
-  /// code path, no threads — so anything built on Submit is trivially
-  /// deterministic at 1 thread.
-  ///
-  /// Tasks must not throw and must synchronize their own completion (the
-  /// pool offers no join handle). Tasks still queued when the pool is
-  /// destroyed are run — never dropped — on the destroying thread, so a
-  /// completion a consumer waits on is always eventually signaled. A nested
-  /// ParallelFor inside a task runs inline, like any worker-context call.
-  void Submit(std::function<void()> task);
-
  private:
   void WorkerLoop();
-  /// Runs one submitted task with the in-parallel-section TLS flag set (so
-  /// nested ParallelFor degrades to inline execution).
-  static void RunTask(const std::function<void()>& task);
   /// Claims and runs chunks of the job published as `epoch` (which has
   /// `num_chunks` chunks) until the claim counter moves past the job — or to
   /// a newer epoch, whose chunks it then validly serves, having synchronized
@@ -108,9 +91,6 @@ class ThreadPool {
   CondVar done_cv_;  // ParallelFor waits here for completion
   bool shutdown_ HDIDX_GUARDED_BY(mu_) = false;
   Mutex submit_mu_;  // serializes concurrent ParallelFor publishers
-  /// Fire-and-forget tasks (Submit); drained by idle workers ahead of job
-  /// chunks, and by the destructor after the workers joined.
-  std::deque<std::function<void()>> tasks_ HDIDX_GUARDED_BY(mu_);
 
   // State of the single in-flight job (ParallelFor blocks, and publishers
   // are serialized, so there is at most one), written under mu_. A chunk is

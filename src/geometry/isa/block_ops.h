@@ -111,7 +111,6 @@ const BlockOps* GenericOps();
 /// checked separately by KernelModeSupported().
 const BlockOps* Avx2Ops();
 const BlockOps* Avx512Ops();
-const BlockOps* NeonOps();
 
 /// The scalar moments oracle (defined in kernels.cc), which is also the
 /// generic lane's row_moments: the compiler vectorizes its loop across

@@ -55,14 +55,6 @@ bool CpuSupportsIsa(KernelMode mode) {
 #else
       return false;
 #endif
-    case KernelMode::kNeon:
-      // NEON is architecturally mandatory on aarch64, so compile-target
-      // support (NeonOps() != nullptr) implies runtime support.
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -79,8 +71,6 @@ const isa::BlockOps* OpsFor(KernelMode mode) {
       return isa::Avx2Ops();
     case KernelMode::kAvx512:
       return isa::Avx512Ops();
-    case KernelMode::kNeon:
-      return isa::NeonOps();
   }
   return nullptr;
 }
@@ -302,7 +292,6 @@ bool KernelModeSupported(KernelMode mode) {
       return true;
     case KernelMode::kAvx2:
     case KernelMode::kAvx512:
-    case KernelMode::kNeon:
       return OpsFor(mode) != nullptr && CpuSupportsIsa(mode);
   }
   return false;
@@ -321,9 +310,6 @@ KernelMode ResolveKernelMode(KernelMode mode) {
     case KernelMode::kAvx2:
       if (KernelModeSupported(KernelMode::kAvx2)) return KernelMode::kAvx2;
       return KernelMode::kGeneric;
-    case KernelMode::kNeon:
-      if (KernelModeSupported(KernelMode::kNeon)) return KernelMode::kNeon;
-      return KernelMode::kGeneric;
   }
   return KernelMode::kGeneric;
 }
@@ -331,7 +317,6 @@ KernelMode ResolveKernelMode(KernelMode mode) {
 KernelMode BestKernelMode() {
   if (KernelModeSupported(KernelMode::kAvx512)) return KernelMode::kAvx512;
   if (KernelModeSupported(KernelMode::kAvx2)) return KernelMode::kAvx2;
-  if (KernelModeSupported(KernelMode::kNeon)) return KernelMode::kNeon;
   return KernelMode::kGeneric;
 }
 
@@ -339,7 +324,7 @@ std::vector<KernelMode> SupportedKernelModes() {
   std::vector<KernelMode> modes;
   for (const KernelMode mode :
        {KernelMode::kScalar, KernelMode::kGeneric, KernelMode::kAvx2,
-        KernelMode::kAvx512, KernelMode::kNeon}) {
+        KernelMode::kAvx512}) {
     if (KernelModeSupported(mode)) modes.push_back(mode);
   }
   return modes;
@@ -355,8 +340,6 @@ std::string_view KernelModeName(KernelMode mode) {
       return "avx2";
     case KernelMode::kAvx512:
       return "avx512";
-    case KernelMode::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -376,10 +359,6 @@ bool ParseKernelMode(std::string_view name, KernelMode* mode) {
   }
   if (name == "avx512") {
     *mode = KernelMode::kAvx512;
-    return true;
-  }
-  if (name == "neon") {
-    *mode = KernelMode::kNeon;
     return true;
   }
   *mode = BestKernelMode();

@@ -29,29 +29,28 @@ namespace hdidx::geometry::kernels {
 /// decision.
 ///
 /// kGeneric is the portable batched implementation (plain C++, compiler
-/// autovectorized — PR 5's "batched" mode). kAvx2/kAvx512/kNeon are
-/// explicit-intrinsic lanes in src/geometry/isa/, available only when both
-/// the build targets the architecture and the running CPU reports the
-/// feature; requesting an unavailable one downgrades (never UB), see
-/// ResolveKernelMode().
+/// autovectorized; also accepted under its old name "batched"), and the
+/// only batched mode on non-x86 hosts. kAvx2/kAvx512 are explicit-intrinsic
+/// x86 lanes in src/geometry/isa/, available only when both the build
+/// targets x86-64 and the running CPU reports the feature; requesting an
+/// unavailable one downgrades (never UB), see ResolveKernelMode().
 enum class KernelMode {
   kScalar = 0,
   kGeneric = 1,
   kAvx2 = 2,
   kAvx512 = 3,
-  kNeon = 4,
 };
 
 /// Number of enumerators in KernelMode (for sweeps).
-inline constexpr size_t kNumKernelModes = 5;
+inline constexpr size_t kNumKernelModes = 4;
 
 /// Whether `mode` can run on this build + CPU (compile-target support and
 /// runtime feature detection). kScalar and kGeneric are always supported.
 bool KernelModeSupported(KernelMode mode);
 
 /// `mode` if supported, else its deterministic downgrade: kAvx512 falls to
-/// kAvx2 then kGeneric; kAvx2 and kNeon fall to kGeneric. The result is
-/// always supported.
+/// kAvx2 then kGeneric; kAvx2 falls to kGeneric. The result is always
+/// supported.
 KernelMode ResolveKernelMode(KernelMode mode);
 
 /// The widest supported mode on this host (never kScalar: kGeneric when no
@@ -62,7 +61,7 @@ KernelMode BestKernelMode();
 /// explicit ISAs. The sweep set for equivalence tests and benches.
 std::vector<KernelMode> SupportedKernelModes();
 
-/// Stable lowercase name ("scalar", "generic", "avx2", "avx512", "neon") —
+/// Stable lowercase name ("scalar", "generic", "avx2", "avx512") —
 /// the accepted HDIDX_KERNEL values.
 std::string_view KernelModeName(KernelMode mode);
 

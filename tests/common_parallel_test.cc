@@ -111,44 +111,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 80u);
 }
 
-TEST(ThreadPoolTest, SubmittedTasksAllRun) {
-  std::vector<std::atomic<int>> runs(200);
-  {
-    ThreadPool pool(4);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      pool.Submit([&runs, i] { runs[i].fetch_add(1); });
-    }
-    // The destructor joins workers and drains whatever was still queued.
-  }
-  for (size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPoolTest, SubmitOnSingleThreadPoolRunsInline) {
-  // A 1-thread pool has no workers: Submit executes on the caller, so
-  // completion is ordered with the submitting code.
-  ThreadPool pool(1);
-  int value = 0;
-  pool.Submit([&value] { value = 42; });
-  EXPECT_EQ(value, 42);
-}
-
-TEST(ThreadPoolTest, SubmitInterleavesWithParallelFor) {
-  std::atomic<int> tasks{0};
-  std::atomic<size_t> visited{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 50; ++i) pool.Submit([&tasks] { ++tasks; });
-    pool.ParallelFor(0, 1000, 16, [&](size_t begin, size_t end) {
-      visited += end - begin;
-    });
-    for (int i = 0; i < 50; ++i) pool.Submit([&tasks] { ++tasks; });
-  }
-  EXPECT_EQ(visited.load(), 1000u);
-  EXPECT_EQ(tasks.load(), 100);
-}
-
 TEST(ExecutionContextTest, NullPoolRunsSerially) {
   const ExecutionContext ctx;  // no pool
   std::vector<size_t> order;

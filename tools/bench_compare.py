@@ -65,7 +65,7 @@ import math
 import pathlib
 import sys
 
-# Rows whose benchmark errored (e.g. "neon not supported on this host")
+# Rows whose benchmark errored (e.g. "avx512 not supported on this host")
 # are skipped: availability depends on the machine, not the code.
 # Machine-independent counters: any drift is a hard error.
 EXACT_COUNTERS = ("bytes_touched", "data_passes", "pages_read", "page_seeks",

@@ -42,7 +42,7 @@ compiler warning catches but that break the repo's standing contracts:
 
   rule `kernel-switch` — a `switch` dispatching on geometry::kernels::
       KernelMode must list every enumerator (kScalar, kGeneric, kAvx2,
-      kAvx512, kNeon). A `default:` (or a dropped case) silences -Wswitch,
+      kAvx512). A `default:` (or a dropped case) silences -Wswitch,
       so adding an ISA would fall through an unconsidered path instead of
       failing the build.
 
@@ -96,7 +96,7 @@ WIRE_FILES = frozenset({
     pathlib.PurePosixPath("src/service/wire.cc"),
 })
 
-KERNEL_ENUMERATORS = ("kScalar", "kGeneric", "kAvx2", "kAvx512", "kNeon")
+KERNEL_ENUMERATORS = ("kScalar", "kGeneric", "kAvx2", "kAvx512")
 SWITCH_RE = re.compile(r"\bswitch\s*\(")
 
 GUARD_RE = re.compile(r"#ifndef\s+(HDIDX_[A-Z0-9_]+_H_)")

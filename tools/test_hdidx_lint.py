@@ -176,7 +176,6 @@ int F(KernelMode mode) {
     case KernelMode::kGeneric: return 1;
     case KernelMode::kAvx2: return 2;
     case KernelMode::kAvx512: return 3;
-    case KernelMode::kNeon: return 4;
   }
   return 0;
 }
