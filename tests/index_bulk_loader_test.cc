@@ -286,46 +286,99 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, BulkLoaderParallelTest,
                          });
 
 // ---------------------------------------------------------------------------
-// Golden-layout regression fixtures: the exact layout digests of two
-// fixed-seed builds, pinned so a future refactor of either bulk loader
-// cannot silently reshuffle layouts. The values hash MBR float bits and are
-// tied to this toolchain's std::nth_element tie-breaking (libstdc++); a
-// *deliberate* layout change must update them — the failure message prints
-// the new digest.
+// Golden-layout regression fixtures: the exact layout digests of fixed-seed
+// builds, pinned so a future refactor of either bulk loader cannot silently
+// reshuffle layouts. Each pin is the TreeLayoutDigest plus an FNV-1a hash of
+// order(), which the layout digest leaves out. The values hash MBR float
+// bits and are tied to this toolchain's std::nth_element tie-breaking
+// (libstdc++); a *deliberate* layout change must update them — the failure
+// message prints the new digests.
 // ---------------------------------------------------------------------------
 
-constexpr uint64_t kGoldenClustered2000x8 = 0x7eaca0ccb0b59c03ULL;
-constexpr uint64_t kGoldenUniform3000x12 = 0xb08f52526c3c6bfcULL;
+struct GoldenBuild {
+  uint64_t layout;
+  uint64_t order;
+};
 
-void ExpectGoldenDigest(const data::Dataset& data, const TreeTopology& topo,
-                        uint64_t golden) {
-  BulkLoadOptions serial;
-  serial.topology = &topo;
+/// FNV-1a over the permutation's values.
+uint64_t OrderDigest(const RTree& tree) {
+  uint64_t h = 1469598103934665603ull;
+  for (const uint32_t row : tree.order()) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (row >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+void ExpectGoldenBuild(const data::Dataset& data,
+                       const BulkLoadOptions& serial,
+                       const GoldenBuild& golden) {
   const RTree reference = BulkLoadInMemory(data, serial);
-  EXPECT_EQ(TreeLayoutDigest(reference), golden)
+  EXPECT_EQ(TreeLayoutDigest(reference), golden.layout)
       << "serial layout changed; new digest 0x" << std::hex
       << TreeLayoutDigest(reference);
+  EXPECT_EQ(OrderDigest(reference), golden.order)
+      << "serial order changed; new digest 0x" << std::hex
+      << OrderDigest(reference);
 
   common::ThreadPool pool(4);
   const common::ExecutionContext ctx(&pool);
   BulkLoadOptions parallel = serial;
   parallel.exec = &ctx;
   const RTree tree = BulkLoadInMemory(data, parallel);
-  EXPECT_EQ(TreeLayoutDigest(tree), golden)
+  EXPECT_EQ(TreeLayoutDigest(tree), golden.layout)
       << "parallel layout diverged; digest 0x" << std::hex
       << TreeLayoutDigest(tree);
+  EXPECT_EQ(OrderDigest(tree), golden.order)
+      << "parallel order diverged; digest 0x" << std::hex << OrderDigest(tree);
+}
+
+/// A full build of `data` under `topo` with `strategy`.
+void ExpectGoldenFullBuild(const data::Dataset& data, const TreeTopology& topo,
+                           SplitStrategy strategy, const GoldenBuild& golden) {
+  BulkLoadOptions options;
+  options.topology = &topo;
+  options.split_strategy = strategy;
+  ExpectGoldenBuild(data, options, golden);
 }
 
 TEST(BulkLoaderGoldenLayoutTest, Clustered2000x8) {
   const auto data = hdidx::testing::SmallClustered(2000, 8, 42);
   const TreeTopology topo(data.size(), 20, 5);
-  ExpectGoldenDigest(data, topo, kGoldenClustered2000x8);
+  ExpectGoldenFullBuild(data, topo, SplitStrategy::kMaxVariance,
+                        {0x7eaca0ccb0b59c03ULL, 0x01d50e86c9f702a7ULL});
+  ExpectGoldenFullBuild(data, topo, SplitStrategy::kMaxExtent,
+                        {0xb941500157c680f3ULL, 0x4a3c9e9944c4372bULL});
+  ExpectGoldenFullBuild(data, topo, SplitStrategy::kRoundRobin,
+                        {0xeb7d971045c64818ULL, 0xd89d4fd6a26830ffULL});
 }
 
 TEST(BulkLoaderGoldenLayoutTest, Uniform3000x12) {
   const auto data = UniformData(3000, 12, 43);
   const TreeTopology topo(data.size(), 33, 16);
-  ExpectGoldenDigest(data, topo, kGoldenUniform3000x12);
+  ExpectGoldenFullBuild(data, topo, SplitStrategy::kMaxVariance,
+                        {0xb08f52526c3c6bfcULL, 0x9607b8d43a380ad3ULL});
+  ExpectGoldenFullBuild(data, topo, SplitStrategy::kMaxExtent,
+                        {0xaf17b32e04d1e5c5ULL, 0xf4528a27f991bf8fULL});
+  ExpectGoldenFullBuild(data, topo, SplitStrategy::kRoundRobin,
+                        {0x36c73db83c62806aULL, 0x79d23179393dc1b7ULL});
+}
+
+TEST(BulkLoaderGoldenLayoutTest, LowerTreeShapedBuild) {
+  // The shape of a resampled predictor's lower load: the area's points
+  // built as a subtree rooted below the full tree's root, with the scale
+  // set to the area's effective sampling ratio.
+  const auto data = hdidx::testing::SmallClustered(1500, 10, 44);
+  const TreeTopology topo(40000, 20, 5);
+  ASSERT_GE(topo.height(), 4u);
+  BulkLoadOptions options;
+  options.topology = &topo;
+  options.root_level = topo.height() - 1;
+  options.scale = 0.37;
+  ExpectGoldenBuild(data, options,
+                    {0x3a8722c1957e0266ULL, 0xee2a030e9151c00bULL});
 }
 
 TEST(BulkLoaderTest, TinyScaleClampsToOnePointPerPage) {
