@@ -30,32 +30,35 @@ size_t PointSource::ChooseSplitDim(size_t lo, size_t hi,
   return MaxVarianceDim(lo, hi);
 }
 
-InMemoryPointSource::InMemoryPointSource(const data::Dataset* data)
-    : data_(data), order_(data->size()) {
-  std::iota(order_.begin(), order_.end(), 0u);
+InMemoryPointSource::InMemoryPointSource(std::span<const float> rows,
+                                         size_t dim,
+                                         std::vector<uint32_t> order)
+    : rows_(rows), dim_(dim), order_(std::move(order)) {
+  HDIDX_CHECK(dim_ > 0);
 }
 
 size_t InMemoryPointSource::MaxVarianceDim(size_t lo, size_t hi) {
   return geometry::kernels::MaxVarianceDim(
-      data_->data().data(), data_->dim(),
+      rows_.data(), dim_,
       std::span<const uint32_t>(order_).subspan(lo, hi - lo));
 }
 
 void InMemoryPointSource::Partition(size_t lo, size_t hi, size_t pos,
                                     size_t split_dim) {
   HDIDX_CHECK(lo < pos && pos < hi);
-  const data::Dataset& data = *data_;
+  const float* keys = rows_.data() + split_dim;
+  const size_t d = dim_;
   std::nth_element(order_.begin() + static_cast<ptrdiff_t>(lo),
                    order_.begin() + static_cast<ptrdiff_t>(pos),
                    order_.begin() + static_cast<ptrdiff_t>(hi),
-                   [&data, split_dim](uint32_t a, uint32_t b) {
-                     return data.row(a)[split_dim] < data.row(b)[split_dim];
+                   [keys, d](uint32_t a, uint32_t b) {
+                     return keys[a * d] < keys[b * d];
                    });
 }
 
 geometry::BoundingBox InMemoryPointSource::ComputeBox(size_t lo, size_t hi) {
-  geometry::BoundingBox box(data_->dim());
-  for (size_t i = lo; i < hi; ++i) box.Extend(data_->row(order_[i]));
+  geometry::BoundingBox box(dim_);
+  for (size_t i = lo; i < hi; ++i) box.Extend(row(i));
   return box;
 }
 
@@ -262,8 +265,8 @@ uint32_t InMemoryPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
   const size_t sample_size = setup.sample_rows.size();
   std::vector<float> sample(sample_size * d);
   for (size_t i = 0; i < sample_size; ++i) {
-    const auto row = data_->row(order_[setup.sample_rows[i]]);
-    std::copy(row.begin(), row.end(), sample.begin() + i * d);
+    const auto r = row(setup.sample_rows[i]);
+    std::copy(r.begin(), r.end(), sample.begin() + i * d);
   }
   const SplitPlan plan = SplitPlan::Build(sample.data(), sample_size, d,
                                           static_cast<double>(n),
@@ -273,7 +276,7 @@ uint32_t InMemoryPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
   std::vector<uint32_t> point_bucket(n);
   std::vector<size_t> counts(plan.num_buckets(), 0);
   for (size_t i = 0; i < n; ++i) {
-    const size_t b = plan.BucketOf(data_->row(order_[i]).data());
+    const size_t b = plan.BucketOf(row(i).data());
     point_bucket[i] = static_cast<uint32_t>(b);
     ++counts[b];
   }
@@ -354,7 +357,11 @@ RTree BulkLoad(PointSource* source, const BulkLoadOptions& options) {
 
 RTree BulkLoadInMemory(const data::Dataset& data,
                        const BulkLoadOptions& options) {
-  InMemoryPointSource source(&data);
+  HDIDX_CHECK(data.size() <= UINT32_MAX)
+      << "the permutation names rows with 32-bit indices";
+  std::vector<uint32_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0u);
+  InMemoryPointSource source(data.data(), data.dim(), std::move(order));
   RTree tree = BulkLoad(&source, options);
   tree.SetOrder(source.TakeOrder());
   return tree;

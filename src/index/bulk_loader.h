@@ -2,6 +2,8 @@
 #define HDIDX_INDEX_BULK_LOADER_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -67,9 +69,10 @@ struct BulkLoadOptions;
 /// The level-wise VAMSplit algorithm needs exactly three primitives on a
 /// contiguous point range: find the dimension of maximum variance, partition
 /// the range around a position along a dimension (Hoare's find), and compute
-/// the MBR of a range. The in-memory source implements them over a Dataset
-/// and an index permutation; the external source (index/external_build.h)
-/// implements them over a simulated PagedFile, charging every disk access —
+/// the MBR of a range. The in-memory source implements them over rows and an
+/// index permutation; the external source (index/external_build.h) charges
+/// every disk access over a simulated PagedFile and hands each range that
+/// fits its memory to an in-memory source over the file's rows in place —
 /// the same construction code path then yields both the paper's "on-disk
 /// index tree" and the predictors' in-memory mini-indexes.
 class PointSource {
@@ -88,7 +91,7 @@ class PointSource {
   ///    their [lo, hi) ranges do not overlap, and each call's result
   ///    depends only on the range contents — never on what other ranges
   ///    are doing. The in-memory source satisfies this: calls read the
-  ///    immutable dataset and touch only order_[lo, hi).
+  ///    immutable rows and touch only order_[lo, hi).
   enum class Concurrency { kSingleOwner, kDisjointRanges };
 
   virtual ~PointSource() = default;
@@ -133,36 +136,46 @@ class PointSource {
       const BulkLoadOptions& options, size_t root_level, RTree* tree) = 0;
 };
 
-/// PointSource over an in-memory dataset. Construction permutes an index
-/// array, never the dataset itself; the final permutation becomes the
-/// RTree's order().
-class InMemoryPointSource : public PointSource {
+/// PointSource over row-major rows named through a permutation: position i
+/// is row order[i]. Construction permutes the order, never the rows; the
+/// final order becomes the RTree's order(). The one implementation of the
+/// split primitives over permuted rows: BulkLoadInMemory runs it over a
+/// dataset, the external build's window over file rows read in place.
+class InMemoryPointSource final : public PointSource {
  public:
-  /// `data` must outlive the source.
-  explicit InMemoryPointSource(const data::Dataset* data);
+  /// `rows` (row-major, `dim` floats per row) must outlive the source, and
+  /// every entry of `order` must name one of its rows.
+  InMemoryPointSource(std::span<const float> rows, size_t dim,
+                      std::vector<uint32_t> order);
 
   Concurrency concurrency() const override {
     return Concurrency::kDisjointRanges;
   }
-  size_t dim() const override { return data_->dim(); }
-  size_t size() const override { return data_->size(); }
+  size_t dim() const override { return dim_; }
+  size_t size() const override { return order_.size(); }
   size_t MaxVarianceDim(size_t lo, size_t hi) override;
   void Partition(size_t lo, size_t hi, size_t pos, size_t split_dim) override;
   geometry::BoundingBox ComputeBox(size_t lo, size_t hi) override;
 
-  /// Sample-first pipeline over the in-memory dataset: sample rows choose a
-  /// split-plane tree (adaptive_build.h), one classification pass plus a
-  /// stable counting sort of the permutation forms the bucket ranges, each
-  /// group's bucket roots are built by internal::BuildBucketRoots, and the
-  /// upper levels are packed over them.
+  /// Sample-first pipeline over the rows: sample rows choose a split-plane
+  /// tree (adaptive_build.h), one classification pass plus a stable
+  /// counting sort of the permutation forms the bucket ranges, each group's
+  /// bucket roots are built by internal::BuildBucketRoots, and the upper
+  /// levels are packed over them.
   uint32_t BuildAdaptiveRoot(const BulkLoadOptions& options, size_t root_level,
                              RTree* tree) override;
+
+  /// The row at position i of the current permutation.
+  std::span<const float> row(size_t i) const {
+    return {rows_.data() + size_t{order_[i]} * dim_, dim_};
+  }
 
   /// The permutation built up by Partition calls.
   std::vector<uint32_t> TakeOrder() { return std::move(order_); }
 
  private:
-  const data::Dataset* data_;
+  std::span<const float> rows_;
+  size_t dim_;
   std::vector<uint32_t> order_;
 };
 

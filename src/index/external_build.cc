@@ -1,9 +1,9 @@
 #include "index/external_build.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -23,8 +23,12 @@ struct Extent {
 
 /// PointSource over a simulated on-disk file with an M-point memory window.
 ///
+/// The window is an InMemoryPointSource over at most M rows read in place
+/// (a file range, or an adaptive group's scratch rows), named by their
+/// position in that file; this source only charges its load and write-back.
+///
 /// Deliberately keeps the base class's Concurrency::kSingleOwner: the
-/// window buffer, the scratch file and the charged PagedFile are shared,
+/// window, the scratch file and the charged PagedFile are shared,
 /// order-sensitive state (a seek is charged only on non-adjacent access,
 /// and window loads/flushes depend on the access sequence), so the
 /// simulated disk costs are the paper's numbers only when the build plan
@@ -45,7 +49,8 @@ class ExternalPointSource : public PointSource {
         memory_points_(memory_points),
         dim_(file->dim()) {
     HDIDX_CHECK(memory_points_ >= 1);
-    buffer_.reserve(memory_points_ * dim_);
+    HDIDX_CHECK(file->size() <= UINT32_MAX)
+        << "the window names rows with 32-bit file positions";
   }
 
   size_t dim() const override { return dim_; }
@@ -55,7 +60,7 @@ class ExternalPointSource : public PointSource {
     if (WindowCovers(lo, hi) || hi - lo <= memory_points_) {
       PhaseScope scope(this, &phases_.finish);
       EnsureWindow(lo, hi);
-      return MaxVarianceOfWindow(lo, hi);
+      return window_->MaxVarianceDim(lo - window_lo_, hi - window_lo_);
     }
     // Chunked sequential variance scan over the file.
     PhaseScope scope(this, &phases_.partition);
@@ -81,29 +86,20 @@ class ExternalPointSource : public PointSource {
       PhaseScope scope(this, &phases_.finish);
       EnsureWindow(lo, hi);
     }
-    const float* buf = buffer_.data();
-    const size_t d = dim_;
-    std::nth_element(
-        perm_.begin() + static_cast<ptrdiff_t>(lo - window_lo_),
-        perm_.begin() + static_cast<ptrdiff_t>(pos - window_lo_),
-        perm_.begin() + static_cast<ptrdiff_t>(hi - window_lo_),
-        [buf, d, split_dim](uint32_t a, uint32_t b) {
-          return buf[a * d + split_dim] < buf[b * d + split_dim];
-        });
+    window_->Partition(lo - window_lo_, hi - window_lo_, pos - window_lo_,
+                       split_dim);
   }
 
   geometry::BoundingBox ComputeBox(size_t lo, size_t hi) override {
-    PhaseScope scope(this, &phases_.finish);
     if (WindowCovers(lo, hi) || hi - lo <= memory_points_) {
+      PhaseScope scope(this, &phases_.finish);
       EnsureWindow(lo, hi);
-      geometry::BoundingBox box(dim_);
-      for (size_t i = lo; i < hi; ++i) {
-        box.Extend({buffer_.data() + perm_[i - window_lo_] * dim_, dim_});
-      }
-      return box;
+      return window_->ComputeBox(lo - window_lo_, hi - window_lo_);
     }
-    // Oversized leaf (only possible for upper-tree stop levels): charged
-    // sequential scan.
+    // A range larger than M: ChooseSplitDim's kMaxExtent box of a range
+    // still to be partitioned, or a leaf above level 1. A charged
+    // sequential scan, attributed to `partition` like MaxVarianceDim's.
+    PhaseScope scope(this, &phases_.partition);
     file_->ChargeAccess(lo, hi - lo);
     const auto raw = file_->raw();
     geometry::BoundingBox box(dim_);
@@ -157,42 +153,36 @@ class ExternalPointSource : public PointSource {
   };
 
   bool WindowCovers(size_t lo, size_t hi) const {
-    return window_valid_ && lo >= window_lo_ && hi <= window_hi_;
+    return window_.has_value() && lo >= window_lo_ &&
+           hi <= window_lo_ + window_->size();
   }
 
-  /// Loads [lo, hi) into the memory buffer (flushing any previous window).
+  /// Loads [lo, hi) into the window (flushing any previous one): one
+  /// charged read, after which the window names the file's rows in place.
   void EnsureWindow(size_t lo, size_t hi) {
     HDIDX_CHECK(hi - lo <= memory_points_ || WindowCovers(lo, hi));
     if (WindowCovers(lo, hi)) return;
     FlushWindow();
-    const size_t count = hi - lo;
-    buffer_.resize(count * dim_);
-    file_->Read(lo, count, buffer_.data());
-    perm_.resize(count);
-    std::iota(perm_.begin(), perm_.end(), 0u);
+    file_->ChargeAccess(lo, hi - lo);
+    std::vector<uint32_t> order(hi - lo);
+    std::iota(order.begin(), order.end(), static_cast<uint32_t>(lo));
+    window_.emplace(file_->raw(), dim_, std::move(order));
     window_lo_ = lo;
-    window_hi_ = hi;
-    window_valid_ = true;
   }
 
-  /// Writes the window back in permutation order — this materializes the
-  /// leaf order on disk, i.e. writes the data pages.
+  /// Writes the window back to [window_lo_, +size) in permutation order —
+  /// this materializes the leaf order on disk, i.e. writes the data pages.
+  /// The rows are gathered into staging_ first: for a file window they are
+  /// the very rows being overwritten.
   void FlushWindow() {
-    if (!window_valid_) return;
-    const size_t count = window_hi_ - window_lo_;
-    flush_buffer_.resize(count * dim_);
+    if (!window_) return;
+    const size_t count = window_->size();
+    staging_.resize(count * dim_);
     for (size_t i = 0; i < count; ++i) {
-      std::memcpy(flush_buffer_.data() + i * dim_,
-                  buffer_.data() + perm_[i] * dim_, dim_ * sizeof(float));
+      std::ranges::copy(window_->row(i), staging_.begin() + i * dim_);
     }
-    file_->Write(window_lo_, count, flush_buffer_.data());
-    window_valid_ = false;
-  }
-
-  size_t MaxVarianceOfWindow(size_t lo, size_t hi) {
-    return geometry::kernels::MaxVarianceDim(
-        buffer_.data(), dim_,
-        std::span<const uint32_t>(perm_).subspan(lo - window_lo_, hi - lo));
+    file_->Write(window_lo_, count, staging_.data());
+    window_.reset();
   }
 
   /// External quickselect: narrows [*lo, *hi) around `pos` with charged
@@ -294,12 +284,13 @@ class ExternalPointSource : public PointSource {
   size_t memory_points_;
   size_t dim_;
 
-  std::vector<float> buffer_;
-  std::vector<uint32_t> perm_;
-  std::vector<float> flush_buffer_;  // FlushWindow's leaf-order staging
+  /// The memory window and the file position its first row is written
+  /// back to.
+  std::optional<InMemoryPointSource> window_;
   size_t window_lo_ = 0;
-  size_t window_hi_ = 0;
-  bool window_valid_ = false;
+  /// FlushWindow's leaf-order gather; between windows, the adaptive
+  /// classification's flush batch.
+  std::vector<float> staging_;
 
   ExternalBuildIo phases_;
   size_t scope_depth_ = 0;
@@ -363,11 +354,11 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
     const size_t stage_budget = std::max(chunk, memory_points_ / 2);
     std::vector<uint32_t> stage;
     stage.reserve(stage_budget + chunk);
-    // The window stays empty until the gather below, so its buffer holds
+    // No window is live until the gather below, so the flush staging holds
     // the batch: one allocation serves both passes.
-    HDIDX_CHECK(!window_valid_);
-    buffer_.resize((stage_budget + chunk) * d);
-    float* const batch = buffer_.data();
+    HDIDX_CHECK(!window_);
+    staging_.resize((stage_budget + chunk) * d);
+    float* const batch = staging_.data();
     // Staged points per bucket; during a flush, the bucket's next batch row.
     std::vector<size_t> bucket_fill(plan.num_buckets(), 0);
     size_t frontier = 0;
@@ -466,19 +457,20 @@ uint32_t ExternalPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
     // level's capacity is at most M and a group of whole roots fits.
     HDIDX_CHECK_OP(<=, group_points, memory_points_);
     {
+      // The group's window names its rows in place in the scratch file,
+      // one charged read per gathered extent.
       PhaseScope scope(this, &phases_.partition);
-      buffer_.resize(group_points * d);
-      size_t off = 0;
+      std::vector<uint32_t> order;
+      order.reserve(group_points);
       for (const auto& e : gather_extents(group_points)) {
-        scratch_.Read(e.start, e.count, buffer_.data() + off * d);
-        off += e.count;
+        scratch_.ChargeAccess(e.start, e.count);
+        order.resize(order.size() + e.count);
+        std::iota(order.end() - static_cast<ptrdiff_t>(e.count), order.end(),
+                  static_cast<uint32_t>(e.start));
       }
-      HDIDX_CHECK(off == group_points);
-      perm_.resize(group_points);
-      std::iota(perm_.begin(), perm_.end(), 0u);
+      HDIDX_CHECK(order.size() == group_points);
+      window_.emplace(scratch_.raw(), d, std::move(order));
       window_lo_ = out_lo;
-      window_hi_ = out_hi;
-      window_valid_ = true;
     }
     internal::BuildBucketRoots(this, options, tree, setup.bucket_level, out_lo,
                                out_hi, &roots);

@@ -46,11 +46,13 @@ struct ExternalBuildIo {
   /// (kAdaptiveSample only; zero otherwise).
   io::IoStats sample;
   /// External repartitioning: quickselect classification passes through the
-  /// scratch file (classic strategies) or the streaming classification,
-  /// per-bucket staging, and gather reads (kAdaptiveSample).
+  /// scratch file and the charged variance and max-extent box scans of
+  /// ranges larger than M (classic strategies), or the streaming
+  /// classification, per-bucket staging, and gather reads
+  /// (kAdaptiveSample).
   io::IoStats partition;
-  /// In-memory finishing: M-point window loads and the leaf-order
-  /// write-back of finished subtrees.
+  /// In-memory finishing: the read of each M-point window over a file range
+  /// and the leaf-order write-back of finished subtrees.
   io::IoStats finish;
   /// The final sequential write of all directory pages.
   io::IoStats directory;
@@ -87,18 +89,20 @@ struct ExternalBuildResult {
 /// than M are partitioned by external quickselect (sequential classification
 /// passes through a scratch file, pivot = median of the first chunk, with a
 /// midrange-pivot fallback against duplicate-heavy dimensions); once a range
-/// fits in M points it is read once, the whole subtree under it is finished
-/// in memory, and the points are written back in leaf order — the data pages
-/// of a bulk-loaded R-tree are exactly this final point order. Directory
-/// pages are charged as one sequential write at the end.
+/// fits in M points its read is charged once, the whole subtree under it is
+/// finished by the in-memory loader's own InMemoryPointSource over the
+/// file's rows in place, and the points are written back in leaf order —
+/// the data pages of a bulk-loaded R-tree are exactly this final point
+/// order. Directory pages are charged as one sequential write at the end.
 ///
 /// With split_strategy == kAdaptiveSample the quickselect passes are
 /// replaced by the sample-first pipeline (index/adaptive_build.h): a sample
 /// pass chooses every split plane up front, a single streaming pass — each
 /// chunk charged in order and read in place — classifies each page's points
 /// into per-bucket staging runs on the scratch file, and the classified stream
-/// is gathered into the window one memory-sized group of whole bucket-level
-/// roots at a time and finished in memory. The whole build touches the data
+/// is finished in memory one memory-sized group of whole bucket-level roots
+/// at a time, each group a window over its staged rows in place (one charged
+/// read per coalesced extent, no copy). The whole build touches the data
 /// a constant number of times instead of once per quickselect pass per
 /// level.
 ///

@@ -1,7 +1,6 @@
 #include "io/paged_file.h"
 
 #include <cstring>
-#include <utility>
 
 #include "common/check.h"
 
@@ -39,24 +38,12 @@ std::span<float> PagedFile::raw_mutable() {
   return store_;
 }
 
-void PagedFile::Read(size_t start, size_t count, float* out) {
-  HDIDX_CHECK(start + count <= size());
-  accountant_.ChargeAccess(start, count);
-  std::memcpy(out, raw().data() + start * dim_, count * dim_ * sizeof(float));
-}
-
 void PagedFile::Write(size_t start, size_t count, const float* src) {
   HDIDX_CHECK(!is_view_) << "Write on a read-only PagedFile view";
   HDIDX_CHECK(start + count <= size());
   accountant_.ChargeAccess(start, count);
   std::memcpy(store_.data() + start * dim_, src,
               count * dim_ * sizeof(float));
-}
-
-data::Dataset PagedFile::ReadAll() {
-  std::vector<float> values(size() * dim_);
-  if (size() > 0) Read(0, size(), values.data());
-  return data::Dataset(std::move(values), dim_);
 }
 
 }  // namespace hdidx::io

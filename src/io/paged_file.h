@@ -16,9 +16,11 @@ namespace hdidx::io {
 /// points) packed into pages.
 ///
 /// The points live in RAM — the simulation is about *accounting*, not
-/// persistence: every Read/Write is charged in page seeks and page
-/// transfers by the file's PageAccountant, exactly as a single-arm disk
-/// would incur them (see PageAccountant for the seek rule).
+/// persistence. A reader charges the pages it touches with ChargeAccess and
+/// reads the points in place through raw(); Write charges the same way and
+/// copies. The file's PageAccountant charges page seeks and page transfers
+/// exactly as a single-arm disk would incur them (see PageAccountant for
+/// the seek rule).
 ///
 /// A file comes in one of two kinds:
 ///   - owned (the constructor, FromDataset): the file holds its own
@@ -31,7 +33,7 @@ namespace hdidx::io {
 ///     dataset must outlive the file.
 ///
 /// Thread-safety: NOT thread-safe, by design (see the audit note on
-/// IoStats). Read/Write/ChargeAccess mutate the accountant's head position
+/// IoStats). Write and ChargeAccess mutate the accountant's head position
 /// and I/O counters, both of which are order-sensitive — the single
 /// simulated disk arm is inherently serial. All accounted I/O must stay on
 /// the orchestrating thread; parallel sections may only touch the
@@ -69,21 +71,14 @@ class PagedFile {
   /// not charged — allocation is metadata, not data movement).
   void Resize(size_t n);
 
-  /// Reads `count` points starting at point index `start` into `out`
-  /// (capacity count*dim). Charges transfers for every page overlapping the
-  /// range and a seek if the range does not continue the previous access.
-  void Read(size_t start, size_t count, float* out);
-
   /// Writes `count` points of an owned file starting at point index
-  /// `start` from `src`. Same charging rule as Read.
+  /// `start` from `src`. Same charging rule as ChargeAccess.
   void Write(size_t start, size_t count, const float* src);
 
-  /// Reads the whole file as a Dataset, charged as one sequential scan.
-  data::Dataset ReadAll();
-
-  /// Charges the I/O of touching `count` points starting at `start` without
-  /// moving bytes. Used where the simulation knows data flows but the
-  /// in-memory model shortcut avoids an actual copy.
+  /// Charges reading `count` points starting at point index `start`: a
+  /// transfer for every page overlapping the range and a seek if the range
+  /// does not continue the previous access. Moves no bytes; the reader
+  /// then reads the points in place through raw().
   void ChargeAccess(size_t start, size_t count) {
     accountant_.ChargeAccess(start, count);
   }
@@ -99,8 +94,8 @@ class PagedFile {
   const IoStats& stats() const { return accountant_.stats(); }
   void ResetStats() { accountant_.ResetStats(); }
 
-  /// Direct unaccounted access for verification, tests and the in-memory
-  /// shortcuts whose I/O is charged separately.
+  /// Direct unaccounted access to the points: every read of the file goes
+  /// through here, its I/O charged separately by ChargeAccess.
   std::span<const float> raw() const {
     return is_view_ ? view_ : std::span<const float>(store_);
   }

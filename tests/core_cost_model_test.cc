@@ -124,7 +124,7 @@ TEST(CostModelTest, ScanCostMatchesPagedFileCharges) {
   common::Rng rng(1);
   const auto data = data::GenerateUniform(12345, 6, &rng);
   io::PagedFile file = io::PagedFile::FromDataset(data, io::DiskModel{});
-  file.ReadAll();
+  file.ChargeAccess(0, file.size());
 
   CostModelInputs in;
   in.num_points = data.size();

@@ -82,8 +82,9 @@ TEST_F(PagedFileTest, SequentialScanIsOneSeek) {
   common::Rng rng(2);
   const auto data = data::GenerateUniform(4096, 2, &rng);
   ForBothKinds(data, [&](PagedFile& file) {
-    const auto all = file.ReadAll();
-    EXPECT_TRUE(all == data);
+    file.ChargeAccess(0, file.size());
+    EXPECT_TRUE(std::equal(file.raw().begin(), file.raw().end(),
+                           data.data().begin(), data.data().end()));
     EXPECT_EQ(file.stats().page_seeks, 1u);
     EXPECT_EQ(file.stats().page_transfers, 4u);
   });
@@ -93,10 +94,9 @@ TEST_F(PagedFileTest, AdjacentReadsDoNotSeek) {
   common::Rng rng(3);
   const auto data = data::GenerateUniform(4096, 2, &rng);
   ForBothKinds(data, [&](PagedFile& file) {
-    std::vector<float> buf(1024 * 2);
-    file.Read(0, 1024, buf.data());     // page 0: seek
-    file.Read(1024, 1024, buf.data());  // page 1: adjacent
-    file.Read(2048, 1024, buf.data());  // page 2: adjacent
+    file.ChargeAccess(0, 1024);     // page 0: seek
+    file.ChargeAccess(1024, 1024);  // page 1: adjacent
+    file.ChargeAccess(2048, 1024);  // page 2: adjacent
     EXPECT_EQ(file.stats().page_seeks, 1u);
     EXPECT_EQ(file.stats().page_transfers, 3u);
   });
@@ -106,9 +106,8 @@ TEST_F(PagedFileTest, BackwardReadSeeks) {
   common::Rng rng(4);
   const auto data = data::GenerateUniform(4096, 2, &rng);
   ForBothKinds(data, [&](PagedFile& file) {
-    std::vector<float> buf(1024 * 2);
-    file.Read(2048, 1024, buf.data());
-    file.Read(0, 1024, buf.data());
+    file.ChargeAccess(2048, 1024);
+    file.ChargeAccess(0, 1024);
     EXPECT_EQ(file.stats().page_seeks, 2u);
   });
 }
@@ -117,13 +116,10 @@ TEST_F(PagedFileTest, RangeSpanningPagesCountsAllTransfers) {
   common::Rng rng(5);
   const auto data = data::GenerateUniform(4096, 2, &rng);
   ForBothKinds(data, [&](PagedFile& file) {
-    std::vector<float> buf(2048 * 2);
     // Points 512..2559 overlap pages 0,1,2.
-    file.Read(512, 2048, buf.data());
+    file.ChargeAccess(512, 2048);
     EXPECT_EQ(file.stats().page_transfers, 3u);
     EXPECT_EQ(file.stats().page_seeks, 1u);
-    EXPECT_TRUE(std::equal(buf.begin(), buf.end(),
-                           data.data().begin() + 512 * 2));
   });
 }
 
@@ -132,9 +128,10 @@ TEST_F(PagedFileTest, WriteReadRoundTrip) {
   file.Resize(100);
   const std::vector<float> point = {1.5f, -2.5f};
   file.Write(42, 1, point.data());
-  std::vector<float> out(2);
-  file.Read(42, 1, out.data());
-  EXPECT_EQ(out, point);
+  const auto row = file.raw().subspan(42 * 2, 2);
+  EXPECT_EQ(std::vector<float>(row.begin(), row.end()), point);
+  EXPECT_EQ(file.stats().page_seeks, 1u);
+  EXPECT_EQ(file.stats().page_transfers, 1u);
 }
 
 TEST_F(PagedFileTest, WriteThenAdjacentWriteNoExtraSeek) {
@@ -151,10 +148,9 @@ TEST_F(PagedFileTest, InvalidateHeadForcesSeek) {
   common::Rng rng(6);
   const auto data = data::GenerateUniform(2048, 2, &rng);
   ForBothKinds(data, [&](PagedFile& file) {
-    std::vector<float> buf(1024 * 2);
-    file.Read(0, 1024, buf.data());
+    file.ChargeAccess(0, 1024);
     file.InvalidateHead();
-    file.Read(1024, 1024, buf.data());  // would have been adjacent
+    file.ChargeAccess(1024, 1024);  // would have been adjacent
     EXPECT_EQ(file.stats().page_seeks, 2u);
   });
 }
@@ -172,11 +168,10 @@ TEST_F(PagedFileTest, ResetStatsClearsCountersAndHead) {
   common::Rng rng(7);
   const auto data = data::GenerateUniform(2048, 2, &rng);
   ForBothKinds(data, [&](PagedFile& file) {
-    std::vector<float> buf(1024 * 2);
-    file.Read(0, 1024, buf.data());
+    file.ChargeAccess(0, 1024);
     file.ResetStats();
     EXPECT_EQ(file.stats().page_seeks, 0u);
-    file.Read(1024, 1024, buf.data());
+    file.ChargeAccess(1024, 1024);
     EXPECT_EQ(file.stats().page_seeks, 1u);  // head was reset: seek again
   });
 }
@@ -184,17 +179,13 @@ TEST_F(PagedFileTest, ResetStatsClearsCountersAndHead) {
 TEST_F(PagedFileTest, ChargeAccessMatchesReadCharges) {
   common::Rng rng(8);
   const auto data = data::GenerateUniform(4096, 2, &rng);
-  PagedFile reader = PagedFile::FromDataset(data, disk_);
-  std::vector<float> buf(2000 * 2);
-  reader.Read(100, 2000, buf.data());
   ForBothKinds(data, [&](PagedFile& file) {
     file.ChargeAccess(100, 2000);
-    EXPECT_TRUE(file.stats() == reader.stats());
+    // A bare accountant over the same points charges the same.
+    PageAccountant accountant(file.points_per_page(), data.size());
+    accountant.ChargeAccess(100, 2000);
+    EXPECT_TRUE(accountant.stats() == file.stats());
   });
-  // A bare accountant over the same points charges the same.
-  PageAccountant accountant(reader.points_per_page(), data.size());
-  accountant.ChargeAccess(100, 2000);
-  EXPECT_TRUE(accountant.stats() == reader.stats());
 }
 
 TEST_F(PagedFileTest, HighDimensionalPointsPerPage) {
