@@ -50,8 +50,9 @@ struct AsyncServerOptions {
 /// server. Frame payloads are bounded by wire::kDefaultMaxPayload.
 ///
 /// The deterministic payload of every predict response is bit-identical
-/// to what the JSON transport would serve for the same request (the
-/// service's determinism contract; doubles travel as raw IEEE-754 bits).
+/// to what PredictionService::ServeOnShard returns in process for the same
+/// request (the service's determinism contract; doubles travel as raw
+/// IEEE-754 bits).
 class AsyncServer {
  public:
   /// `service` must outlive the server.
@@ -71,7 +72,7 @@ class AsyncServer {
 
   /// Blocks until the server stops — via Stop() or a shutdown frame —
   /// then joins all threads. Returns the number of predict responses
-  /// served (shed responses excluded), matching the JSON loop's count.
+  /// served (shed responses excluded), as the shutdown response reports.
   uint64_t Wait();
 
   /// Signals the server to stop; safe from any thread (including the

@@ -21,8 +21,8 @@ namespace hdidx::service {
 /// One prediction question: "what would a k-NN workload cost on an index
 /// over this dataset, predicted by this method under this memory budget?"
 struct ServiceRequest {
-  /// Caller-chosen identifier echoed in the response (the line protocol
-  /// assigns a running sequence number when absent).
+  /// Caller-chosen identifier echoed in the response (the wire protocol
+  /// carries it in the frame header).
   uint64_t id = 0;
   /// Name of a dataset registered with the service's DatasetRegistry.
   std::string dataset;
@@ -141,9 +141,9 @@ struct ServiceOptions {
 /// Datasets are partitioned across shards by the registry's stable hash;
 /// each shard owns a ThreadPool-backed ExecutionContext (threads split
 /// evenly) plus an LRU cache of built prediction results and generated
-/// workloads. ServeOnShard is the one serving path: every transport (the
-/// async wire server's per-shard workers, the JSON line loop) routes each
-/// request to `registry().ShardOf(dataset)` and calls it once.
+/// workloads. ServeOnShard is the one serving path: the async wire server's
+/// per-shard workers route each request to `registry().ShardOf(dataset)`
+/// and call it once.
 ///
 /// Determinism contract: every response's `result` is derived only from the
 /// request fields and the registered dataset — workloads are seeded with

@@ -294,7 +294,6 @@ bool DecodeRequest(const FrameHeader& header, std::string_view payload,
       r.page_bytes = static_cast<size_t>(page_bytes);
       r.id = header.id;
       r.per_query = (header.flags & kFlagPerQuery) != 0;
-      out->has_id = true;
       if (r.dataset.empty()) return Fail(error, "predict needs 'dataset'");
       return true;
     }

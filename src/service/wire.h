@@ -12,7 +12,7 @@
 
 namespace hdidx::service::wire {
 
-/// The service's binary transport: length-prefixed frames over a byte
+/// The service's transport: length-prefixed binary frames over a byte
 /// stream (TCP), designed for pipelining — a client may write any number
 /// of request frames before reading responses, and responses to predict
 /// requests may arrive out of order (match them by `id`).
@@ -32,10 +32,11 @@ namespace hdidx::service::wire {
 ///       20     -  payload   op-specific (see wire.cc encoders)
 ///
 /// Doubles travel as their raw IEEE-754 bits (8 bytes, little-endian), so
-/// a decoded response reproduces the JSON transport's %.17g text exactly:
-/// the determinism contract is byte-identity of the serialized `result`
-/// payload across transports. Per-query access vectors are appended as one
-/// contiguous f64 array — memcpy in and out on little-endian hosts.
+/// SerializeResult of a decoded response reproduces the served response's
+/// %.17g text exactly: the determinism contract is byte-identity of that
+/// text for every shard count and arrival order. Per-query access vectors
+/// are appended as one contiguous f64 array — memcpy in and out on
+/// little-endian hosts.
 ///
 /// Error handling is two-level: a frame whose *header* is malformed (bad
 /// magic/version/reserved, oversized length) poisons the stream — the
@@ -152,9 +153,9 @@ std::string EncodeLoadRequest(uint64_t id, std::string_view dataset,
 std::string EncodeStatsRequest(uint64_t id);
 std::string EncodeShutdownRequest(uint64_t id);
 
-/// Decodes any request frame into the parsed-request struct shared with
-/// the JSON transport (predict id/per_query come from the header). Fails
-/// on response flags, kError op, or payload mismatch.
+/// Decodes any request frame into a RequestLine (predict id/per_query come
+/// from the header). Fails on response flags, kError op, or payload
+/// mismatch.
 bool DecodeRequest(const FrameHeader& header, std::string_view payload,
                    RequestLine* out, std::string* error);
 
@@ -186,8 +187,8 @@ struct LoadResult {
 std::string EncodeLoadResponse(uint64_t id, const LoadResult& result);
 
 /// A decoded predict response. When `shed`, only id/shard/retry_after_ms
-/// are meaningful; otherwise `response` carries everything the JSON
-/// transport would have (per-query accesses zero-filled to their count
+/// are meaningful; otherwise `response` carries everything the server's
+/// ServiceResponse did (per-query accesses zero-filled to their count
 /// when the array was not requested, so SerializeResult round-trips).
 struct PredictReply {
   ServiceResponse response;

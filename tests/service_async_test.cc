@@ -14,7 +14,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -25,7 +24,6 @@
 #include "gtest/gtest.h"
 #include "service/prediction_service.h"
 #include "service/protocol.h"
-#include "service/server.h"
 #include "service/wire.h"
 #include "test_util.h"
 
@@ -240,61 +238,39 @@ std::vector<ServiceRequest> BatteryRequests() {
   return requests;
 }
 
-/// Pipes `requests` as predict lines through the JSON line loop
-/// (RunServer) on a fresh `shards`-shard service and returns its response
-/// lines, in order.
-std::vector<std::string> RunJson(const std::vector<ServiceRequest>& requests,
-                                 size_t shards) {
-  std::string script;
-  for (const ServiceRequest& r : requests) {
-    script += "{\"op\":\"predict\",\"id\":" + std::to_string(r.id) +
-              ",\"dataset\":" + JsonQuote(r.dataset) +
-              ",\"method\":" + JsonQuote(r.method) +
-              ",\"memory\":" + std::to_string(r.memory) +
-              ",\"num_queries\":" + std::to_string(r.num_queries) +
-              ",\"k\":" + std::to_string(r.k) +
-              ",\"seed\":" + std::to_string(r.seed) +
-              ",\"page_bytes\":" + std::to_string(r.page_bytes) +
-              ",\"per_query\":" + (r.per_query ? "true" : "false") + "}\n";
-  }
+/// Serves `requests` in order, in process, on a fresh `shards`-shard
+/// service through its one serving path: ServeOnShard on each dataset's
+/// shard, as the wire server's shard workers call it.
+std::vector<ServiceResponse> ServeInProcess(
+    const std::vector<ServiceRequest>& requests, size_t shards) {
   auto svc = MakeService(shards);
-  std::istringstream in(script);
-  std::ostringstream out;
-  EXPECT_EQ(RunServer(in, out, svc.get()), requests.size());
-  std::vector<std::string> lines;
-  std::istringstream responses(out.str());
-  for (std::string line; std::getline(responses, line);) lines.push_back(line);
-  return lines;
+  std::vector<ServiceResponse> responses;
+  for (const ServiceRequest& r : requests) {
+    responses.push_back(
+        svc->ServeOnShard(svc->registry().ShardOf(r.dataset), r));
+  }
+  return responses;
 }
 
-/// The start of the JSON response line answering request `id`.
-std::string ResponsePrefix(uint64_t id, bool ok) {
-  return "{\"op\":\"predict\",\"id\":" + std::to_string(id) +
-         (ok ? ",\"ok\":true" : ",\"ok\":false");
-}
-
-/// Serialized `result` payloads by request id, as the JSON transport
-/// serves them — the cross-transport reference.
-std::map<uint64_t, std::string> JsonReference(
+/// Serialized result payloads by request id, served in process on one
+/// shard — the reference every wire response must reproduce byte for byte.
+std::map<uint64_t, std::string> InProcessReference(
     const std::vector<ServiceRequest>& requests) {
-  const std::vector<std::string> lines = RunJson(requests, 1);
+  const std::vector<ServiceResponse> responses = ServeInProcess(requests, 1);
   std::map<uint64_t, std::string> reference;
-  const std::string key = ",\"result\":";
-  for (size_t i = 0; i < lines.size(); ++i) {
-    // Lines come back in request order; the wrapper's last member,
-    // "result", holds SerializeResult's bytes verbatim.
-    EXPECT_EQ(lines[i].rfind(ResponsePrefix(requests[i].id, true), 0), 0u)
-        << lines[i];
-    const size_t begin = lines[i].find(key) + key.size();
+  for (size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].id, requests[i].id);
+    EXPECT_TRUE(responses[i].ok) << responses[i].error;
     reference[requests[i].id] =
-        lines[i].substr(begin, lines[i].size() - 1 - begin);
+        SerializeResult(responses[i], requests[i].per_query);
   }
   return reference;
 }
 
 TEST(AsyncServerTest, BinaryMatchesJsonAcrossShardCountsPipelined) {
   const std::vector<ServiceRequest> requests = BatteryRequests();
-  const std::map<uint64_t, std::string> reference = JsonReference(requests);
+  const std::map<uint64_t, std::string> reference =
+      InProcessReference(requests);
 
   for (const size_t shards : {1, 2, 4}) {
     auto svc = MakeService(shards);
@@ -344,7 +320,8 @@ TEST(AsyncServerTest, BinaryMatchesJsonAcrossShardCountsPipelined) {
 
 TEST(AsyncServerTest, BinaryMatchesJsonSerialAndShuffled) {
   std::vector<ServiceRequest> requests = BatteryRequests();
-  const std::map<uint64_t, std::string> reference = JsonReference(requests);
+  const std::map<uint64_t, std::string> reference =
+      InProcessReference(requests);
 
   // Deterministically shuffled arrival order, strictly serial exchanges
   // (send one, read one) — the other extreme from the pipelined test.
@@ -444,7 +421,7 @@ TEST(AsyncServerTest, LoadStatsAndCacheHitsOverSocket) {
   std::remove(path.c_str());
 }
 
-TEST(AsyncServerTest, DegenerateRequestsRejectedOnBothTransports) {
+TEST(AsyncServerTest, DegenerateRequestsRejectedInProcessAndOverWire) {
   // Requests whose only possible answer is a meaningless "ok", on N = 3000
   // 8-d points: k >= N (the query's own row leaves N - 1 neighbors), pages
   // too small for two 8-d records (< 2 * (4 * 8 + 4) = 72 bytes), and more
@@ -467,13 +444,13 @@ TEST(AsyncServerTest, DegenerateRequestsRejectedOnBothTransports) {
     requests.push_back(Req("alpha", "mini", 1, 40 + requests.size()));
   }
 
-  const std::vector<std::string> lines = RunJson(requests, 2);
-  ASSERT_EQ(lines.size(), requests.size());
+  const std::vector<ServiceResponse> in_process = ServeInProcess(requests, 2);
+  ASSERT_EQ(in_process.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     const bool valid = i % 2 == 1;
-    EXPECT_EQ(lines[i].rfind(ResponsePrefix(requests[i].id, valid), 0), 0u)
-        << lines[i];
-    EXPECT_EQ(lines[i].find("\"error\"") != std::string::npos, !valid);
+    EXPECT_EQ(in_process[i].id, requests[i].id);
+    EXPECT_EQ(in_process[i].ok, valid) << in_process[i].error;
+    EXPECT_EQ(in_process[i].error.empty(), valid);
   }
 
   auto svc = MakeService(2);
@@ -491,8 +468,8 @@ TEST(AsyncServerTest, DegenerateRequestsRejectedOnBothTransports) {
     ASSERT_TRUE(wire::DecodePredictResponse(header, payload, &reply, &error))
         << error;
     EXPECT_EQ(reply.response.id, requests[i].id);
-    EXPECT_EQ(reply.response.ok, i % 2 == 1) << reply.response.error;
-    EXPECT_EQ(reply.response.error.empty(), i % 2 == 1);
+    EXPECT_EQ(reply.response.ok, in_process[i].ok) << reply.response.error;
+    EXPECT_EQ(reply.response.error, in_process[i].error);
   }
   EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());
 }
@@ -512,7 +489,8 @@ TEST(AsyncServerTest, MemoryBeyondDatasetServedAsDatasetSize) {
       requests.push_back(r);
     }
   }
-  const std::map<uint64_t, std::string> reference = JsonReference(requests);
+  const std::map<uint64_t, std::string> reference =
+      InProcessReference(requests);
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(reference.at(requests[i].id),
               reference.at(requests[i - i % 3].id))

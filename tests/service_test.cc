@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,7 +9,6 @@
 #include "geometry/kernels.h"
 #include "gtest/gtest.h"
 #include "service/protocol.h"
-#include "service/server.h"
 #include "test_util.h"
 
 namespace hdidx::service {
@@ -204,37 +201,6 @@ TEST(PredictionServiceTest, WorkloadCacheSharedAcrossMemoryBudgets) {
   const ServiceMetrics metrics = svc->Metrics();
   EXPECT_EQ(metrics.workload_hits, 2u);
   EXPECT_EQ(metrics.workload_misses, 1u);
-}
-
-TEST(PredictionServiceTest, BatchKeepsArrivalOrderAcrossShards) {
-  // Predict lines piped to the JSON loop over 2 shards come back one
-  // response per line, in request order, each from its dataset's shard.
-  auto svc = MakeService(2);
-  const std::vector<std::string> datasets = {"gamma", "alpha", "beta",
-                                             "alpha", "gamma"};
-  std::string script;
-  std::vector<std::string> expected;
-  std::set<size_t> shards_used;
-  for (size_t i = 0; i < datasets.size(); ++i) {
-    const size_t shard = svc->registry().ShardOf(datasets[i]);
-    shards_used.insert(shard);
-    const std::string id = std::to_string(100 + i);
-    script += "{\"op\":\"predict\",\"method\":\"mini\",\"page_bytes\":1024,"
-              "\"dataset\":\"" + datasets[i] + "\",\"id\":" + id + "}\n";
-    expected.push_back("{\"op\":\"predict\",\"id\":" + id +
-                       ",\"ok\":true,\"shard\":" + std::to_string(shard));
-  }
-  ASSERT_EQ(shards_used.size(), 2u);  // the lines really span both shards
-  std::istringstream in(script);
-  std::ostringstream out;
-  EXPECT_EQ(RunServer(in, out, svc.get()), datasets.size());
-  std::istringstream lines(out.str());
-  std::string line;
-  for (const std::string& prefix : expected) {
-    ASSERT_TRUE(std::getline(lines, line));
-    EXPECT_EQ(line.rfind(prefix, 0), 0u) << line;
-  }
-  EXPECT_FALSE(std::getline(lines, line));
 }
 
 TEST(PredictionServiceKernelTest, ResponsesInvariantAcrossKernelModes) {

@@ -161,7 +161,6 @@ TEST(WireRoundTripTest, RequestsDecodeThroughSharedRequestLine) {
     ASSERT_TRUE(DecodeRequest(header, payload, &line, &error)) << error;
     switch (line.op) {
       case RequestLine::Op::kPredict:
-        EXPECT_TRUE(line.has_id);
         EXPECT_EQ(line.predict.id, 77u);
         EXPECT_EQ(line.predict.dataset, "alpha");
         EXPECT_EQ(line.predict.method, "resampled");
@@ -223,9 +222,9 @@ TEST(WireRoundTripTest, PredictResponseCarriesEveryResultField) {
     EXPECT_EQ(reply.response.shard, 2u);
     EXPECT_EQ(reply.response.served_io.page_seeks, 11u);
     EXPECT_EQ(reply.response.served_io.page_transfers, 23u);
-    // The determinism contract across transports, stated as bytes: the
-    // serialized `result` payload of the decoded binary response equals
-    // the JSON transport's serialization of the original.
+    // The determinism contract, stated as bytes: the serialized `result`
+    // payload of the decoded binary response equals the serialization of
+    // the response the server encoded.
     EXPECT_EQ(SerializeResult(reply.response, per_query),
               SerializeResult(response, per_query));
     if (per_query) {

@@ -84,6 +84,29 @@ TEST(FlagsTest, ValidNumbersStayValid) {
   EXPECT_TRUE(flags.ok()) << flags.error();
 }
 
+TEST(FlagsTest, UintAboveMaxIsAnError) {
+  Argv args({"--port=70000", "--ok=65535"});
+  const Flags flags(args.argc(), args.argv());
+  EXPECT_EQ(flags.GetUint("ok", 0, 65535), 65535u);
+  EXPECT_TRUE(flags.ok()) << flags.error();
+  EXPECT_EQ(flags.GetUint("port", 0, 65535), 0u);  // the fallback
+  EXPECT_FALSE(flags.ok());
+  EXPECT_NE(flags.error().find("at most 65535"), std::string::npos);
+}
+
+TEST(FlagsTest, BoolFollowsOneRuleWithAnyDefault) {
+  Argv args({"--a=0", "--b=false", "--c", "--d=1"});
+  const Flags flags(args.argc(), args.argv());
+  for (const bool fallback : {false, true}) {
+    EXPECT_FALSE(flags.GetBool("a", fallback));
+    EXPECT_FALSE(flags.GetBool("b", fallback));
+    EXPECT_TRUE(flags.GetBool("c", fallback));
+    EXPECT_TRUE(flags.GetBool("d", fallback));
+    EXPECT_EQ(flags.GetBool("absent", fallback), fallback);
+  }
+  EXPECT_TRUE(flags.ok());
+}
+
 TEST(FlagsTest, FirstErrorIsKept) {
   Argv args({"--a=bad", "--b=alsobad"});
   const Flags flags(args.argc(), args.argv());

@@ -60,7 +60,10 @@ class Flags {
     return it != values_.end() ? it->second : fallback;
   }
 
-  uint64_t GetUint(const std::string& name, uint64_t fallback) const {
+  /// A value above `max` is an error too (for flags that land in a
+  /// narrower type, such as a 16-bit port).
+  uint64_t GetUint(const std::string& name, uint64_t fallback,
+                   uint64_t max = UINT64_MAX) const {
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
     const std::string& v = it->second;
@@ -75,6 +78,11 @@ class Flags {
     if (end != v.c_str() + v.size() || errno != 0) {
       RecordError("--" + name + " expects a non-negative integer, got '" + v +
                   "'");
+      return fallback;
+    }
+    if (parsed > max) {
+      RecordError("--" + name + " must be at most " + std::to_string(max) +
+                  ", got '" + v + "'");
       return fallback;
     }
     return parsed;
@@ -93,9 +101,12 @@ class Flags {
     return parsed;
   }
 
-  bool GetBool(const std::string& name) const {
+  /// A bare flag or any value but "false"/"0" is true; an absent flag is
+  /// `fallback`.
+  bool GetBool(const std::string& name, bool fallback = false) const {
     const auto it = values_.find(name);
-    return it != values_.end() && it->second != "false" && it->second != "0";
+    if (it == values_.end()) return fallback;
+    return it->second != "false" && it->second != "0";
   }
 
  private:

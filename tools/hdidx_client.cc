@@ -1,25 +1,22 @@
 // hdidx_client: batch client for hdidx_serve.
 //
-// Default transport: spawns the server (--serve "cmd"), reads the ready
-// line to learn the bound TCP port, then runs the session over the binary
-// wire protocol (src/service/wire.h) — load, a pipelined predict batch
-// (all request frames written before any response is read), an optional
-// warm repeat of the same batch that must be served from the mini-index
-// cache, stats, shutdown. With --json it appends --json to the server
-// command and speaks the legacy line protocol over the pipes instead; the
-// session, health checks, and summary line are identical either way.
+// Spawns the server (--serve "cmd"), reads the ready line to learn the
+// bound TCP port, then runs a session over the binary wire protocol
+// (src/service/wire.h): load, a pipelined predict batch (all request frames
+// written before any response is read), an optional warm repeat of the same
+// batch that must be served from the mini-index cache, stats, shutdown.
 // Exits 0 only on a fully healthy session (all predictions ok, warm batch
 // hit the cache, clean shutdown), so CI can use it as a one-command smoke
-// test of either transport.
+// test of the service.
 //
 // Usage:
 //   hdidx_client --serve "./hdidx_serve --shards 2" --data data.hdx
 //                [--dataset d] [--method resampled] [--memory 10000]
 //                [--k 10] [--queries 100] [--requests 4] [--seed 1]
-//                [--repeat true] [--json] [--emit]
+//                [--repeat true]
 //
-// --emit prints the JSON request lines to stdout instead of spawning a
-// server (for manual piping: hdidx_client --emit ... | hdidx_serve --json).
+// --repeat follows the tools' boolean rule: "false" or "0" skips the warm
+// pass.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -34,7 +31,6 @@
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "flags.h"
 #include "service/protocol.h"
@@ -42,14 +38,13 @@
 
 namespace {
 
-using hdidx::service::JsonQuote;
 namespace wire = hdidx::service::wire;
 
 constexpr char kUsage[] =
     "usage: hdidx_client --serve CMD --data FILE [--dataset NAME]\n"
     "                    [--method mini|cutoff|resampled] [--memory M]\n"
     "                    [--k K] [--queries Q] [--requests R] [--seed S]\n"
-    "                    [--repeat BOOL] [--json] [--emit]\n";
+    "                    [--repeat BOOL]\n";
 
 struct SessionSpec {
   std::string dataset;
@@ -63,76 +58,35 @@ struct SessionSpec {
   bool repeat = true;
 };
 
-/// Session health tally, shared by both transports; the summary line and
-/// the exit status derive from it.
+/// Session health tally; the summary line and the exit status derive from
+/// it.
 struct SessionTally {
   bool load_ok = false;
   bool shutdown_ok = false;
   uint64_t predict_ok = 0;
   uint64_t predict_failed = 0;
   uint64_t cache_hits = 0;
-  uint64_t with_prediction = 0;
 };
 
-std::vector<std::string> ComposeLines(const SessionSpec& spec) {
-  std::vector<std::string> lines;
-  lines.push_back("{\"op\":\"load\",\"dataset\":" + JsonQuote(spec.dataset) +
-                  ",\"path\":" + JsonQuote(spec.data_path) + "}");
-  const auto batch = [&](std::vector<std::string>* out) {
-    for (uint64_t i = 0; i < spec.requests; ++i) {
-      out->push_back(
-          "{\"op\":\"predict\",\"dataset\":" + JsonQuote(spec.dataset) +
-          ",\"method\":" + JsonQuote(spec.method) +
-          ",\"memory\":" + std::to_string(spec.memory) +
-          ",\"k\":" + std::to_string(spec.k) +
-          ",\"num_queries\":" + std::to_string(spec.queries) +
-          ",\"seed\":" + std::to_string(spec.seed + i) + "}");
-    }
-  };
-  batch(&lines);
-  if (spec.repeat) batch(&lines);  // warm pass: must hit the cache
-  lines.push_back("{\"op\":\"stats\"}");
-  lines.push_back("{\"op\":\"shutdown\"}");
-  return lines;
-}
-
-/// Spawns `command` via /bin/sh with stdin/stdout piped; returns false on
-/// fork/pipe failure.
-bool Spawn(const std::string& command, pid_t* pid, FILE** to_child,
-           FILE** from_child) {
-  int in_pipe[2];   // parent -> child
+/// Spawns `command` via /bin/sh with its stdout piped back; returns false
+/// on fork/pipe failure.
+bool Spawn(const std::string& command, pid_t* pid, FILE** from_child) {
   int out_pipe[2];  // child -> parent
-  if (pipe(in_pipe) != 0) return false;
-  if (pipe(out_pipe) != 0) {
-    close(in_pipe[0]);
-    close(in_pipe[1]);
-    return false;
-  }
+  if (pipe(out_pipe) != 0) return false;
   *pid = fork();
   if (*pid < 0) return false;
   if (*pid == 0) {
-    dup2(in_pipe[0], STDIN_FILENO);
     dup2(out_pipe[1], STDOUT_FILENO);
-    close(in_pipe[0]);
-    close(in_pipe[1]);
     close(out_pipe[0]);
     close(out_pipe[1]);
     execl("/bin/sh", "sh", "-c", command.c_str(), nullptr);
     std::perror("exec");
     _exit(127);
   }
-  close(in_pipe[0]);
   close(out_pipe[1]);
-  *to_child = fdopen(in_pipe[1], "w");
   *from_child = fdopen(out_pipe[0], "r");
-  return *to_child != nullptr && *from_child != nullptr;
+  return *from_child != nullptr;
 }
-
-bool Contains(const std::string& line, const char* needle) {
-  return line.find(needle) != std::string::npos;
-}
-
-// --- wire transport -----------------------------------------------------
 
 /// Reads lines from the server's stdout until the ready line and parses
 /// the bound port out of it. Returns 0 on failure.
@@ -140,13 +94,10 @@ uint16_t ReadReadyPort(FILE* from_child) {
   char buffer[1 << 14];
   while (std::fgets(buffer, sizeof(buffer), from_child) != nullptr) {
     const std::string line(buffer);
-    if (!Contains(line, "\"op\":\"ready\"")) continue;
+    if (line.find("\"op\":\"ready\"") == std::string::npos) continue;
     const size_t pos = line.find("\"port\":");
     if (pos == std::string::npos) {
-      std::fprintf(stderr,
-                   "error: ready line has no port (server in --json "
-                   "mode?): %s",
-                   line.c_str());
+      std::fprintf(stderr, "error: ready line has no port: %s", line.c_str());
       return 0;
     }
     const unsigned long port =
@@ -257,7 +208,6 @@ bool TallyPredictReplies(int fd, std::string* buffer, uint64_t count,
     }
     if (reply.response.ok) {
       ++tally->predict_ok;
-      ++tally->with_prediction;
     } else {
       ++tally->predict_failed;
       std::fprintf(stderr, "predict failed: %s\n",
@@ -268,8 +218,8 @@ bool TallyPredictReplies(int fd, std::string* buffer, uint64_t count,
   return true;
 }
 
-/// The wire-transport session: load, pipelined cold batch, optional warm
-/// batch, stats, shutdown. Returns false on transport failure (the tally
+/// The session: load, pipelined cold batch, optional warm batch, stats,
+/// shutdown. Returns false on transport failure (the tally
 /// still decides overall health).
 bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
   std::string buffer;
@@ -346,54 +296,13 @@ bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
   return true;
 }
 
-// --- json transport -----------------------------------------------------
-
-/// The legacy line-protocol session over the server's stdin/stdout pipes.
-void RunJsonSession(FILE* to_child, FILE* from_child,
-                    const std::vector<std::string>& lines,
-                    SessionTally* tally) {
-  // The whole session fits comfortably in the pipe buffer, so write it all
-  // up front, close, then drain responses.
-  for (const auto& line : lines) std::fprintf(to_child, "%s\n", line.c_str());
-  std::fclose(to_child);
-
-  char buffer[1 << 16];
-  while (std::fgets(buffer, sizeof(buffer), from_child) != nullptr) {
-    const std::string line(buffer);
-    if (Contains(line, "\"op\":\"ready\"")) {
-      continue;
-    } else if (Contains(line, "\"op\":\"load\"")) {
-      tally->load_ok = Contains(line, "\"ok\":true");
-      if (!tally->load_ok) {
-        std::fprintf(stderr, "load failed: %s", line.c_str());
-      }
-    } else if (Contains(line, "\"op\":\"predict\"")) {
-      if (Contains(line, "\"ok\":true")) {
-        ++tally->predict_ok;
-      } else {
-        ++tally->predict_failed;
-        std::fprintf(stderr, "predict failed: %s", line.c_str());
-      }
-      if (Contains(line, "\"cache\":\"hit\"")) ++tally->cache_hits;
-      if (Contains(line, "\"avg_leaf_accesses\":")) ++tally->with_prediction;
-    } else if (Contains(line, "\"op\":\"stats\"")) {
-      std::printf("stats: %s", line.c_str());
-    } else if (Contains(line, "\"op\":\"shutdown\"")) {
-      tally->shutdown_ok = Contains(line, "\"ok\":true");
-    } else if (Contains(line, "\"op\":\"error\"")) {
-      std::fprintf(stderr, "protocol error: %s", line.c_str());
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hdidx;
   const tools::Flags flags(argc, argv,
                            {"serve", "data", "dataset", "method", "memory",
-                            "k", "queries", "requests", "seed", "repeat",
-                            "json", "emit"});
+                            "k", "queries", "requests", "seed", "repeat"});
 
   SessionSpec spec;
   spec.dataset = flags.GetString("dataset", "d");
@@ -404,59 +313,35 @@ int main(int argc, char** argv) {
   spec.queries = flags.GetUint("queries", 100);
   spec.requests = flags.GetUint("requests", 4);
   spec.seed = flags.GetUint("seed", 1);
-  spec.repeat = flags.GetString("repeat", "true") != "false";
-  const bool json = flags.GetBool("json");
-  const bool emit = flags.GetBool("emit");
-  std::string serve_cmd = flags.GetString("serve", "");
+  spec.repeat = flags.GetBool("repeat", true);
+  const std::string serve_cmd = flags.GetString("serve", "");
   flags.ExitOnError(kUsage);
 
-  if (spec.data_path.empty() || (!emit && serve_cmd.empty())) {
+  if (spec.data_path.empty() || serve_cmd.empty()) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
 
-  if (emit) {
-    for (const auto& line : ComposeLines(spec)) {
-      std::printf("%s\n", line.c_str());
-    }
-    return 0;
-  }
-
-  // The same --serve command works for both transports: the client flips
-  // the server into line-protocol mode itself.
-  if (json) serve_cmd += " --json";
-
   pid_t pid = -1;
-  FILE* to_child = nullptr;
   FILE* from_child = nullptr;
-  if (!Spawn(serve_cmd, &pid, &to_child, &from_child)) {
+  if (!Spawn(serve_cmd, &pid, &from_child)) {
     std::fprintf(stderr, "error: cannot spawn '%s'\n", serve_cmd.c_str());
     return 1;
   }
 
   SessionTally tally;
-  bool transport_ok = true;
-  if (json) {
-    RunJsonSession(to_child, from_child, ComposeLines(spec), &tally);
-  } else {
-    std::fclose(to_child);  // the wire server never reads stdin
-    const uint16_t port = ReadReadyPort(from_child);
-    const int fd = port != 0 ? ConnectLoopback(port) : -1;
-    if (fd < 0) {
-      if (port != 0) {
-        std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%u\n",
-                     static_cast<unsigned>(port));
-      }
-      transport_ok = false;
-    } else {
-      transport_ok = RunWireSession(fd, spec, &tally);
-      close(fd);
-    }
-    // Drain anything else the server printed so it never blocks on a full
-    // stdout pipe before exiting.
-    char sink[1 << 12];
-    while (std::fgets(sink, sizeof(sink), from_child) != nullptr) {
-    }
+  const uint16_t port = ReadReadyPort(from_child);
+  const int fd = port != 0 ? ConnectLoopback(port) : -1;
+  if (fd < 0 && port != 0) {
+    std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%u\n",
+                 static_cast<unsigned>(port));
+  }
+  const bool transport_ok = fd >= 0 && RunWireSession(fd, spec, &tally);
+  if (fd >= 0) close(fd);
+  // Drain anything else the server printed so it never blocks on a full
+  // stdout pipe before exiting.
+  char sink[1 << 12];
+  while (std::fgets(sink, sizeof(sink), from_child) != nullptr) {
   }
   std::fclose(from_child);
 
@@ -480,7 +365,6 @@ int main(int argc, char** argv) {
   const bool healthy = transport_ok && tally.load_ok && tally.shutdown_ok &&
                        tally.predict_failed == 0 &&
                        tally.predict_ok == expected &&
-                       tally.with_prediction == expected &&
                        (!spec.repeat || tally.cache_hits >= spec.requests);
   if (!healthy) {
     std::fprintf(stderr, "error: unhealthy session\n");

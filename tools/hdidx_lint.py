@@ -14,8 +14,9 @@ compiler warning catches but that break the repo's standing contracts:
       contract); everything else needs an allowlist entry.
 
   rule `stdout` — std::cout / printf / puts in library code. The library is
-      also the serving layer: stray stdout corrupts the line-delimited
-      protocol. Tools, benches, and examples are not scanned.
+      also the serving layer: stray stdout mixes into the output the tools
+      print for machines to read (hdidx_serve's ready line, hdidx_predict's
+      report). Tools, benches, and examples are not scanned.
 
   rule `global` — mutable file-scope state (static / thread_local / extern
       variables at namespace scope that are not const/constexpr). Hidden

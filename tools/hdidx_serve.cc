@@ -1,18 +1,11 @@
 // hdidx_serve: a long-running sharded prediction server.
 //
-// Default transport: the epoll-based async server speaking the
-// length-prefixed binary wire protocol over TCP (see src/service/wire.h,
-// src/service/async_server.h): one event-loop thread accepts and frames,
-// one worker thread per shard serves. On startup it prints one JSON ready
-// line carrying the bound port, then serves until a shutdown frame:
+// Serves the length-prefixed binary wire protocol over TCP (see
+// src/service/wire.h, src/service/async_server.h): one event-loop thread
+// accepts and frames, one worker thread per shard serves. On startup it
+// prints one JSON ready line carrying the bound port, then serves until a
+// shutdown frame:
 //   {"op":"ready","transport":"wire","port":43215,"shards":2,...}
-//
-// Debug transport: --json speaks the original line-delimited flat-JSON
-// protocol over stdin/stdout (see src/service/protocol.h) — handy for
-// manual sessions and `hdidx_client --json`. Each predict line is served as
-// it arrives, through the same PredictionService::ServeOnShard call the
-// wire server's shard workers make, so both transports return the same
-// result bytes; blank lines are ignored.
 //
 // Usage:
 //   hdidx_serve [--shards 2] [--threads 8] [--cache-entries 64]
@@ -20,40 +13,30 @@
 //               [--preload name=path[,name=path...]]
 //               [--port 0] [--host 127.0.0.1]
 //               [--queue-capacity 64] [--retry-after-ms 50]
-//               [--json]
 //
 // Datasets are loaded once (at startup via --preload, or at runtime via a
 // load request) and pinned. --port 0 binds an ephemeral port — read it
 // from the ready line. --queue-capacity bounds each shard's admission
 // queue; predicts beyond it are answered with load-shed frames carrying
-// the --retry-after-ms hint.
-//
-// Example JSON session:
-//   $ hdidx_serve --shards 2 --json <<'EOF'
-//   {"op":"load","dataset":"d","path":"data.hdx"}
-//   {"op":"predict","dataset":"d","method":"resampled","memory":1000,"k":5}
-//   {"op":"predict","dataset":"d","method":"resampled","memory":1000,"k":5}
-//   {"op":"stats"}
-//   {"op":"shutdown"}
-//   EOF
+// the --retry-after-ms hint. A --port above 65535 or a --retry-after-ms
+// above 4294967295 exits 2 before anything is bound. hdidx_client drives a
+// whole session against a spawned server.
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "flags.h"
 #include "service/async_server.h"
 #include "service/prediction_service.h"
-#include "service/protocol.h"
-#include "service/server.h"
 
 constexpr char kUsage[] =
     "usage: hdidx_serve [--shards N] [--threads T] [--cache-entries E]\n"
     "                   [--workload-cache-entries E]\n"
     "                   [--preload name=path[,name=path...]]\n"
     "                   [--port P] [--host H]\n"
-    "                   [--queue-capacity C] [--retry-after-ms MS]\n"
-    "                   [--json]\n";
+    "                   [--queue-capacity C] [--retry-after-ms MS]\n";
 
 int main(int argc, char** argv) {
   using namespace hdidx;
@@ -61,7 +44,7 @@ int main(int argc, char** argv) {
                            {"shards", "threads", "cache-entries",
                             "workload-cache-entries", "preload", "port",
                             "host", "queue-capacity",
-                            "retry-after-ms", "json"});
+                            "retry-after-ms"});
 
   service::ServiceOptions options;
   options.num_shards = flags.GetUint("shards", 1);
@@ -70,13 +53,13 @@ int main(int argc, char** argv) {
   options.workload_cache_entries =
       flags.GetUint("workload-cache-entries", 32);
   const std::string preload = flags.GetString("preload", "");
-  const bool json = flags.GetBool("json");
   service::AsyncServerOptions async_options;
   async_options.host = flags.GetString("host", "127.0.0.1");
-  async_options.port = static_cast<uint16_t>(flags.GetUint("port", 0));
+  async_options.port = static_cast<uint16_t>(
+      flags.GetUint("port", 0, std::numeric_limits<uint16_t>::max()));
   async_options.shard_queue_capacity = flags.GetUint("queue-capacity", 64);
-  async_options.retry_after_ms =
-      static_cast<uint32_t>(flags.GetUint("retry-after-ms", 50));
+  async_options.retry_after_ms = static_cast<uint32_t>(flags.GetUint(
+      "retry-after-ms", 50, std::numeric_limits<uint32_t>::max()));
   flags.ExitOnError(kUsage);
 
   service::PredictionService svc(options);
@@ -104,16 +87,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (json) {
-    std::cout << "{\"op\":\"ready\",\"transport\":\"json\",\"shards\":"
-              << svc.num_shards()
-              << ",\"threads_per_shard\":" << svc.threads_per_shard()
-              << ",\"datasets\":" << svc.registry().size() << "}\n";
-    std::cout.flush();
-    service::RunServer(std::cin, std::cout, &svc);
-    return 0;
-  }
-
+  // Counted before Start: from then on the event loop may load datasets
+  // into the registry concurrently with this thread.
+  const size_t datasets = svc.registry().size();
   service::AsyncServer server(&svc, async_options);
   std::string error;
   if (!server.Start(&error)) {
@@ -123,7 +99,7 @@ int main(int argc, char** argv) {
   std::cout << "{\"op\":\"ready\",\"transport\":\"wire\",\"port\":"
             << server.port() << ",\"shards\":" << svc.num_shards()
             << ",\"threads_per_shard\":" << svc.threads_per_shard()
-            << ",\"datasets\":" << svc.registry().size() << "}\n";
+            << ",\"datasets\":" << datasets << "}\n";
   std::cout.flush();
   server.Wait();
   return 0;
