@@ -22,8 +22,7 @@ UniformModelResult PredictUniformModel(const UniformModelParams& params) {
   // Computed in log space: in high d, V_unit underflows and r exceeds 1 —
   // the sphere out-grows the data cube, which is exactly the curse-of-
   // dimensionality regime the model mishandles.
-  const double log_v_unit =
-      0.5 * d * std::log(M_PI) - std::lgamma(0.5 * d + 1.0);
+  const double log_v_unit = geometry::LogUnitSphereVolume(params.dim);
   const double log_r =
       (std::log(static_cast<double>(params.k) / n) - log_v_unit) / d;
   result.radius = std::exp(log_r);

@@ -27,7 +27,6 @@ class HDIDX_CAPABILITY("mutex") Mutex {
 
   void Lock() HDIDX_ACQUIRE() { mu_.lock(); }
   void Unlock() HDIDX_RELEASE() { mu_.unlock(); }
-  bool TryLock() HDIDX_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // BasicLockable spelling (CondVar::Wait passes the Mutex straight to
   // std::condition_variable_any).
@@ -72,7 +71,6 @@ class CondVar {
   /// re-check in their own (annotated) scope.
   void Wait(Mutex& mu) HDIDX_REQUIRES(mu) { cv_.wait(mu); }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

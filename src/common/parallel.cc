@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
+#include <mutex>
 
 namespace hdidx::common {
 
@@ -14,11 +16,24 @@ thread_local bool tls_in_parallel_section = false;
 
 std::atomic<size_t> g_thread_count_override{0};
 
+/// HDIDX_THREADS as a thread count, 0 when unset, "0" or rejected. The
+/// whole value must be decimal digits and at most kMaxThreads ("4x", " 4",
+/// "+4" and "1025" are rejected), and a rejection warns once on stderr.
 size_t EnvThreadCount() {
   const char* env = std::getenv("HDIDX_THREADS");
-  if (env == nullptr) return 0;
-  const long value = std::strtol(env, nullptr, 10);
-  return value > 0 ? static_cast<size_t>(value) : 0;
+  if (env == nullptr || *env == '\0') return 0;
+  size_t value = 0;
+  for (const char* c = env; value <= kMaxThreads; ++c) {
+    if (*c == '\0') return value;
+    if (*c < '0' || *c > '9') break;
+    value = value * 10 + static_cast<size_t>(*c - '0');
+  }
+  static std::once_flag warned;
+  std::call_once(warned, [env] {
+    std::cerr << "hdidx: ignoring HDIDX_THREADS=\"" << env
+              << "\" (expected an integer in [1, " << kMaxThreads << "])\n";
+  });
+  return 0;
 }
 
 void RunSerial(size_t begin, size_t end, size_t grain,

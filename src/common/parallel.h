@@ -15,11 +15,18 @@
 
 namespace hdidx::common {
 
+/// Largest thread count taken from HDIDX_THREADS or a tool's --threads (and
+/// hdidx_serve's --shards): a larger value is a typo, not a machine.
+inline constexpr size_t kMaxThreads = 1024;
+
 /// Number of worker threads the library's parallel sections use, resolved in
 /// precedence order:
 ///   1. the last value passed to SetThreadCount() (if any, and nonzero);
-///   2. the HDIDX_THREADS environment variable (if set to a positive int);
+///   2. the HDIDX_THREADS environment variable, if it is entirely a decimal
+///      integer in [1, kMaxThreads]. Any other value but "" and "0" is
+///      ignored with a one-time warning on stderr;
 ///   3. std::thread::hardware_concurrency() (at least 1).
+/// Only reads the policy; it starts no threads.
 size_t ThreadCount();
 
 /// Overrides the thread-count policy for this process (the --threads flag of

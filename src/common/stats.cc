@@ -82,16 +82,4 @@ double RelativeError(double predicted, double actual) {
   return (predicted - actual) / actual;
 }
 
-void RunningStats::Add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
 }  // namespace hdidx::common

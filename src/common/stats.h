@@ -47,23 +47,6 @@ double PercentileOfSorted(std::span<const double> sorted, double p);
 /// overestimations. Returns 0 when actual == 0.
 double RelativeError(double predicted, double actual);
 
-/// Accumulates mean and variance in one pass (Welford's algorithm). Used by
-/// the bulk loader's maximum-variance split, which must find the dimension
-/// of highest variance over millions of coordinates without a second pass.
-class RunningStats {
- public:
-  void Add(double x);
-  size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  /// Population variance; 0 with fewer than two observations.
-  double variance() const;
-
- private:
-  size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
 }  // namespace hdidx::common
 
 #endif  // HDIDX_COMMON_STATS_H_

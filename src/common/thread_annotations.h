@@ -63,10 +63,6 @@
 #define HDIDX_RELEASE(...) \
   HDIDX_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability iff it returns `b`.
-#define HDIDX_TRY_ACQUIRE(b, ...) \
-  HDIDX_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(b, __VA_ARGS__))
-
 /// Function must NOT be called while holding the capability (deadlock
 /// prevention for non-reentrant locks).
 #define HDIDX_EXCLUDES(...) \

@@ -32,7 +32,6 @@ std::vector<geometry::BoundingBox> BuildGrownMiniIndexLeaves(
   options.root_level = topology.height();
   options.stop_level = 1;
   options.split_strategy = params.split_strategy;
-  options.adaptive = params.adaptive;
   options.exec = &ctx;
   const index::RTree mini = index::BulkLoadInMemory(sample, options);
 

@@ -26,12 +26,6 @@ struct MiniIndexParams {
   /// mini-index must run the same construction algorithm for the
   /// structural-similarity argument of Section 3.1 to hold.
   index::SplitStrategy split_strategy = index::SplitStrategy::kMaxVariance;
-  /// Tuning carried into the mini build when split_strategy is
-  /// kAdaptiveSample. To model an external adaptive build, set
-  /// adaptive.memory_points to the external build's M: bucket-level
-  /// placement compares unscaled subtree capacities, so the mini-index
-  /// derives the same bucket level as the full build regardless of zeta.
-  index::AdaptiveOptions adaptive;
 };
 
 /// The basic sampling-based prediction model (Section 3.1): draw a sample,

@@ -93,27 +93,4 @@ std::optional<Dataset> ReadCsv(const std::string& path,
   return dataset;
 }
 
-bool WriteCsv(const Dataset& data, const std::string& path,
-              const CsvOptions& options, std::string* error) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    *error = "cannot open for writing: " + path;
-    return false;
-  }
-  out.precision(9);
-  for (size_t i = 0; i < data.size(); ++i) {
-    const auto row = data.row(i);
-    for (size_t k = 0; k < data.dim(); ++k) {
-      if (k > 0) out << options.delimiter;
-      out << row[k];
-    }
-    out << '\n';
-  }
-  if (!out) {
-    *error = "short write: " + path;
-    return false;
-  }
-  return true;
-}
-
 }  // namespace hdidx::data

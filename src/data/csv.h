@@ -27,11 +27,6 @@ struct CsvOptions {
 std::optional<Dataset> ReadCsv(const std::string& path,
                                const CsvOptions& options, std::string* error);
 
-/// Writes `data` as CSV (full float precision). Returns false and fills
-/// `*error` on failure.
-bool WriteCsv(const Dataset& data, const std::string& path,
-              const CsvOptions& options, std::string* error);
-
 }  // namespace hdidx::data
 
 #endif  // HDIDX_DATA_CSV_H_

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <vector>
+#include <string>
 
 namespace hdidx::data {
 
@@ -11,6 +11,8 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'D', 'I', 'X'};
 constexpr uint32_t kVersion = 1;
+// Row ids are uint32_t throughout the index code.
+constexpr uint64_t kMaxPoints = UINT32_MAX;
 
 struct Header {
   char magic[4];
@@ -65,14 +67,50 @@ std::optional<Dataset> ReadDataset(const std::string& path,
     *error = "zero dimensionality in " + path;
     return std::nullopt;
   }
-  std::vector<float> values(header.num_points * header.dim);
-  in.read(reinterpret_cast<char*>(values.data()),
-          static_cast<std::streamsize>(values.size() * sizeof(float)));
+  // Nothing is allocated until the header agrees with the file: the point
+  // count fits the bulk loaders' 32-bit row ids, and the header plus the
+  // N * dim floats it claims (overflow-checked) is exactly the file size.
+  if (header.num_points > kMaxPoints) {
+    *error = "point count " + std::to_string(header.num_points) +
+             " exceeds the 32-bit row id limit in " + path;
+    return std::nullopt;
+  }
+  uint64_t payload_bytes = 0;
+  uint64_t file_bytes = 0;
+  if (__builtin_mul_overflow(header.num_points, header.dim, &payload_bytes) ||
+      __builtin_mul_overflow(payload_bytes, uint64_t{sizeof(float)},
+                             &payload_bytes) ||
+      __builtin_add_overflow(payload_bytes, uint64_t{sizeof(Header)},
+                             &file_bytes)) {
+    *error = "header size overflows in " + path;
+    return std::nullopt;
+  }
+  in.seekg(0, std::ios::end);
+  const std::streamoff actual_bytes = in.tellg();
+  in.seekg(sizeof(Header), std::ios::beg);
+  if (!in || actual_bytes < 0) {
+    *error = "cannot determine the size of " + path +
+             " (not a regular file?)";
+    return std::nullopt;
+  }
+  if (static_cast<uint64_t>(actual_bytes) != file_bytes) {
+    *error = "header claims " + std::to_string(header.num_points) + " x " +
+             std::to_string(header.dim) + " floats (" +
+             std::to_string(file_bytes) + " bytes) but the file has " +
+             std::to_string(actual_bytes) + " bytes: " + path;
+    return std::nullopt;
+  }
+  // Read straight into the dataset's storage: the file's payload is
+  // allocated once, not once here and again by a copying constructor.
+  Dataset dataset(static_cast<size_t>(header.num_points),
+                  static_cast<size_t>(header.dim));
+  in.read(reinterpret_cast<char*>(dataset.mutable_data().data()),
+          static_cast<std::streamsize>(payload_bytes));
   if (!in) {
     *error = "truncated payload: " + path;
     return std::nullopt;
   }
-  return Dataset(std::move(values), static_cast<size_t>(header.dim));
+  return dataset;
 }
 
 }  // namespace hdidx::data

@@ -17,8 +17,13 @@ namespace hdidx::data {
 bool WriteDataset(const Dataset& data, const std::string& path,
                   std::string* error);
 
-/// Reads a dataset previously written by WriteDataset. Returns std::nullopt
-/// and fills `*error` on failure (missing file, bad magic, truncation).
+/// Reads a dataset previously written by WriteDataset. `path` must name a
+/// regular file: its size is checked, so a pipe or FIFO is rejected.
+/// Returns std::nullopt and fills `*error` on failure (missing file, bad
+/// magic, zero dimensionality, more than 2^32 - 1 points, a file whose size
+/// cannot be determined, or one whose length is not exactly the header plus
+/// the N * dim floats the header claims). The header is checked against the
+/// file before anything is allocated.
 std::optional<Dataset> ReadDataset(const std::string& path,
                                    std::string* error);
 

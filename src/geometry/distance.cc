@@ -43,44 +43,15 @@ double MinDist(std::span<const float> point, const BoundingBox& box) {
   return std::sqrt(SquaredMinDist(point, box));
 }
 
-double SquaredMaxDist(std::span<const float> point, const BoundingBox& box) {
-  HDIDX_DCHECK(point.size() == box.dim());
-  if (box.empty()) return 0.0;
-  double s = 0.0;
-  const auto& lo = box.lo();
-  const auto& hi = box.hi();
-  for (size_t d = 0; d < point.size(); ++d) {
-    const double to_lo = std::abs(static_cast<double>(point[d]) - lo[d]);
-    const double to_hi = std::abs(static_cast<double>(point[d]) - hi[d]);
-    const double diff = std::max(to_lo, to_hi);
-    s += diff * diff;
-  }
-  return s;
-}
-
-double MaxDist(std::span<const float> point, const BoundingBox& box) {
-  return std::sqrt(SquaredMaxDist(point, box));
-}
-
 bool SphereIntersectsBox(std::span<const float> center, double radius,
                          const BoundingBox& box) {
   HDIDX_CHECK(radius >= 0.0) << "query sphere radius must be non-negative";
   return SquaredMinDist(center, box) <= radius * radius;
 }
 
-bool SphereCoversBox(std::span<const float> center, double radius,
-                     const BoundingBox& box) {
-  HDIDX_CHECK(radius >= 0.0) << "query sphere radius must be non-negative";
-  return SquaredMaxDist(center, box) <= radius * radius;
-}
-
-double UnitSphereVolume(size_t dim) {
-  // V_d = pi^(d/2) / Gamma(d/2 + 1); evaluate in log space so that very
-  // high dimensionalities (ISOLET617) do not underflow prematurely.
+double LogUnitSphereVolume(size_t dim) {
   const double d = static_cast<double>(dim);
-  const double log_v =
-      0.5 * d * std::log(M_PI) - std::lgamma(0.5 * d + 1.0);
-  return std::exp(log_v);
+  return 0.5 * d * std::log(M_PI) - std::lgamma(0.5 * d + 1.0);
 }
 
 }  // namespace hdidx::geometry

@@ -23,15 +23,6 @@ double MinDist(std::span<const float> point, const BoundingBox& box);
 /// are needed.
 double SquaredMinDist(std::span<const float> point, const BoundingBox& box);
 
-/// MAXDIST: the largest Euclidean distance between `point` and any point of
-/// `box`. An NN sphere of radius r fully covers the box iff
-/// MaxDist(point, box) <= r.
-double MaxDist(std::span<const float> point, const BoundingBox& box);
-
-/// Squared MAXDIST; the sqrt-free form for covering checks that compare
-/// against a squared radius (MaxDist is its exact sqrt).
-double SquaredMaxDist(std::span<const float> point, const BoundingBox& box);
-
 /// True iff the sphere (center, radius) intersects `box`, i.e. the query
 /// region of an NN query with this radius would access a page with this MBR.
 /// Requires radius >= 0 (a NaN radius fails the check too — it used to make
@@ -39,15 +30,10 @@ double SquaredMaxDist(std::span<const float> point, const BoundingBox& box);
 bool SphereIntersectsBox(std::span<const float> center, double radius,
                          const BoundingBox& box);
 
-/// True iff the sphere (center, radius) fully covers `box`: every corner is
-/// within the radius. Sqrt-free (squared MAXDIST against squared radius).
-/// Empty boxes are vacuously covered. Requires radius >= 0.
-bool SphereCoversBox(std::span<const float> center, double radius,
-                     const BoundingBox& box);
-
-/// Volume of the d-dimensional unit hypersphere. Computed via the
-/// log-gamma function for numerical stability in hundreds of dimensions.
-double UnitSphereVolume(size_t dim);
+/// Natural log of the volume of the d-dimensional unit hypersphere,
+/// log(pi^(d/2) / Gamma(d/2 + 1)), via the log-gamma function: the volume
+/// itself underflows in hundreds of dimensions.
+double LogUnitSphereVolume(size_t dim);
 
 }  // namespace hdidx::geometry
 

@@ -107,7 +107,7 @@ class BoundedDistanceHeap {
  public:
   BoundedDistanceHeap(double* storage, size_t k) : heap_(storage), k_(k) {}
 
-  void Push(double d2, size_t /*row*/) {
+  void Push(double d2) {
     if (size_ < k_) {
       heap_[size_++] = d2;
       std::push_heap(heap_, heap_ + size_);
@@ -138,40 +138,36 @@ static_assert(kScanChunkRows % kBlock == 0,
               "scan chunks must hold whole kernel blocks");
 
 /// One query of a scan tile: its point, its excluded row and its heap.
-template <typename Heap>
 struct ScanEntry {
   const float* query;
   size_t exclude_row;
-  Heap heap;
+  BoundedDistanceHeap heap;
 };
 
 /// Feeds one computed row to a query's heap unless it is the excluded row
 /// (the query's own); duplicates of the query point still count as
 /// neighbors.
-template <typename Heap>
-void Consider(ScanEntry<Heap>& entry, size_t row, double d2) {
+void Consider(ScanEntry& entry, size_t row, double d2) {
   if (row == entry.exclude_row) return;
-  entry.heap.Push(d2, row);
+  entry.heap.Push(d2);
 }
 
-/// Shared skeleton of the k-NN scan kernels, tiled over queries: walks the
-/// rows in chunks of kScanChunkRows and runs every query of `tile` over each
-/// chunk before moving on, so the rows are streamed from memory once per
-/// tile instead of once per query. Within a chunk the batched modes walk
-/// the tile in groups of isa::kScanGroup queries, each group running the
-/// grouped op over one staged block at a time, so a block's lanes are
-/// loaded once per group. Per query it skips the excluded row and feeds
-/// `heap.Push(d2, row)` in ascending row order — exactly the pushes of a
-/// one-query scan, since no heap, accumulator or threshold is shared
-/// between queries. `heap.Threshold()` is the current no-op-push bound
-/// (k-th distance once k rows were collected); a query abandons a block
-/// once every lane's partial sum exceeds its own bound captured at block
-/// start — the bound only shrinks, so an abandoned row's push would have
-/// been a no-op. The result of every query is therefore independent of the
-/// tile and the group it rides in.
-template <typename Heap>
-void ScanRows(std::span<ScanEntry<Heap>> tile,
-              std::span<const float> rows, size_t dim, KernelMode mode) {
+/// The k-th-distance scan behind KthDistanceScans, tiled over queries: walks
+/// the rows in chunks of kScanChunkRows and runs every query of `tile` over
+/// each chunk before moving on, so the rows are streamed from memory once per
+/// tile instead of once per query. Within a chunk the batched modes walk the
+/// tile in groups of isa::kScanGroup queries, each group running the grouped op
+/// over one staged block at a time, so a block's lanes are loaded once per
+/// group. Per query it skips the excluded row and feeds `heap.Push(d2)` in
+/// ascending row order — exactly the pushes of a one-query scan, since no heap,
+/// accumulator or threshold is shared between queries. `heap.Threshold()` is
+/// the current no-op-push bound (k-th distance once k rows were collected); a
+/// query abandons a block once every lane's partial sum exceeds its own bound
+/// captured at block start — the bound only shrinks, so an abandoned row's push
+/// would have been a no-op. The result of every query is therefore independent
+/// of the tile and the group it rides in.
+void ScanRows(std::span<ScanEntry> tile, std::span<const float> rows,
+              size_t dim, KernelMode mode) {
   HDIDX_CHECK(dim > 0);
   HDIDX_CHECK(rows.size() % dim == 0);
   const size_t n = rows.size() / dim;
@@ -224,7 +220,7 @@ void ScanRows(std::span<ScanEntry<Heap>> tile,
         }
       }
     }
-    for (ScanEntry<Heap>& entry : tile) {
+    for (ScanEntry& entry : tile) {
       for (size_t next = chunk + blocks * kBlock; next < chunk_end; ++next) {
         if (next == entry.exclude_row) continue;
         const float* p = base_ptr + next * dim;
@@ -349,7 +345,7 @@ bool ParseKernelMode(std::string_view name, KernelMode* mode) {
     *mode = KernelMode::kScalar;
     return true;
   }
-  if (name == "generic" || name == "batched") {  // "batched" = PR 5 name
+  if (name == "generic") {
     *mode = KernelMode::kGeneric;
     return true;
   }
@@ -663,7 +659,7 @@ void KthDistanceScans(std::span<const float> queries,
   const size_t width = std::max<size_t>(
       1, kScanTileHeapBytes / (sizeof(double) * std::max<size_t>(slots, 1)));
   std::vector<double> storage(std::min(q, width) * slots);
-  std::vector<ScanEntry<BoundedDistanceHeap>> tile;
+  std::vector<ScanEntry> tile;
   tile.reserve(std::min(q, width));
   for (size_t begin = 0; begin < q; begin += width) {
     const size_t end = std::min(q, begin + width);
@@ -677,22 +673,6 @@ void KthDistanceScans(std::span<const float> queries,
       out[i] = tile[i - begin].heap.Threshold();
     }
   }
-}
-
-std::vector<std::pair<double, size_t>> TopKNeighborScan(
-    std::span<const float> query, std::span<const float> rows, size_t dim,
-    size_t k) {
-  return TopKNeighborScan(query, rows, dim, k, ActiveKernelMode());
-}
-
-std::vector<std::pair<double, size_t>> TopKNeighborScan(
-    std::span<const float> query, std::span<const float> rows, size_t dim,
-    size_t k, KernelMode mode) {
-  if (k == 0) return {};
-  HDIDX_CHECK(query.size() == dim);
-  ScanEntry<BoundedPairHeap> entry{query.data(), kNoRow, BoundedPairHeap(k)};
-  ScanRows(std::span(&entry, 1), rows, dim, ResolveKernelMode(mode));
-  return entry.heap.TakeSortedAscending();
 }
 
 RowMoments ComputeRowMoments(const float* base, size_t dim,

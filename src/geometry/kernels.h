@@ -29,11 +29,11 @@ namespace hdidx::geometry::kernels {
 /// decision.
 ///
 /// kGeneric is the portable batched implementation (plain C++, compiler
-/// autovectorized; also accepted under its old name "batched"), and the
-/// only batched mode on non-x86 hosts. kAvx2/kAvx512 are explicit-intrinsic
-/// x86 lanes in src/geometry/isa/, available only when both the build
-/// targets x86-64 and the running CPU reports the feature; requesting an
-/// unavailable one downgrades (never UB), see ResolveKernelMode().
+/// autovectorized), and the only batched mode on non-x86 hosts.
+/// kAvx2/kAvx512 are explicit-intrinsic x86 lanes in src/geometry/isa/,
+/// available only when both the build targets x86-64 and the running CPU
+/// reports the feature; requesting an unavailable one downgrades (never
+/// UB), see ResolveKernelMode().
 enum class KernelMode {
   kScalar = 0,
   kGeneric = 1,
@@ -65,11 +65,10 @@ std::vector<KernelMode> SupportedKernelModes();
 /// the accepted HDIDX_KERNEL values.
 std::string_view KernelModeName(KernelMode mode);
 
-/// Parses a mode name. Recognized names (plus the legacy alias "batched"
-/// for kGeneric) return true and store the named mode, unresolved — the
-/// caller decides whether to downgrade. Unknown names return false and
-/// store BestKernelMode(), the deterministic fallback ActiveKernelMode()
-/// warns about.
+/// Parses a mode name. Recognized names return true and store the named mode,
+/// unresolved — the caller decides whether to downgrade. Unknown names return
+/// false and store BestKernelMode(), the deterministic fallback
+/// ActiveKernelMode() warns about.
 bool ParseKernelMode(std::string_view name, KernelMode* mode);
 
 /// The mode the dispatching kernels run in: the process-wide override if one
@@ -254,7 +253,7 @@ inline constexpr size_t kScanTileHeapBytes = size_t{1} << 20;
 /// Bounded max-heap of the k smallest (squared distance, row) pairs under
 /// pair ordering: rows are unique, so it retains exactly the first k
 /// elements a partial_sort of all pairs would produce, in the same order.
-/// The heap behind TopKNeighborScan and index::TreeKnnSearch.
+/// The heap behind index::TreeKnnSearch.
 class BoundedPairHeap {
  public:
   /// Requires k > 0.
@@ -302,16 +301,6 @@ HDIDX_CONCURRENT_READ void KthDistanceScans(std::span<const float> queries,
                                             size_t dim, size_t k,
                                             std::span<double> out,
                                             KernelMode mode);
-
-/// The k nearest rows as (squared distance, row) pairs in ascending order
-/// (ties towards the lower row index — identical to partial_sort over all
-/// pairs). Fewer than k pairs when fewer rows exist.
-HDIDX_CONCURRENT_READ std::vector<std::pair<double, size_t>> TopKNeighborScan(
-    std::span<const float> query, std::span<const float> rows, size_t dim,
-    size_t k);
-HDIDX_CONCURRENT_READ std::vector<std::pair<double, size_t>> TopKNeighborScan(
-    std::span<const float> query, std::span<const float> rows, size_t dim,
-    size_t k, KernelMode mode);
 
 /// Per-dimension raw moments of a set of row-major rows: sum[k] and
 /// sum_sq[k] are the sums from 0.0 of v and v * v, v being coordinate k of

@@ -11,6 +11,18 @@
 
 namespace hdidx::index {
 
+namespace {
+
+// The split-plane sample of every kAdaptiveSample build: Rng(kSampleSeed)
+// draws kSamplingFraction of the points without replacement, at least
+// kMinSamplePoints. Part of the deterministic layout function, so every
+// adaptive golden pins them.
+constexpr double kSamplingFraction = 0.05;
+constexpr size_t kMinSamplePoints = 256;
+constexpr uint64_t kSampleSeed = 1;
+
+}  // namespace
+
 size_t AdaptiveBucketLevel(const TreeTopology& topology, size_t root_level,
                            size_t stop_level, size_t memory_points) {
   HDIDX_CHECK(stop_level < root_level)
@@ -25,20 +37,18 @@ size_t AdaptiveBucketLevel(const TreeTopology& topology, size_t root_level,
 
 AdaptiveSetup PrepareAdaptiveBuild(const BulkLoadOptions& options,
                                    size_t root_level, size_t n) {
-  const AdaptiveOptions& adaptive = options.adaptive;
   AdaptiveSetup setup;
   setup.bucket_level =
       AdaptiveBucketLevel(*options.topology, root_level, options.stop_level,
-                          adaptive.memory_points);
+                          options.memory_points);
   setup.bucket_capacity = ScaledSubtreeCapacity(options, setup.bucket_level);
   setup.bucket_target = std::max(1.0, setup.bucket_capacity * 0.7);
   const size_t sample_size = std::clamp<size_t>(
-      std::max<size_t>(adaptive.min_sample_points,
+      std::max<size_t>(kMinSamplePoints,
                        static_cast<size_t>(std::llround(
-                           static_cast<double>(n) *
-                           adaptive.sampling_fraction))),
+                           static_cast<double>(n) * kSamplingFraction))),
       1, n);
-  common::Rng(adaptive.seed).SampleIndices(n, sample_size, &setup.sample_rows);
+  common::Rng(kSampleSeed).SampleIndices(n, sample_size, &setup.sample_rows);
   return setup;
 }
 

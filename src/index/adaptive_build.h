@@ -27,14 +27,14 @@ namespace hdidx::index {
 /// fits the external build's window; stop_level if even the leaf capacity
 /// exceeds that, and root_level - 1 when memory_points is 0 (unconstrained).
 /// Comparing unscaled capacities makes the choice sampling-fraction
-/// invariant — a mini-index and the full build agree on the level.
+/// invariant: a scaled build given the same M agrees with the full build.
 /// Requires stop_level < root_level.
 size_t AdaptiveBucketLevel(const TreeTopology& topology, size_t root_level,
                            size_t stop_level, size_t memory_points);
 
 /// What both pipelines derive before their sample pass.
 struct AdaptiveSetup {
-  /// AdaptiveBucketLevel(options.adaptive.memory_points).
+  /// AdaptiveBucketLevel(options.memory_points).
   size_t bucket_level = 0;
   /// ScaledSubtreeCapacity of the bucket level: the root stride of
   /// AdaptiveGroupBoundaries.
@@ -42,8 +42,8 @@ struct AdaptiveSetup {
   /// SplitPlan's bucket target: 0.7 of the capacity (at least 1), aiming
   /// buckets slightly under capacity so sampling error rarely overfills.
   double bucket_target = 1.0;
-  /// Ascending row positions the sample pass reads: Rng(seed) draws
-  /// sampling_fraction of n, at least min_sample_points, clamped to [1, n].
+  /// Ascending row positions the sample pass reads: Rng(1) draws 5% of n,
+  /// at least 256, clamped to [1, n].
   std::vector<size_t> sample_rows;
 };
 

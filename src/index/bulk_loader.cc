@@ -303,7 +303,7 @@ uint32_t InMemoryPointSource::BuildAdaptiveRoot(const BulkLoadOptions& options,
   // above them.
   std::vector<internal::AdaptiveRoot> roots;
   const std::vector<size_t> bounds = AdaptiveGroupBoundaries(
-      n, setup.bucket_capacity, options.adaptive.memory_points);
+      n, setup.bucket_capacity, options.memory_points);
   for (size_t g = 0; g + 1 < bounds.size(); ++g) {
     internal::BuildBucketRoots(this, options, tree, setup.bucket_level,
                                bounds[g], bounds[g + 1], &roots);

@@ -40,28 +40,6 @@ enum class SplitStrategy {
   kAdaptiveSample,
 };
 
-/// Tuning for SplitStrategy::kAdaptiveSample. All of it is part of the
-/// deterministic layout function: two builds with equal options (and equal
-/// data) produce bit-identical trees regardless of thread count.
-struct AdaptiveOptions {
-  /// Fraction of the points drawn (without replacement, Rng(seed)) by the
-  /// split-plane sample pass.
-  double sampling_fraction = 0.05;
-  /// Lower bound on the sample size (clamped to the point count).
-  size_t min_sample_points = 256;
-  /// Seed of the sample draw.
-  uint64_t seed = 1;
-  /// Memory budget in points used to place the bucket level (the level
-  /// whose subtrees are classified as whole units): the largest level whose
-  /// unscaled subtree capacity is at most half this budget. 0 means
-  /// unconstrained (buckets directly under the root). External builds set
-  /// this to their window size M; a mini-index predicting an external
-  /// adaptive build must carry the same value so both derive the same
-  /// bucket level (the capacities compared are unscaled, so the choice is
-  /// sampling-fraction invariant).
-  size_t memory_points = 0;
-};
-
 struct BulkLoadOptions;
 
 /// Abstraction over where the points being bulk-loaded live.
@@ -204,8 +182,15 @@ struct BulkLoadOptions {
   /// How split dimensions are chosen (see SplitStrategy).
   SplitStrategy split_strategy = SplitStrategy::kMaxVariance;
 
-  /// Tuning for kAdaptiveSample (ignored by the other strategies).
-  AdaptiveOptions adaptive;
+  /// Memory size M in points of the build being modelled: kAdaptiveSample
+  /// places its bucket level (the level whose subtrees are classified as
+  /// whole units) at the largest level whose unscaled subtree capacity is
+  /// at most M / 2 (AdaptiveBucketLevel); the other strategies ignore it.
+  /// 0 means unconstrained (buckets directly under the root). BuildOnDisk
+  /// passes its window size; the mini-index of PredictWithMiniIndex leaves
+  /// it 0. Because the capacities compared are unscaled, a scaled build
+  /// given the same M derives the same bucket level as the full build.
+  size_t memory_points = 0;
 
   /// Execution resources for the build. Every build runs one plan of split
   /// steps. nullptr (the default) and serial contexts run it depth-first on

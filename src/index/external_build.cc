@@ -513,10 +513,8 @@ ExternalBuildResult BuildOnDisk(io::PagedFile* file,
   load.root_level = options.topology->height();
   load.stop_level = 1;
   load.split_strategy = options.split_strategy;
-  load.adaptive = options.adaptive;
-  // Bucket placement must see the actual window size, whatever the caller
-  // left in the adaptive sub-options.
-  load.adaptive.memory_points = options.memory_points;
+  // kAdaptiveSample places its bucket level by the actual window size.
+  load.memory_points = options.memory_points;
   // The source's kSingleOwner contract makes this a no-op for the build
   // order; forwarding it anyway keeps the call shape uniform and exercises
   // the gate (tests assert IoStats are thread-count invariant).

@@ -14,18 +14,15 @@ struct ExternalBuildOptions {
   /// Topology of the index being built.
   const TreeTopology* topology = nullptr;
   /// Memory size M in points: the working buffer for in-memory finishing
-  /// and the chunk size of the external passes. Must be at least the data
-  /// page capacity.
+  /// and the chunk size of the external passes, and the budget that places
+  /// kAdaptiveSample's bucket level (BulkLoadOptions::memory_points). Must
+  /// be at least the data page capacity.
   size_t memory_points = 0;
   /// How the external partitioning works (see SplitStrategy). The classic
   /// strategies drive the multi-pass external quickselect; kAdaptiveSample
   /// replaces it with one sample pass choosing the whole split-plane tree
   /// and one streaming classification pass.
   SplitStrategy split_strategy = SplitStrategy::kMaxVariance;
-  /// Tuning for kAdaptiveSample (ignored otherwise). BuildOnDisk overrides
-  /// adaptive.memory_points with `memory_points` so bucket placement always
-  /// matches the actual window.
-  AdaptiveOptions adaptive;
   /// Execution resources. For the build *order* this is a no-op — the
   /// external point source declares itself single-owner
   /// (PointSource::Concurrency), so BulkLoad always runs its build plan

@@ -1,5 +1,6 @@
 #include "index/knn.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <queue>
@@ -9,11 +10,6 @@
 #include "geometry/kernels.h"
 
 namespace hdidx::index {
-
-// The exact scans below run on the batched kernels (vectorized across rows
-// with partial-distance early termination against the k-th heap
-// threshold); the kernels' scalar mode and the equivalence battery pin them
-// to the per-row SquaredL2 + bounded-heap loops bit for bit.
 
 double ExactKthDistanceExcludingRow(const data::Dataset& data,
                                     std::span<const float> query, size_t k,
@@ -27,10 +23,15 @@ double ExactKthDistanceExcludingRow(const data::Dataset& data,
 
 std::vector<size_t> ExactKnn(const data::Dataset& data,
                              std::span<const float> query, size_t k) {
-  const auto pairs =
-      geometry::kernels::TopKNeighborScan(query, data.data(), data.dim(), k);
-  std::vector<size_t> result(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) result[i] = pairs[i].second;
+  HDIDX_CHECK_OP(==, query.size(), data.dim());
+  std::vector<std::pair<double, size_t>> pairs(data.size());
+  for (size_t row = 0; row < data.size(); ++row) {
+    pairs[row] = {geometry::SquaredL2(data.row(row), query), row};
+  }
+  const size_t kept = std::min(k, pairs.size());
+  std::partial_sort(pairs.begin(), pairs.begin() + kept, pairs.end());
+  std::vector<size_t> result(kept);
+  for (size_t i = 0; i < kept; ++i) result[i] = pairs[i].second;
   return result;
 }
 

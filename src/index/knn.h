@@ -24,8 +24,10 @@ double ExactKthDistanceExcludingRow(const data::Dataset& data,
                                     std::span<const float> query, size_t k,
                                     size_t exclude_row);
 
-/// Exact k nearest neighbor row indices (ascending by distance) by linear
-/// scan; used by tests to validate the tree-based search.
+/// Exact k nearest neighbor row indices, ascending by (squared distance,
+/// row), so ties go to the lower row: the brute-force reference tests
+/// validate the tree-based search against (SquaredL2 to every row, then a
+/// partial_sort of the pairs). Fewer than k when the dataset is smaller.
 std::vector<size_t> ExactKnn(const data::Dataset& data,
                              std::span<const float> query, size_t k);
 

@@ -242,11 +242,13 @@ class AsyncServer::Impl {
     return served_.load(std::memory_order_relaxed);
   }
 
-  ServiceMetrics MetricsSnapshot() const;
   void PauseServing();
   void ResumeServing();
 
  private:
+  /// Service metrics plus this server's per-shard queue-depth / peak /
+  /// shed gauges and the shed total: the stats op's payload.
+  ServiceMetrics MetricsSnapshot() const;
   void EventLoop();
   void WorkerLoop(size_t shard);
 
@@ -834,9 +836,6 @@ uint16_t AsyncServer::port() const { return impl_->port(); }
 uint64_t AsyncServer::Wait() { return impl_->Wait(); }
 void AsyncServer::Stop() { impl_->Stop(); }
 uint64_t AsyncServer::served() const { return impl_->served(); }
-ServiceMetrics AsyncServer::MetricsSnapshot() const {
-  return impl_->MetricsSnapshot();
-}
 void AsyncServer::PauseServingForTest() { impl_->PauseServing(); }
 void AsyncServer::ResumeServingForTest() { impl_->ResumeServing(); }
 

@@ -82,10 +82,6 @@ class AsyncServer {
   /// Predict responses served so far (shed responses excluded).
   uint64_t served() const;
 
-  /// Service metrics plus this server's per-shard queue-depth / peak /
-  /// shed gauges and the shed total.
-  ServiceMetrics MetricsSnapshot() const;
-
   /// Test seam: parks every shard worker so queued requests accumulate —
   /// with traffic `shard_queue_capacity + K` deep, exactly K predicts are
   /// shed, deterministically. The `load` op quiesces the same way (pause,

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -170,6 +171,29 @@ TEST(DefaultGrainTest, SerialGetsWholeRangeParallelGetsChunks) {
   EXPECT_GE(DefaultGrain(0, 1), 1u);
   EXPECT_GE(DefaultGrain(100, 4), 1u);
   EXPECT_LE(DefaultGrain(100, 4), 100u);
+}
+
+TEST(ThreadCountDeathTest, MalformedOrOversizedEnvValueWarnsAndIsIgnored) {
+  // ThreadCount() only reads the policy, so no pool or thread is started
+  // here. The warning is issued once per process, so the check runs in a
+  // fresh one: threadsafe death tests re-exec the binary and run only this
+  // body in the child.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const size_t fallback =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EXIT(
+      {
+        SetThreadCount(0);
+        for (const char* bad : {"4x", "abc", "1025", "-4", " 4", "+4",
+                                "18446744073709551620"}) {
+          setenv("HDIDX_THREADS", bad, 1);
+          if (ThreadCount() != fallback) _Exit(2);
+        }
+        _Exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "ignoring HDIDX_THREADS=\"4x\" \\(expected an integer in \\[1, "
+      "1024\\]\\)");
 }
 
 }  // namespace

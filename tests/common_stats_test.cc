@@ -101,28 +101,5 @@ TEST(StatsTest, RelativeErrorSignConvention) {
   EXPECT_EQ(RelativeError(5, 0), 0.0);
 }
 
-TEST(RunningStatsTest, MatchesBatchComputation) {
-  const std::vector<double> v = {1.5, -2.0, 3.25, 0.0, 7.5, -1.25};
-  RunningStats rs;
-  for (double x : v) rs.Add(x);
-  EXPECT_EQ(rs.count(), v.size());
-  EXPECT_NEAR(rs.mean(), Mean(v), 1e-12);
-  EXPECT_NEAR(rs.variance(), Variance(v), 1e-12);
-}
-
-TEST(RunningStatsTest, SingleObservationHasZeroVariance) {
-  RunningStats rs;
-  rs.Add(42.0);
-  EXPECT_EQ(rs.variance(), 0.0);
-  EXPECT_EQ(rs.mean(), 42.0);
-}
-
-TEST(RunningStatsTest, NumericallyStableForLargeOffsets) {
-  // Naive sum-of-squares would lose precision at offset 1e9.
-  RunningStats rs;
-  for (int i = 0; i < 1000; ++i) rs.Add(1e9 + (i % 2));
-  EXPECT_NEAR(rs.variance(), 0.25, 1e-6);
-}
-
 }  // namespace
 }  // namespace hdidx::common

@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/stats.h"
 #include "gtest/gtest.h"
 
 namespace hdidx::data {
 namespace {
+
+/// Coordinate `k` of every row, for the batch statistics in common/stats.h.
+std::vector<double> Column(const Dataset& d, size_t k) {
+  std::vector<double> column(d.size());
+  for (size_t i = 0; i < d.size(); ++i) column[i] = d.row(i)[k];
+  return column;
+}
 
 TEST(GeneratorsTest, UniformInUnitCube) {
   common::Rng rng(1);
@@ -20,10 +28,9 @@ TEST(GeneratorsTest, UniformInUnitCube) {
   }
   // Per-dimension mean near 0.5 and variance near 1/12.
   for (size_t k = 0; k < 4; ++k) {
-    common::RunningStats rs;
-    for (size_t i = 0; i < d.size(); ++i) rs.Add(d.row(i)[k]);
-    EXPECT_NEAR(rs.mean(), 0.5, 0.02);
-    EXPECT_NEAR(rs.variance(), 1.0 / 12.0, 0.01);
+    const std::vector<double> column = Column(d, k);
+    EXPECT_NEAR(common::Mean(column), 0.5, 0.02);
+    EXPECT_NEAR(common::Variance(column), 1.0 / 12.0, 0.01);
   }
 }
 
@@ -49,12 +56,8 @@ TEST(GeneratorsTest, ClusteredIsMoreConcentratedThanUniform) {
   // Average nearest-cluster-like behavior: the per-dimension variance of
   // clustered data is far below the uniform 1/12 in trailing dimensions
   // (exponential decay).
-  common::RunningStats first, last;
-  for (size_t i = 0; i < d.size(); ++i) {
-    first.Add(d.row(i)[0]);
-    last.Add(d.row(i)[7]);
-  }
-  EXPECT_GT(first.variance(), last.variance() * 2.0);
+  EXPECT_GT(common::Variance(Column(d, 0)),
+            common::Variance(Column(d, 7)) * 2.0);
 }
 
 TEST(GeneratorsTest, ClusteredPopulationSkew) {
@@ -112,14 +115,11 @@ TEST(GeneratorsTest, SurrogatesHavePaperShapes) {
 TEST(GeneratorsTest, SurrogateKltOrdersVariance) {
   // KLT output must have (weakly) decreasing variance in the leading dims.
   const Dataset d = Texture60Surrogate(2000, 5);
-  common::RunningStats v0, v5, v30;
-  for (size_t i = 0; i < d.size(); ++i) {
-    v0.Add(d.row(i)[0]);
-    v5.Add(d.row(i)[5]);
-    v30.Add(d.row(i)[30]);
-  }
-  EXPECT_GE(v0.variance(), v5.variance() * 0.99);
-  EXPECT_GE(v5.variance(), v30.variance() * 0.99);
+  const double v0 = common::Variance(Column(d, 0));
+  const double v5 = common::Variance(Column(d, 5));
+  const double v30 = common::Variance(Column(d, 30));
+  EXPECT_GE(v0, v5 * 0.99);
+  EXPECT_GE(v5, v30 * 0.99);
 }
 
 TEST(GeneratorsTest, StockSurrogateDftConcentratesEnergyInLowFrequencies) {

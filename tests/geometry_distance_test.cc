@@ -31,60 +31,27 @@ TEST(DistanceTest, MinDistToFaceEdgeCorner) {
   EXPECT_DOUBLE_EQ(MinDist(std::vector<float>{-3, -4}, box), 5.0);
 }
 
-TEST(DistanceTest, MaxDistReachesFarthestCorner) {
-  const BoundingBox box({0, 0}, {2, 2});
-  // From the origin corner, the farthest point is (2,2).
-  EXPECT_DOUBLE_EQ(MaxDist(std::vector<float>{0, 0}, box), std::sqrt(8.0));
-  // From the center, any corner.
-  EXPECT_DOUBLE_EQ(MaxDist(std::vector<float>{1, 1}, box), std::sqrt(2.0));
-}
-
 TEST(DistanceTest, MinDistNeverExceedsMaxDist) {
+  // MINDIST is a lower bound on the distance to every point of the box, so
+  // it never exceeds the distance to the farthest corner.
   const BoundingBox box({-1, 2, 0}, {4, 3, 7});
   const std::vector<std::vector<float>> points = {
       {0, 0, 0}, {10, 10, 10}, {-5, 2.5f, 3}, {2, 2.5f, 5}};
   for (const auto& p : points) {
-    EXPECT_LE(MinDist(p, box), MaxDist(p, box));
+    std::vector<float> far(p.size());
+    for (size_t d = 0; d < p.size(); ++d) {
+      far[d] = std::abs(p[d] - box.lo()[d]) > std::abs(p[d] - box.hi()[d])
+                   ? box.lo()[d]
+                   : box.hi()[d];
+    }
+    EXPECT_LE(MinDist(p, box), L2(p, far));
   }
-}
-
-TEST(DistanceTest, SquaredMaxDistIsExactSquareOfMaxDist) {
-  const BoundingBox box({-1, 2, 0}, {4, 3, 7});
-  const std::vector<std::vector<float>> points = {
-      {0, 0, 0}, {10, 10, 10}, {-5, 2.5f, 3}, {2, 2.5f, 5}, {4, 3, 7}};
-  for (const auto& p : points) {
-    const double sq = SquaredMaxDist(p, box);
-    // MaxDist is defined as the exact sqrt of SquaredMaxDist — same bits.
-    EXPECT_EQ(MaxDist(p, box), std::sqrt(sq));
-    EXPECT_GE(sq, 0.0);
-  }
-  // Known value: from the origin of a unit square, the far corner is (2,2).
-  EXPECT_DOUBLE_EQ(SquaredMaxDist(std::vector<float>{0, 0},
-                                  BoundingBox({0, 0}, {2, 2})),
-                   8.0);
-  // Empty box: MaxDist is 0, so its square is too.
-  EXPECT_DOUBLE_EQ(SquaredMaxDist(std::vector<float>{1, 1}, BoundingBox(2)),
-                   0.0);
-}
-
-TEST(DistanceTest, SphereCoversBoxAtFarthestCorner) {
-  const BoundingBox box({0, 0}, {2, 2});
-  const std::vector<float> origin = {0, 0};
-  const double far = std::sqrt(8.0);
-  EXPECT_FALSE(SphereCoversBox(origin, 0.99 * far, box));
-  EXPECT_TRUE(SphereCoversBox(origin, far, box));  // exactly reaching counts
-  EXPECT_TRUE(SphereCoversBox(origin, 10.0, box));
-  // Empty boxes are vacuously covered (SquaredMaxDist is 0).
-  EXPECT_TRUE(SphereCoversBox(origin, 0.0, BoundingBox(2)));
-  // Covering implies intersecting for non-empty boxes.
-  EXPECT_TRUE(SphereIntersectsBox(origin, far, box));
 }
 
 TEST(DistanceDeathTest, NegativeOrNanRadiusIsFatal) {
   const BoundingBox box({0.f, 0.f}, {1.f, 1.f});
   const std::vector<float> center = {0.5f, 0.5f};
   EXPECT_DEATH(SphereIntersectsBox(center, -0.5, box), "non-negative");
-  EXPECT_DEATH(SphereCoversBox(center, -1.0, box), "non-negative");
   // A NaN radius used to silently make every page count as missed.
   const double nan = std::nan("");
   EXPECT_DEATH(SphereIntersectsBox(center, nan, box), "non-negative");
@@ -106,16 +73,18 @@ TEST(DistanceTest, EmptyBoxIsInfinitelyFar) {
 }
 
 TEST(UnitSphereVolumeTest, KnownLowDimensions) {
-  EXPECT_NEAR(UnitSphereVolume(1), 2.0, 1e-12);             // segment
-  EXPECT_NEAR(UnitSphereVolume(2), M_PI, 1e-12);            // disk
-  EXPECT_NEAR(UnitSphereVolume(3), 4.0 / 3.0 * M_PI, 1e-12);
+  EXPECT_NEAR(std::exp(LogUnitSphereVolume(1)), 2.0, 1e-12);   // segment
+  EXPECT_NEAR(std::exp(LogUnitSphereVolume(2)), M_PI, 1e-12);  // disk
+  EXPECT_NEAR(std::exp(LogUnitSphereVolume(3)), 4.0 / 3.0 * M_PI, 1e-12);
 }
 
 TEST(UnitSphereVolumeTest, VanishesInHighDimensions) {
-  // V_d -> 0 super-exponentially; by d=60 it is astronomically small.
-  EXPECT_LT(UnitSphereVolume(60), 1e-17);
-  EXPECT_GT(UnitSphereVolume(60), 0.0);
-  EXPECT_GT(UnitSphereVolume(5), UnitSphereVolume(20));
+  // V_d -> 0 super-exponentially; by d=60 it is astronomically small, and
+  // by d=617 (ISOLET) only its logarithm is representable.
+  EXPECT_LT(LogUnitSphereVolume(60), std::log(1e-17));
+  EXPECT_GT(LogUnitSphereVolume(5), LogUnitSphereVolume(20));
+  EXPECT_TRUE(std::isfinite(LogUnitSphereVolume(617)));
+  EXPECT_EQ(std::exp(LogUnitSphereVolume(617)), 0.0);
 }
 
 }  // namespace

@@ -670,33 +670,34 @@ TEST(KernelScanTest, ExclusionRules) {
 }
 
 TEST(KernelScanTest, TopKMatchesSortTruncate) {
+  // The k-th distance of every k is the last of the first k pairs of a
+  // sort over all (distance, row) pairs, and +inf past the n rows.
   common::Rng rng(41);
   const size_t dim = 6;
   const size_t n = 50;
   std::vector<float> rows(n * dim);
   for (auto& v : rows) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-  // Duplicate a few rows so distance ties exercise the row tie-break.
+  // Duplicate a few rows so some order statistics are distance ties.
   std::copy_n(rows.begin(), dim, rows.begin() + 17 * dim);
   std::copy_n(rows.begin() + 5 * dim, dim, rows.begin() + 44 * dim);
-  for (const size_t k : {1u, 4u, 25u, 50u, 70u}) {
+  for (int trial = 0; trial < 5; ++trial) {
     const auto query = RandomPoint(&rng, dim, -1.0, 1.0);
-    std::vector<std::pair<double, size_t>> expected;
+    std::vector<std::pair<double, size_t>> sorted;
     for (size_t row = 0; row < n; ++row) {
-      expected.emplace_back(
+      sorted.emplace_back(
           SquaredL2(query,
                     std::span<const float>(rows.data() + row * dim, dim)),
           row);
     }
-    std::sort(expected.begin(), expected.end());
-    expected.resize(std::min<size_t>(k, expected.size()));
-    for (const KernelMode mode : AllModes()) {
-      EXPECT_EQ(TopKNeighborScan(query, rows, dim, k, mode), expected)
-          << KernelModeName(mode);
+    std::sort(sorted.begin(), sorted.end());
+    for (size_t k = 1; k <= n + 1; ++k) {
+      const double expected = k <= n ? sorted[k - 1].first : kInf;
+      for (const KernelMode mode : AllModes()) {
+        EXPECT_EQ(OneQueryKthScan(query, kNoRow, rows, dim, k, mode), expected)
+            << KernelModeName(mode) << " k=" << k;
+      }
     }
   }
-  EXPECT_TRUE(TopKNeighborScan(std::vector<float>(dim, 0.f), rows, dim, 0,
-                               KernelMode::kGeneric)
-                  .empty());
 }
 
 TEST(KernelPairHeapTest, MatchesSortTruncateWithTies) {
@@ -1072,9 +1073,6 @@ TEST(KernelModeTest, ParseRoundTripsNamesAndFallsBackOnGarbage) {
     EXPECT_EQ(parsed, mode);
   }
   KernelMode parsed = KernelMode::kScalar;
-  // PR 5's mode name stays accepted as an alias for the generic lanes.
-  EXPECT_TRUE(ParseKernelMode("batched", &parsed));
-  EXPECT_EQ(parsed, KernelMode::kGeneric);
   // Unknown values fall back deterministically to the host's best mode.
   for (const auto* garbage :
        {"", "AVX2", "turbo9000", "scalar ", "sse4", "neon"}) {

@@ -225,7 +225,7 @@ TEST(AdaptiveLayoutPropertyTest, ConstrainedMemoryStillTilesLeaves) {
     BulkLoadOptions options;
     options.topology = &topo;
     options.split_strategy = SplitStrategy::kAdaptiveSample;
-    options.adaptive.memory_points = memory;
+    options.memory_points = memory;
     const RTree tree = BulkLoadInMemory(data, options);
     hdidx::testing::ExpectValidTree(tree, data, 1);
     EXPECT_EQ(tree.num_leaves(), topo.NumLeaves()) << "memory " << memory;
@@ -250,7 +250,7 @@ void ExpectAdaptiveGoldenDigest(const data::Dataset& data,
   BulkLoadOptions serial;
   serial.topology = &topo;
   serial.split_strategy = SplitStrategy::kAdaptiveSample;
-  serial.adaptive.memory_points = memory_points;
+  serial.memory_points = memory_points;
   const RTree reference = BulkLoadInMemory(data, serial);
   EXPECT_EQ(TreeLayoutDigest(reference), golden)
       << "adaptive serial layout changed; new digest 0x" << std::hex

@@ -55,6 +55,13 @@ TEST(ExactKnnTest, KLargerThanDataset) {
   EXPECT_EQ(nn.size(), 2u);
 }
 
+TEST(ExactKnnDeathTest, QueryOfWrongDimensionIsFatal) {
+  // A short query would make the distance loop read past its end.
+  data::Dataset d(3);
+  d.Append(std::vector<float>{1.f, 2.f, 3.f});
+  EXPECT_DEATH(ExactKnn(d, std::vector<float>{0.f, 0.f}, 1), "dim");
+}
+
 class TreeKnnTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -418,6 +419,49 @@ TEST(AsyncServerTest, LoadStatsAndCacheHitsOverSocket) {
   ASSERT_EQ(metrics.shards.size(), 2u);
 
   EXPECT_EQ(ShutdownAndWait(&client, &server), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(AsyncServerTest, LoadOfOversizedHeaderAnsweredWithErrorAndServingGoesOn) {
+  // A 24-byte dataset file whose header claims 2^40 one-float points: the
+  // reader used to allocate for the header's claim, and the resulting
+  // std::bad_alloc ended the server for every tenant.
+  const std::string path = ::testing::TempDir() + "/async_crafted.hdx";
+  {
+    std::FILE* out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    const uint32_t version = 1;
+    const uint64_t num_points = uint64_t{1} << 40;
+    const uint64_t dim = 1;
+    std::fwrite("HDIX", 1, 4, out);
+    std::fwrite(&version, sizeof(version), 1, out);
+    std::fwrite(&num_points, sizeof(num_points), 1, out);
+    std::fwrite(&dim, sizeof(dim), 1, out);
+    std::fclose(out);
+  }
+  auto svc = MakeService(2);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  ASSERT_TRUE(client.Send(wire::EncodeLoadRequest(1, "crafted", path)));
+  wire::FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
+  wire::LoadResult load;
+  ASSERT_TRUE(wire::DecodeLoadResponse(header, payload, &load, &error))
+      << error;
+  EXPECT_FALSE(load.ok);
+  EXPECT_NE(load.error.find("exceeds the 32-bit row id limit"),
+            std::string::npos)
+      << load.error;
+  EXPECT_EQ(svc->registry().Find("crafted"), nullptr);
+
+  // The same connection is still served.
+  ExpectServed(&client, 2);
+  EXPECT_EQ(ShutdownAndWait(&client, &server), 1u);
   std::remove(path.c_str());
 }
 

@@ -140,11 +140,14 @@ class Flags {
 };
 
 /// Applies the shared --threads flag: a positive value overrides the
-/// HDIDX_THREADS / hardware-concurrency policy for this process. Call before
-/// any library work so the shared pool is sized accordingly (results are
-/// identical for every thread count either way — only wall-clock changes).
+/// HDIDX_THREADS / hardware-concurrency policy for this process, and a
+/// malformed value or one above common::kMaxThreads exits with code 2. Call
+/// before any library work so the shared pool is sized accordingly (results
+/// are identical for every thread count either way — only wall-clock
+/// changes).
 inline void ApplyThreadsFlag(const Flags& flags) {
-  const uint64_t threads = flags.GetUint("threads", 0);
+  const uint64_t threads = flags.GetUint("threads", 0, common::kMaxThreads);
+  flags.ExitOnError();
   if (threads > 0) common::SetThreadCount(static_cast<size_t>(threads));
 }
 

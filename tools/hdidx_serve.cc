@@ -47,8 +47,8 @@ int main(int argc, char** argv) {
                             "retry-after-ms"});
 
   service::ServiceOptions options;
-  options.num_shards = flags.GetUint("shards", 1);
-  options.total_threads = flags.GetUint("threads", 0);
+  options.num_shards = flags.GetUint("shards", 1, common::kMaxThreads);
+  options.total_threads = flags.GetUint("threads", 0, common::kMaxThreads);
   options.result_cache_entries = flags.GetUint("cache-entries", 64);
   options.workload_cache_entries =
       flags.GetUint("workload-cache-entries", 32);

@@ -8,10 +8,14 @@ Generates a 300 x 8 uniform dataset (an index of height 2 at 8 KB pages),
 then runs hdidx_predict with each request the service answers with an
 error, and with an --h-upper outside [1, height - 1]. Every one must exit with status 2 and print the service's message
 on stderr, before any prediction runs. A valid mini-index request must
-still succeed. Exits 0 when every case holds, 1 otherwise.
+still succeed. A --threads value above 1024 exits 2, and a dataset file
+whose header claims 2^40 points in a 24-byte file exits 1 with the
+reader's error (it used to abort in the allocation). Exits 0 when every
+case holds, 1 otherwise.
 """
 
 import argparse
+import struct
 import subprocess
 import sys
 import tempfile
@@ -74,10 +78,25 @@ def main():
         if valid.returncode != 0 or "predicted:" not in valid.stdout:
             failures.append(f"valid mini request: exit {valid.returncode}, "
                             f"stderr {valid.stderr.strip()!r}")
+        # Rejected before the pool exists: without --data nothing would run
+        # even if the flag were taken.
+        threads = run([args.predict, "--threads", "1025"])
+        if (threads.returncode != 2
+                or "--threads must be at most 1024" not in threads.stderr):
+            failures.append(f"--threads 1025: exit {threads.returncode}, "
+                            f"stderr {threads.stderr.strip()!r}")
+        crafted = f"{tmp}/crafted.hdx"
+        with open(crafted, "wb") as out:
+            out.write(b"HDIX" + struct.pack("<IQQ", 1, 1 << 40, 1))
+        bad = run(base[:1] + ["--data", crafted])
+        if (bad.returncode != 1
+                or "exceeds the 32-bit row id limit" not in bad.stderr):
+            failures.append(f"crafted header: exit {bad.returncode}, "
+                            f"stderr {bad.stderr.strip()!r}")
 
     for failure in failures:
         print(f"FAIL {failure}")
-    total = len(REJECTED) + 1
+    total = len(REJECTED) + 3
     print(f"test_hdidx_predict: {total - len(failures)}/{total} cases ok")
     return 1 if failures else 0
 

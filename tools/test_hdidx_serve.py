@@ -9,8 +9,8 @@ pages), then has hdidx_client spawn hdidx_serve and drive one session over
 the loopback wire protocol: load, 4 cold predicts, the same 4 again (all
 cache hits), stats, shutdown. With --repeat 0 the warm pass is skipped.
 Flags the server cannot honour (a --port above 65535, a --retry-after-ms
-above 2^32 - 1) and the removed --json flag must exit 2 before anything
-is bound or spawned. Exits 0 when every case holds, 1 otherwise.
+above 2^32 - 1, --shards or --threads above 1024) and the removed --json
+flag must exit 2 before anything is bound or spawned. Exits 0 when every case holds, 1 otherwise.
 """
 
 import argparse
@@ -82,6 +82,13 @@ def main():
         expect("hdidx_serve --retry-after-ms 4294967296",
                run([args.serve, "--retry-after-ms", "4294967296"], 20), 2, "",
                "--retry-after-ms must be at most 4294967295")
+        # --port 70000 rides along so that a server which took the oversized
+        # count would still exit 2 (with the port's message) before starting
+        # a thread.
+        for flag in ("--shards", "--threads"):
+            expect(f"hdidx_serve {flag} 1025",
+                   run([args.serve, flag, "1025", "--port", "70000"], 20), 2,
+                   "", f"{flag} must be at most 1024")
         expect("hdidx_serve --json", run([args.serve, "--json"], 20), 2, "",
                "unknown flag: --json")
         expect("hdidx_client --json", run(session + ["--json"], 20), 2, "",
