@@ -1,7 +1,6 @@
 #include "baselines/mtree_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "geometry/distance.h"
@@ -28,21 +27,6 @@ double DistanceDistribution::Cdf(double x) const {
       std::upper_bound(distances_.begin(), distances_.end(), x);
   return static_cast<double>(it - distances_.begin()) /
          static_cast<double>(distances_.size());
-}
-
-double DistanceDistribution::Quantile(double q) const {
-  if (q <= 0.0) return 0.0;
-  const size_t rank = std::min(
-      distances_.size() - 1,
-      static_cast<size_t>(std::ceil(q * static_cast<double>(
-                                            distances_.size()))) -
-          1);
-  return distances_[rank];
-}
-
-double DistanceDistribution::ExpectedKnnRadius(size_t k, size_t n) const {
-  HDIDX_CHECK(n >= 2);
-  return Quantile(static_cast<double>(k) / static_cast<double>(n - 1));
 }
 
 double PredictSphereAccesses(

@@ -35,16 +35,6 @@ class DistanceDistribution {
   /// P(dist <= x) by interpolation on the sampled distances.
   double Cdf(double x) const;
 
-  /// Quantile: smallest sampled distance d with P(dist <= d) >= q.
-  double Quantile(double q) const;
-
-  /// Expected k-NN radius of a density-biased query against `n` points:
-  /// the distance at which the expected number of neighbors reaches k,
-  /// i.e. Quantile(k / (n-1)).
-  double ExpectedKnnRadius(size_t k, size_t n) const;
-
-  const std::vector<double>& sorted_distances() const { return distances_; }
-
  private:
   std::vector<double> distances_;  // sorted
 };
@@ -56,8 +46,7 @@ double PredictSphereAccesses(const DistanceDistribution& distribution,
                              double radius);
 
 /// Workload-level prediction: averages PredictSphereAccesses over per-query
-/// radii (use the workload's exact radii, or ExpectedKnnRadius for a fully
-/// model-driven estimate).
+/// radii (the workload's exact k-NN radii).
 double PredictAverageSphereAccesses(
     const DistanceDistribution& distribution,
     const std::vector<geometry::BoundingSphere>& leaves,

@@ -72,11 +72,6 @@ double PercentileOfSorted(std::span<const double> sorted, double p) {
   return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
 }
 
-double Percentile(std::vector<double> v, double p) {
-  std::sort(v.begin(), v.end());
-  return PercentileOfSorted(v, p);
-}
-
 double RelativeError(double predicted, double actual) {
   if (actual == 0.0) return 0.0;
   return (predicted - actual) / actual;

@@ -32,14 +32,10 @@ double Variance(const std::vector<double>& v);
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y);
 
-/// p-th percentile (p in [0, 1]) with linear interpolation between order
-/// statistics; 0 for an empty vector. Sorts its copy of `v`, then reads it
-/// with PercentileOfSorted.
-double Percentile(std::vector<double> v, double p);
-
-/// Percentile's interpolation over an already ascending `sorted`, so several
-/// percentiles of one sample share one sort (the prediction service's
-/// per-shard p50/p90/p99).
+/// p-th percentile (p in [0, 1], clamped) of an already ascending `sorted`,
+/// interpolating linearly between order statistics; 0 for an empty span.
+/// Several percentiles of one sample share one sort (the prediction
+/// service's per-shard p50/p90/p99).
 double PercentileOfSorted(std::span<const double> sorted, double p);
 
 /// Relative error (predicted - actual) / actual as used throughout the

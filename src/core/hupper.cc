@@ -26,49 +26,6 @@ double SigmaLower(const index::TreeTopology& topology, size_t memory_points,
                            static_cast<double>(topology.num_points()));
 }
 
-HupperBounds ComputeHupperBounds(const index::TreeTopology& topology,
-                                 size_t memory_points, bool resampled) {
-  const size_t height = topology.height();
-  HupperBounds bounds;
-  if (height <= 2) {
-    // Degenerate trees: the only sensible split is directly below the root.
-    bounds.lower = bounds.upper = std::max<size_t>(height, 1) == 1 ? 1 : 2;
-    return bounds;
-  }
-
-  const double n = static_cast<double>(topology.num_points());
-  const double m = static_cast<double>(memory_points);
-
-  // Upper bound: upper-tree leaf pages hold >= 2 sample points. The upper
-  // tree is built on min(M, N) points spread over NodesAtLevel(stop) leaves.
-  size_t upper = 2;
-  for (size_t h = 2; h <= height - 1; ++h) {
-    const double pts_per_leaf =
-        std::min(m, n) /
-        static_cast<double>(topology.NodesAtLevel(StopLevel(topology, h)));
-    if (pts_per_leaf >= 2.0) upper = h;
-  }
-
-  // Lower bound (resampled only): a full-height tree on N*sigma_lower
-  // points keeps >= 2 points per data page.
-  size_t lower = 2;
-  if (resampled) {
-    for (size_t h = 2; h <= height - 1; ++h) {
-      const double resampled_points = SigmaLower(topology, memory_points, h) * n;
-      const double pts_per_leaf =
-          resampled_points / static_cast<double>(topology.NumLeaves());
-      if (pts_per_leaf >= 2.0) {
-        lower = h;
-        break;
-      }
-    }
-  }
-
-  bounds.lower = std::min(lower, upper);
-  bounds.upper = std::max(lower, upper);
-  return bounds;
-}
-
 size_t ChooseHupper(const index::TreeTopology& topology,
                     size_t memory_points) {
   const size_t height = topology.height();

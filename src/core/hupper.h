@@ -24,25 +24,12 @@ double SigmaUpper(const index::TreeTopology& topology, size_t memory_points);
 double SigmaLower(const index::TreeTopology& topology, size_t memory_points,
                   size_t h_upper);
 
-/// Valid h_upper range [lower, upper] per Section 4.5.1: the upper bound
-/// keeps upper-tree leaf pages at >= 2 sample points; the lower bound
-/// (resampled variant only — the cutoff tree has none) keeps lower-tree leaf
-/// pages at >= 2 resampled points. Both are clamped to [2, height-1]; for
-/// trees too small to satisfy a bound the range collapses to a single
-/// feasible value.
-struct HupperBounds {
-  size_t lower = 2;
-  size_t upper = 2;
-};
-HupperBounds ComputeHupperBounds(const index::TreeTopology& topology,
-                                 size_t memory_points, bool resampled);
-
 /// The paper's empirically best choice (Section 4.5.2): the h_upper whose
 /// lower trees would hold approximately M points before sampling, i.e.
 /// pts(StopLevel) closest to M (log-scale distance), over the structural
-/// range [2, height-1]. The capacity bounds are reported separately by
-/// ComputeHupperBounds and are advisory — the paper itself runs borderline
-/// configurations.
+/// range [2, height-1], cut off at the first height whose upper-tree leaves
+/// would average fewer than 1.5 sample points (a loosened Section 4.5.1
+/// occupancy bound — the paper itself runs borderline configurations).
 size_t ChooseHupper(const index::TreeTopology& topology, size_t memory_points);
 
 }  // namespace hdidx::core

@@ -9,16 +9,6 @@
 
 namespace hdidx::core {
 
-double SphereCompensationGrowth(double capacity, double zeta, size_t dim) {
-  if (zeta >= 1.0) return 1.0;
-  const double d = static_cast<double>(dim);
-  const double c = std::max(capacity, 1.5);
-  const double c_zeta = std::max(c * zeta, 1.5);
-  const double full_fraction = c * d / (c * d + 1.0);
-  const double sampled_fraction = c_zeta * d / (c_zeta * d + 1.0);
-  return full_fraction / sampled_fraction;
-}
-
 double AdaptiveSphereGrowth(double mean_distance, double max_distance,
                             size_t sample_count, double zeta) {
   if (zeta >= 1.0 || sample_count < 2) return 1.0;

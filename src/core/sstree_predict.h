@@ -12,23 +12,6 @@
 
 namespace hdidx::core {
 
-/// Sphere-page analogue of Theorem 1's per-dimension growth under the
-/// *uniform-ball* model.
-///
-/// For points uniformly distributed in a d-dimensional ball, the distance
-/// of a point from the center has CDF (r/R)^d, so the expected bounding
-/// radius of n points is R * nd/(nd+1). Reducing the page population from C
-/// to C*zeta therefore shrinks the radius by
-///   [C*zeta*d/(C*zeta*d+1)] / [C*d/(C*d+1)],
-/// and this function returns the inverse (the growth to compensate with).
-/// Inputs below ~1 sampled point are clamped like the MBR version.
-///
-/// On real clustered pages the radius is driven by outliers and shrinks far
-/// more than this law predicts; the predictor therefore uses the adaptive
-/// estimate below and this closed form serves as the validated uniform-ball
-/// reference.
-double SphereCompensationGrowth(double capacity, double zeta, size_t dim);
-
 /// Adaptive per-leaf radius growth: fits a power-law distance CDF
 /// F(r) = (r/R)^p to the sampled page's own distances via the
 /// mean-to-maximum ratio (E[dist] = R*p/(p+1), E[max of n] = R*np/(np+1)),

@@ -23,15 +23,6 @@ Dataset::Dataset(size_t n, size_t dim)
   HDIDX_CHECK(dim > 0);
 }
 
-Dataset::Dataset(std::vector<float> values, size_t dim)
-    // Copies rather than adopts: the buffer moves into 64B-aligned storage
-    // (the incoming vector's default-allocator buffer can't be).
-    : dim_(dim), size_(values.size() / dim),
-      values_(values.begin(), values.end()) {
-  HDIDX_CHECK(dim > 0);
-  HDIDX_CHECK(values_.size() % dim_ == 0);
-}
-
 void Dataset::Append(std::span<const float> point) {
   HDIDX_CHECK(point.size() == dim_);
   values_.insert(values_.end(), point.begin(), point.end());

@@ -26,10 +26,6 @@ class Dataset {
   /// Creates a dataset of `n` zero-initialized points.
   Dataset(size_t n, size_t dim);
 
-  /// Takes ownership of a prefilled buffer; values.size() must be a multiple
-  /// of dim.
-  Dataset(std::vector<float> values, size_t dim);
-
   size_t size() const { return size_; }
   size_t dim() const { return dim_; }
   bool empty() const { return size_ == 0; }

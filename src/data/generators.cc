@@ -75,30 +75,6 @@ Dataset GenerateClustered(const ClusteredConfig& config, common::Rng* rng) {
   return out;
 }
 
-Dataset GenerateLine(size_t n, size_t dim, double jitter, common::Rng* rng) {
-  HDIDX_CHECK(dim > 0);
-  // A fixed random direction through the cube center.
-  std::vector<double> direction(dim);
-  double norm = 0.0;
-  for (double& v : direction) {
-    v = rng->NextGaussian();
-    norm += v * v;
-  }
-  norm = std::sqrt(norm);
-  for (double& v : direction) v /= norm;
-
-  Dataset out(n, dim);
-  for (size_t i = 0; i < n; ++i) {
-    const double t = rng->NextDouble() - 0.5;
-    auto row = out.mutable_row(i);
-    for (size_t k = 0; k < dim; ++k) {
-      row[k] = static_cast<float>(0.5 + t * direction[k] +
-                                  jitter * rng->NextGaussian());
-    }
-  }
-  return out;
-}
-
 namespace {
 
 // Shared recipe for the KLT-transformed feature-vector surrogates. KLT is

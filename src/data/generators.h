@@ -44,11 +44,6 @@ Dataset GenerateUniform(size_t n, size_t dim, common::Rng* rng);
 /// Generates a clustered Gaussian-mixture dataset per `config`.
 Dataset GenerateClustered(const ClusteredConfig& config, common::Rng* rng);
 
-/// Generates `n` points on a 1-dimensional line segment embedded in
-/// [0,1]^dim with additive jitter. Its fractal dimensionality is ~1
-/// regardless of dim; used to validate the fractal estimators.
-Dataset GenerateLine(size_t n, size_t dim, double jitter, common::Rng* rng);
-
 /// Surrogates for the paper's five experimental datasets (Table 1).
 ///
 /// The originals (color histograms, texture features, spoken-letter

@@ -54,9 +54,6 @@ class TreeTopology {
   /// pts(h) function: pts(height) = N, pts(1) = C_eff,data.
   double PointsPerSubtree(size_t level) const;
 
-  /// Average points per leaf page (the paper's C_eff,data).
-  double EffectiveDataCapacity() const { return PointsPerSubtree(1); }
-
   /// Average fanout of directory nodes (the paper's C_eff,dir); returns
   /// data_capacity for a height-1 tree.
   double EffectiveDirCapacity() const;

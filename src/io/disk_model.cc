@@ -8,9 +8,4 @@ size_t DiskModel::PointsPerPage(size_t dim) const {
   return per_page > 0 ? per_page : 1;
 }
 
-size_t DiskModel::PagesForPoints(size_t n, size_t dim) const {
-  const size_t per_page = PointsPerPage(dim);
-  return (n + per_page - 1) / per_page;
-}
-
 }  // namespace hdidx::io

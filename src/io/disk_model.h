@@ -35,9 +35,6 @@ struct DiskModel {
   /// (at least 1 so degenerate configurations stay well-formed).
   size_t PointsPerPage(size_t dim) const;
 
-  /// Number of pages needed to store `n` points of dimensionality `dim`.
-  size_t PagesForPoints(size_t n, size_t dim) const;
-
   /// Seconds for a given number of seeks and page transfers. Counts may be
   /// fractional (expected values) but a negative count always means some
   /// accounting subtraction drifted.

@@ -9,6 +9,11 @@
 
 namespace hdidx::service {
 
+std::string Echo(std::string_view text) {
+  if (text.size() <= kMaxEchoBytes) return std::string(text);
+  return std::string(text.substr(0, kMaxEchoBytes)) + "...";
+}
+
 DatasetRegistry::DatasetRegistry(size_t num_shards)
     : num_shards_(std::max<size_t>(1, num_shards)) {}
 
@@ -22,7 +27,9 @@ bool DatasetRegistry::LoadFile(const std::string& name,
     loaded = data::ReadDataset(path, &io_error);
   }
   if (!loaded.has_value()) {
-    if (error != nullptr) *error = "cannot read " + path + ": " + io_error;
+    if (error != nullptr) {
+      *error = "cannot read " + Echo(path) + ": " + Echo(io_error);
+    }
     return false;
   }
   return Add(name, std::move(*loaded), error);
@@ -35,11 +42,13 @@ bool DatasetRegistry::Add(const std::string& name, data::Dataset dataset,
     return false;
   }
   if (datasets_.count(name) != 0) {
-    if (error != nullptr) *error = "dataset already registered: " + name;
+    if (error != nullptr) {
+      *error = "dataset already registered: " + Echo(name);
+    }
     return false;
   }
   if (dataset.empty()) {
-    if (error != nullptr) *error = "dataset is empty: " + name;
+    if (error != nullptr) *error = "dataset is empty: " + Echo(name);
     return false;
   }
   datasets_[name] = std::make_unique<data::Dataset>(std::move(dataset));

@@ -5,11 +5,21 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/thread_annotations.h"
 #include "data/dataset.h"
 
 namespace hdidx::service {
+
+/// Bytes of a client-supplied string (a dataset name, a method, a path)
+/// that an error message quotes.
+inline constexpr size_t kMaxEchoBytes = 256;
+
+/// `text` cut to its first kMaxEchoBytes bytes, with "..." marking a cut.
+/// Every error that quotes a client string goes through it, so an error
+/// response always fits one wire string however long the request's were.
+std::string Echo(std::string_view text);
 
 /// Owns every dataset a prediction service can answer questions about, each
 /// loaded from disk exactly once and pinned for the life of the process —

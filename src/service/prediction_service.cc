@@ -16,6 +16,7 @@
 #include "index/topology.h"
 #include "io/disk_model.h"
 #include "io/paged_file.h"
+#include "service/wire.h"
 
 namespace hdidx::service {
 
@@ -46,11 +47,17 @@ std::string ValidateRequest(const ServiceRequest& request,
                             const data::Dataset& dataset) {
   if (request.method != "mini" && request.method != "cutoff" &&
       request.method != "resampled") {
-    return "unknown method: " + request.method;
+    return "unknown method: " + Echo(request.method);
   }
   if (request.num_queries == 0 || request.k == 0 || request.memory == 0 ||
       request.page_bytes == 0) {
     return "num_queries, k, memory, and page_bytes must be > 0";
+  }
+  // Checked before anything is computed: the per-query array of a larger
+  // answer would not fit one response frame.
+  if (request.per_query && request.num_queries > wire::kMaxPerQueryCount) {
+    return "per_query responses carry at most " +
+           std::to_string(wire::kMaxPerQueryCount) + " queries";
   }
   // A query's own row is excluded from its neighbors, so only N - 1 remain.
   if (request.k >= dataset.size()) {
@@ -174,7 +181,7 @@ ServiceResponse PredictionService::Compute(Shard* shard,
 
   const data::Dataset* dataset = registry_.Find(request.dataset);
   if (dataset == nullptr) {
-    response.error = "unknown dataset: " + request.dataset;
+    response.error = "unknown dataset: " + Echo(request.dataset);
     return response;
   }
   response.error = ValidateRequest(request, *dataset);

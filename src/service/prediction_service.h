@@ -46,7 +46,8 @@ struct ServiceRequest {
 };
 
 /// Checks `request` against `dataset` before anything is computed: a known
-/// method; num_queries, k, memory and page_bytes all > 0; k < N (a query's
+/// method; num_queries, k, memory and page_bytes all > 0; with per_query, a
+/// per-query array that fits one response frame; k < N (a query's
 /// own row is not its neighbor); num_queries <= N (queries are drawn from
 /// the dataset); a page that holds two data records; and, for cutoff and
 /// resampled, an index of height >= 3. Returns "" when the request may be

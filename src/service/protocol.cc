@@ -14,55 +14,6 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::string SerializeResult(const ServiceResponse& response, bool per_query) {
-  if (!response.ok) {
-    return "{\"error\":" + JsonQuote(response.error) + "}";
-  }
-  const core::PredictionResult& r = response.result;
-  std::string out = "{";
-  out += "\"avg_leaf_accesses\":" + FormatDouble(r.avg_leaf_accesses);
-  out += ",\"num_queries\":" + std::to_string(r.per_query_accesses.size());
-  out += ",\"num_predicted_leaves\":" + std::to_string(r.num_predicted_leaves);
-  out += ",\"h_upper\":" + std::to_string(r.h_upper);
-  out += ",\"sigma_upper\":" + FormatDouble(r.sigma_upper);
-  out += ",\"sigma_lower\":" + FormatDouble(r.sigma_lower);
-  out += ",\"io_seeks\":" + std::to_string(r.io.page_seeks);
-  out += ",\"io_transfers\":" + std::to_string(r.io.page_transfers);
-  if (per_query) {
-    out += ",\"per_query\":[";
-    for (size_t i = 0; i < r.per_query_accesses.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      out += FormatDouble(r.per_query_accesses[i]);
-    }
-    out.push_back(']');
-  }
-  out.push_back('}');
-  return out;
-}
-
 std::string SerializeMetrics(const ServiceMetrics& metrics) {
   std::string out = "{\"op\":\"stats\",\"ok\":true";
   out += ",\"requests\":" + std::to_string(metrics.requests);

@@ -14,10 +14,6 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-/// Payload-level sanity cap on per-query counts: a count that could not
-/// have fit in a maximum-size frame is garbage, refuse to allocate for it.
-constexpr uint64_t kMaxPerQueryCount = kDefaultMaxPayload / sizeof(double);
-
 }  // namespace
 
 // --- byte-order primitives ----------------------------------------------
@@ -477,8 +473,8 @@ bool DecodePredictResponse(const FrameHeader& header, std::string_view payload,
       return Fail(error, "malformed per-query array");
     }
   } else {
-    // The count still travels so SerializeResult's "num_queries" field
-    // (and anything keyed on the vector's size) round-trips exactly.
+    // The count still travels so the canonical wire bytes (and anything
+    // keyed on the vector's size) round-trip exactly.
     r.per_query_accesses.assign(static_cast<size_t>(per_query_count), 0.0);
   }
   if (!reader.AtEnd()) return Fail(error, "trailing predict response bytes");

@@ -31,12 +31,13 @@ namespace hdidx::service::wire {
 ///       12     8  id        caller-chosen request id, echoed in responses
 ///       20     -  payload   op-specific (see wire.cc encoders)
 ///
-/// Doubles travel as their raw IEEE-754 bits (8 bytes, little-endian), so
-/// SerializeResult of a decoded response reproduces the served response's
-/// %.17g text exactly: the determinism contract is byte-identity of that
-/// text for every shard count and arrival order. Per-query access vectors
-/// are appended as one contiguous f64 array — memcpy in and out on
-/// little-endian hosts.
+/// Doubles travel as their raw IEEE-754 bits (8 bytes, little-endian), so a
+/// decoded response re-encodes to the served bytes exactly. The canonical
+/// wire bytes of a prediction are its EncodePredictResponse with the serving
+/// metadata (id, shard, latency, cache flags, served I/O) cleared: the
+/// determinism contract is byte-identity of those bytes for every shard
+/// count and arrival order. Per-query access vectors are appended as one
+/// contiguous f64 array — memcpy in and out on little-endian hosts.
 ///
 /// Error handling is two-level: a frame whose *header* is malformed (bad
 /// magic/version/reserved, oversized length) poisons the stream — the
@@ -51,6 +52,11 @@ inline constexpr size_t kHeaderBytes = 20;
 /// Upper bound a server accepts for `length` (guards allocation on
 /// garbage headers). 16 MiB fits ~2M per-query doubles.
 inline constexpr size_t kDefaultMaxPayload = 16u << 20;
+/// Most per-query accesses one predict response can carry: its fixed
+/// fields take 92 payload bytes, each query 8 more. ValidateRequest refuses
+/// a per_query request for more queries, and decoders refuse larger counts.
+inline constexpr size_t kMaxPerQueryCount =
+    (kDefaultMaxPayload - 92) / sizeof(double);
 
 enum class WireOp : uint8_t {
   kPredict = 0,
@@ -189,7 +195,8 @@ std::string EncodeLoadResponse(uint64_t id, const LoadResult& result);
 /// A decoded predict response. When `shed`, only id/shard/retry_after_ms
 /// are meaningful; otherwise `response` carries everything the server's
 /// ServiceResponse did (per-query accesses zero-filled to their count
-/// when the array was not requested, so SerializeResult round-trips).
+/// when the array was not requested, so the canonical wire bytes
+/// round-trip).
 struct PredictReply {
   ServiceResponse response;
   bool per_query = false;

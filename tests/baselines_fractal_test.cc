@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace hdidx::baselines {
 namespace {
@@ -29,7 +30,7 @@ TEST(FractalEstimatorTest, EmbeddedLineHasDimensionOne) {
   // A line in 8-d space: intrinsic dimensionality ~1 regardless of the
   // embedding — the scenario where fractal models beat uniform ones.
   common::Rng rng(3);
-  const auto data = data::GenerateLine(40000, 8, 0.0, &rng);
+  const auto data = hdidx::testing::GenerateLine(40000, 8, 0.0, &rng);
   const FractalDimensions dims = EstimateFractalDimensions(data, 10);
   EXPECT_NEAR(dims.d0, 1.0, 0.25);
   EXPECT_NEAR(dims.d2, 1.0, 0.25);
@@ -85,7 +86,7 @@ TEST(FractalModelTest, CalibratedRadiusOnUniformData) {
 
 TEST(FractalModelTest, AccessesBoundedByPages) {
   common::Rng rng(7);
-  const auto data = data::GenerateLine(20000, 6, 0.001, &rng);
+  const auto data = hdidx::testing::GenerateLine(20000, 6, 0.001, &rng);
   const FractalDimensions dims = EstimateFractalDimensions(data, 10);
   FractalModelParams params;
   params.num_points = data.size();

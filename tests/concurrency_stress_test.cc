@@ -22,7 +22,6 @@
 #include "io/keyed_lru_cache.h"
 #include "io/paged_file.h"
 #include "service/prediction_service.h"
-#include "service/protocol.h"
 #include "test_util.h"
 
 namespace hdidx {
@@ -193,8 +192,8 @@ TEST(ConcurrencyStressTest, ServiceBatchingStaysBitIdentical) {
     for (size_t i = 0; i < responses.size(); ++i) {
       const size_t e = (i + round + 1) % expected.size();
       ASSERT_TRUE(responses[i].ok) << responses[i].error;
-      EXPECT_EQ(service::SerializeResult(responses[i], /*per_query=*/true),
-                service::SerializeResult(expected[e], /*per_query=*/true));
+      EXPECT_EQ(testing::CanonicalBytes(responses[i], /*per_query=*/true),
+                testing::CanonicalBytes(expected[e], /*per_query=*/true));
     }
   }
 

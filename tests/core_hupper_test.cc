@@ -1,5 +1,7 @@
 #include "core/hupper.h"
 
+#include <algorithm>
+
 #include "gtest/gtest.h"
 #include "io/disk_model.h"
 
@@ -57,26 +59,31 @@ TEST(HupperTest, ChooseHupperSmallMemory) {
 }
 
 TEST(HupperTest, BoundsWithinValidRange) {
+  // Whatever the memory, the choice lies in the structural range
+  // [2, height - 1]; above 2 its upper-tree leaves keep >= 1.5 sample
+  // points on average.
   const auto topo = Texture60Topology();
-  for (bool resampled : {false, true}) {
-    const HupperBounds b = ComputeHupperBounds(topo, 10000, resampled);
-    EXPECT_GE(b.lower, 2u);
-    EXPECT_LE(b.upper, topo.height() - 1);
-    EXPECT_LE(b.lower, b.upper);
+  for (const size_t memory : {size_t{1}, size_t{100}, size_t{1000},
+                              size_t{10000}, size_t{100000},
+                              topo.num_points(), 10 * topo.num_points()}) {
+    const size_t h = ChooseHupper(topo, memory);
+    EXPECT_GE(h, 2u) << memory;
+    EXPECT_LE(h, topo.height() - 1) << memory;
+    if (h > 2) {
+      const double sample =
+          static_cast<double>(std::min(memory, topo.num_points()));
+      EXPECT_GE(sample / static_cast<double>(
+                             topo.NodesAtLevel(StopLevel(topo, h))),
+                1.5)
+          << memory;
+    }
   }
-}
-
-TEST(HupperTest, UpperBoundShrinksWithMemory) {
-  const auto topo = Texture60Topology();
-  const HupperBounds big = ComputeHupperBounds(topo, 100000, true);
-  const HupperBounds small = ComputeHupperBounds(topo, 100, true);
-  EXPECT_LE(small.upper, big.upper);
 }
 
 TEST(HupperTest, DegenerateShortTree) {
   const index::TreeTopology flat(100, 50, 4);  // height 2
-  const HupperBounds b = ComputeHupperBounds(flat, 10, true);
-  EXPECT_EQ(b.lower, b.upper);
+  ASSERT_EQ(flat.height(), 2u);
+  EXPECT_EQ(ChooseHupper(flat, 10), 2u);
 }
 
 }  // namespace

@@ -77,23 +77,39 @@ TEST(BoundingSphereDeathTest, NegativeQueryRadiusIsFatal) {
 }
 
 TEST(SphereCompensationTest, Limits) {
-  EXPECT_DOUBLE_EQ(SphereCompensationGrowth(33, 1.0, 60), 1.0);
-  EXPECT_GT(SphereCompensationGrowth(33, 0.1, 60), 1.0);
-  // Spheres shrink much less than boxes: the max-distance statistic
-  // converges as nd/(nd+1), so growth stays close to 1 in high dimensions.
-  EXPECT_LT(SphereCompensationGrowth(33, 0.1, 60), 1.05);
-  // Monotone in zeta.
-  EXPECT_GT(SphereCompensationGrowth(20, 0.05, 4),
-            SphereCompensationGrowth(20, 0.5, 4));
+  // No sampling, fewer than two sampled points or a zero statistic: there
+  // is no law to fit, so no growth.
+  EXPECT_DOUBLE_EQ(AdaptiveSphereGrowth(0.5, 1.0, 33, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(AdaptiveSphereGrowth(0.5, 1.0, 1, 0.1), 1.0);
+  EXPECT_DOUBLE_EQ(AdaptiveSphereGrowth(0.0, 1.0, 33, 0.1), 1.0);
+  EXPECT_DOUBLE_EQ(AdaptiveSphereGrowth(0.5, 0.0, 33, 0.1), 1.0);
+  EXPECT_GT(AdaptiveSphereGrowth(0.9, 1.0, 33, 0.1), 1.0);
+  // Spheres shrink much less than boxes: with the uniform 60-ball's
+  // moments (mean d/(d+1), max nd/(nd+1)) growth stays close to 1.
+  const double n = 3.0;
+  EXPECT_LT(AdaptiveSphereGrowth(60.0 / 61.0, n * 60.0 / (n * 60.0 + 1.0), 3,
+                                 0.1),
+            1.05);
+  // Monotone in zeta, and a page whose points crowd its rim (mean close
+  // to max) grows less than one whose points spread inward.
+  EXPECT_GT(AdaptiveSphereGrowth(0.75, 1.0, 20, 0.05),
+            AdaptiveSphereGrowth(0.75, 1.0, 20, 0.5));
+  EXPECT_LT(AdaptiveSphereGrowth(0.98, 1.0, 33, 0.1),
+            AdaptiveSphereGrowth(0.6, 1.0, 33, 0.1));
 }
 
 TEST(SphereCompensationTest, MatchesMonteCarloInTheBall) {
-  // Empirical check of the nd/(nd+1) law in d=3: bounding radius of n
-  // uniform-in-ball points.
+  // In the uniform d-ball the distance CDF is (r/R)^d, the power law the
+  // adaptive fit assumes. Fed a sampled page's mean distance and mean
+  // bounding radius, it must predict the measured growth of the bounding
+  // radius from n to n / zeta points, here in d=3.
   common::Rng rng(2);
-  const size_t d = 3;
-  auto mean_max_radius = [&](size_t n, int trials) {
-    double total = 0.0;
+  struct Moments {
+    double mean_distance = 0.0;
+    double mean_max_radius = 0.0;
+  };
+  auto moments = [&](size_t n, int trials) {
+    Moments m;
     for (int t = 0; t < trials; ++t) {
       double max_r = 0.0;
       for (size_t i = 0; i < n; ++i) {
@@ -107,17 +123,23 @@ TEST(SphereCompensationTest, MatchesMonteCarloInTheBall) {
             s += v * v;
           }
         } while (s > 1.0);
+        m.mean_distance += std::sqrt(s);
         max_r = std::max(max_r, std::sqrt(s));
       }
-      total += max_r;
+      m.mean_max_radius += max_r;
     }
-    return total / trials;
+    m.mean_distance /= static_cast<double>(n) * trials;
+    m.mean_max_radius /= trials;
+    return m;
   };
   const size_t c = 64;
   const double zeta = 0.25;
-  const double measured_ratio =
-      mean_max_radius(c, 400) / mean_max_radius(c / 4, 400);
-  EXPECT_NEAR(measured_ratio, SphereCompensationGrowth(c, zeta, d), 0.01);
+  const Moments full = moments(c, 400);
+  const Moments sampled = moments(c / 4, 400);
+  EXPECT_NEAR(full.mean_max_radius / sampled.mean_max_radius,
+              AdaptiveSphereGrowth(sampled.mean_distance,
+                                   sampled.mean_max_radius, c / 4, zeta),
+              0.01);
 }
 
 class SsTreePredictTest : public ::testing::Test {

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace hdidx::data {
 namespace {
@@ -24,7 +25,7 @@ TEST(DatasetTest, EmptyAndZeroInitialized) {
 }
 
 TEST(DatasetTest, FromBufferAndRowAccess) {
-  Dataset d({1, 2, 3, 4, 5, 6}, 3);
+  Dataset d = testing::DatasetOf({1, 2, 3, 4, 5, 6}, 3);
   ASSERT_EQ(d.size(), 2u);
   EXPECT_EQ(d.row(0)[2], 3.0f);
   EXPECT_EQ(d.row(1)[0], 4.0f);
@@ -46,14 +47,14 @@ TEST(DatasetTest, MutableRowWritesThrough) {
 }
 
 TEST(DatasetTest, BoundsCoverAllRows) {
-  Dataset d({0, 5, 2, -1, 1, 3}, 2);
+  Dataset d = testing::DatasetOf({0, 5, 2, -1, 1, 3}, 2);
   const auto box = d.Bounds();
   EXPECT_EQ(box.lo(), (std::vector<float>{0, -1}));
   EXPECT_EQ(box.hi(), (std::vector<float>{2, 5}));
 }
 
 TEST(DatasetTest, SelectPreservesOrderAndValues) {
-  Dataset d({10, 20, 30, 40, 50, 60}, 2);
+  Dataset d = testing::DatasetOf({10, 20, 30, 40, 50, 60}, 2);
   const Dataset sel = d.Select({2, 0});
   ASSERT_EQ(sel.size(), 2u);
   EXPECT_EQ(sel.row(0)[0], 50.0f);
@@ -61,7 +62,7 @@ TEST(DatasetTest, SelectPreservesOrderAndValues) {
 }
 
 TEST(DatasetTest, SelectWithDuplicates) {
-  Dataset d({1, 2, 3, 4}, 2);
+  Dataset d = testing::DatasetOf({1, 2, 3, 4}, 2);
   const Dataset sel = d.Select({1, 1, 1});
   ASSERT_EQ(sel.size(), 3u);
   for (size_t i = 0; i < 3; ++i) EXPECT_EQ(sel.row(i)[1], 4.0f);
@@ -94,7 +95,7 @@ TEST(DatasetTest, AppendRowsEqualsPerRowAppendBitForBit) {
     std::vector<float> values(n * dim);
     for (float& v : values) v = static_cast<float>(rng.NextUniform(-1, 1));
     values[0] = -0.0f;  // a signed zero must survive the copy
-    const Dataset source(values, dim);
+    const Dataset source = testing::DatasetOf(values, dim);
     std::vector<size_t> shuffled(n);
     for (size_t i = 0; i < n; ++i) shuffled[i] = (i * 17) % n;
     const std::vector<std::vector<size_t>> lists = {
@@ -126,7 +127,7 @@ TEST(DatasetTest, AppendRowsEqualsPerRowAppendBitForBit) {
 }
 
 TEST(DatasetDeathTest, SelectRejectsOutOfRangeRows) {
-  const Dataset d({1, 2, 3, 4, 5, 6}, 3);
+  const Dataset d = testing::DatasetOf({1, 2, 3, 4, 5, 6}, 3);
   EXPECT_DEATH(d.Select({0, 2}), "max_row");
   EXPECT_DEATH(d.Select({2}), "max_row");
   Dataset out(3);
@@ -139,7 +140,7 @@ TEST(DatasetDeathTest, SelectRejectsOutOfRangeRows) {
 }
 
 TEST(DatasetTest, ProjectPrefixKeepsLeadingDims) {
-  Dataset d({1, 2, 3, 4, 5, 6}, 3);
+  Dataset d = testing::DatasetOf({1, 2, 3, 4, 5, 6}, 3);
   const Dataset proj = d.ProjectPrefix(2);
   EXPECT_EQ(proj.dim(), 2u);
   ASSERT_EQ(proj.size(), 2u);
@@ -149,7 +150,7 @@ TEST(DatasetTest, ProjectPrefixKeepsLeadingDims) {
 }
 
 TEST(DatasetTest, ProjectFullWidthIsIdentity) {
-  Dataset d({1, 2, 3, 4}, 2);
+  Dataset d = testing::DatasetOf({1, 2, 3, 4}, 2);
   EXPECT_TRUE(d.ProjectPrefix(2) == d);
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/stats.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace hdidx::data {
 namespace {
@@ -88,7 +89,7 @@ TEST(GeneratorsTest, ClusteredPopulationSkew) {
 
 TEST(GeneratorsTest, LineDatasetStaysNearLine) {
   common::Rng rng(4);
-  const Dataset d = GenerateLine(1000, 6, 0.0, &rng);
+  const Dataset d = testing::GenerateLine(1000, 6, 0.0, &rng);
   // With zero jitter all points satisfy x = 0.5 + t*dir: the rank of the
   // centered data is 1, so variance along any two dims is perfectly
   // correlated. Check pairwise correlation magnitude ~1.

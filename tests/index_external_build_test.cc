@@ -23,6 +23,12 @@ class ExternalBuildTest : public ::testing::Test {
   static constexpr size_t kN = 5000;
   static constexpr size_t kDim = 8;
 
+  /// Pages of the kN x kDim data file at the default page size.
+  static size_t DataPages() {
+    const size_t per_page = io::DiskModel{}.PointsPerPage(kDim);
+    return (kN + per_page - 1) / per_page;
+  }
+
   void SetUp() override {
     data_ = hdidx::testing::SmallClustered(kN, kDim, 21);
     topo_ = std::make_unique<TreeTopology>(kN, 25, 6);
@@ -45,7 +51,7 @@ class ExternalBuildTest : public ::testing::Test {
 TEST_F(ExternalBuildTest, TreeIsValidOverReorderedFile) {
   const ExternalBuildResult result = Build(600);
   // The file was physically reordered into leaf order; validate against it.
-  const data::Dataset reordered(
+  const data::Dataset reordered = hdidx::testing::DatasetOf(
       std::vector<float>(file_->raw().begin(), file_->raw().end()), kDim);
   hdidx::testing::ExpectValidTree(result.tree, reordered, 1);
   EXPECT_TRUE(result.tree.order().empty());  // identity order
@@ -94,7 +100,7 @@ TEST_F(ExternalBuildTest, MoreMemoryMeansLessIo) {
 
 TEST_F(ExternalBuildTest, WholeDatasetInMemoryIsTwoPasses) {
   const ExternalBuildResult result = Build(kN);
-  const size_t data_pages = io::DiskModel{}.PagesForPoints(kN, kDim);
+  const size_t data_pages = DataPages();
   // One read plus one write of the whole file, plus directory pages.
   EXPECT_LE(result.io.page_transfers, 2 * data_pages + 200);
   EXPECT_LE(result.io.page_seeks, 5u);
@@ -160,7 +166,7 @@ class ExternalAdaptiveBuildTest : public ExternalBuildTest {
 
 TEST_F(ExternalAdaptiveBuildTest, TreeIsValidOverReorderedFile) {
   const ExternalBuildResult result = BuildAdaptive(600);
-  const data::Dataset reordered(
+  const data::Dataset reordered = hdidx::testing::DatasetOf(
       std::vector<float>(file_->raw().begin(), file_->raw().end()), kDim);
   hdidx::testing::ExpectValidTree(result.tree, reordered, 1);
   EXPECT_TRUE(result.tree.order().empty());
@@ -198,7 +204,7 @@ TEST_F(ExternalAdaptiveBuildTest, HalvesDataPassesVersusQuickselect) {
   const size_t memory_points = kN / 8;
   const ExternalBuildResult vamsplit = Build(memory_points);
   const ExternalBuildResult adaptive = BuildAdaptive(memory_points);
-  const size_t data_pages = io::DiskModel{}.PagesForPoints(kN, kDim);
+  const size_t data_pages = DataPages();
   const double vam_passes =
       static_cast<double>(vamsplit.io.page_transfers) /
       static_cast<double>(data_pages);
@@ -259,7 +265,7 @@ TEST_F(ExternalAdaptiveBuildTest, TinyMemoryStillBuilds) {
   // Memory far below a single directory subtree: the buckets are single
   // leaves, gathered a few to a window.
   const ExternalBuildResult result = BuildAdaptive(120);
-  const data::Dataset reordered(
+  const data::Dataset reordered = hdidx::testing::DatasetOf(
       std::vector<float>(file_->raw().begin(), file_->raw().end()), kDim);
   hdidx::testing::ExpectValidTree(result.tree, reordered, 1);
 }

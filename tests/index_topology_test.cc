@@ -59,7 +59,6 @@ TEST(TopologyTest, PtsFunctionEndpoints) {
   const TreeTopology t(1000, 10, 4);
   EXPECT_DOUBLE_EQ(t.PointsPerSubtree(t.height()), 1000.0);
   EXPECT_DOUBLE_EQ(t.PointsPerSubtree(1), 10.0);
-  EXPECT_DOUBLE_EQ(t.EffectiveDataCapacity(), 10.0);
 }
 
 TEST(TopologyTest, EffectiveDirCapacityBounded) {

@@ -46,8 +46,6 @@ class EndToEndTest : public ::testing::Test {
     auto built = index::BuildOnDisk(&file, options);
     build_io_ = built.io;
 
-    const data::Dataset reordered(
-        std::vector<float>(file.raw().begin(), file.raw().end()), kDim);
     io::IoStats query_io;
     per_query_measured_ =
         core::MeasureLeafAccesses(built.tree, *workload_, &query_io);

@@ -31,8 +31,6 @@ TEST(DiskModelTest, PointsPerPage) {
   const DiskModel disk;
   // 60-d floats: 240 bytes/point -> 34 points in 8 KB.
   EXPECT_EQ(disk.PointsPerPage(60), 34u);
-  EXPECT_EQ(disk.PagesForPoints(100, 60), 3u);
-  EXPECT_EQ(disk.PagesForPoints(0, 60), 0u);
   // Giant points still get one per page.
   EXPECT_EQ(disk.PointsPerPage(10000), 1u);
 }

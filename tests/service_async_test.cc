@@ -24,7 +24,6 @@
 #include "data/dataset_io.h"
 #include "gtest/gtest.h"
 #include "service/prediction_service.h"
-#include "service/protocol.h"
 #include "service/wire.h"
 #include "test_util.h"
 
@@ -253,7 +252,7 @@ std::vector<ServiceResponse> ServeInProcess(
   return responses;
 }
 
-/// Serialized result payloads by request id, served in process on one
+/// Canonical wire bytes by request id, served in process on one
 /// shard — the reference every wire response must reproduce byte for byte.
 std::map<uint64_t, std::string> InProcessReference(
     const std::vector<ServiceRequest>& requests) {
@@ -263,7 +262,7 @@ std::map<uint64_t, std::string> InProcessReference(
     EXPECT_EQ(responses[i].id, requests[i].id);
     EXPECT_TRUE(responses[i].ok) << responses[i].error;
     reference[requests[i].id] =
-        SerializeResult(responses[i], requests[i].per_query);
+        testing::CanonicalBytes(responses[i], requests[i].per_query);
   }
   return reference;
 }
@@ -307,7 +306,7 @@ TEST(AsyncServerTest, BinaryMatchesJsonAcrossShardCountsPipelined) {
         ASSERT_FALSE(reply.shed);
         const auto it = reference.find(reply.response.id);
         ASSERT_NE(it, reference.end());
-        EXPECT_EQ(SerializeResult(reply.response, reply.per_query),
+        EXPECT_EQ(testing::CanonicalBytes(reply.response, reply.per_query),
                   it->second)
             << "client " << c << ", request id " << reply.response.id
             << ", " << shards << " shards";
@@ -347,7 +346,7 @@ TEST(AsyncServerTest, BinaryMatchesJsonSerialAndShuffled) {
         << error;
     ASSERT_TRUE(reply.response.ok) << reply.response.error;
     EXPECT_EQ(reply.response.id, r.id);  // serial: in-order by construction
-    EXPECT_EQ(SerializeResult(reply.response, reply.per_query),
+    EXPECT_EQ(testing::CanonicalBytes(reply.response, reply.per_query),
               reference.at(r.id));
   }
   EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());
@@ -403,8 +402,8 @@ TEST(AsyncServerTest, LoadStatsAndCacheHitsOverSocket) {
   ASSERT_TRUE(wire::DecodePredictResponse(header, payload, &warm, &error));
   ASSERT_TRUE(warm.response.ok);
   EXPECT_TRUE(warm.response.cache_hit);
-  EXPECT_EQ(SerializeResult(warm.response, true),
-            SerializeResult(cold.response, true));
+  EXPECT_EQ(testing::CanonicalBytes(warm.response, true),
+            testing::CanonicalBytes(cold.response, true));
 
   // Stats reflect the session.
   ASSERT_TRUE(client.Send(wire::EncodeStatsRequest(20)));
@@ -518,6 +517,103 @@ TEST(AsyncServerTest, DegenerateRequestsRejectedInProcessAndOverWire) {
   EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());
 }
 
+/// Sends `request`, expects a predict error response echoing its id, and
+/// returns the error text.
+std::string PredictError(WireClient* client, const ServiceRequest& request) {
+  std::string error;
+  EXPECT_TRUE(client->Send(wire::EncodePredictRequest(request)));
+  wire::FrameHeader header;
+  std::string payload;
+  if (!client->Read(&header, &payload, &error)) {
+    ADD_FAILURE() << error;
+    return "";
+  }
+  wire::PredictReply reply;
+  EXPECT_TRUE(wire::DecodePredictResponse(header, payload, &reply, &error))
+      << error;
+  EXPECT_EQ(reply.response.id, request.id);
+  EXPECT_FALSE(reply.response.ok);
+  return reply.response.error;
+}
+
+TEST(AsyncServerTest, LongUnknownDatasetNameAnsweredWithBoundedError) {
+  // The longest name a wire string carries. Its error used to echo it
+  // whole, 65,552 bytes, and the shard worker's encoder aborted the server.
+  ServiceRequest request = Req(std::string(0xffff, 'n'), "mini", 1, 7);
+  const std::string in_process = ServeInProcess({request}, 2)[0].error;
+  EXPECT_EQ(in_process,
+            "unknown dataset: " + std::string(kMaxEchoBytes, 'n') + "...");
+
+  auto svc = MakeService(2);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  EXPECT_EQ(PredictError(&client, request), in_process);
+  ExpectServed(&client, 8);
+  EXPECT_EQ(ShutdownAndWait(&client, &server), 2u);
+}
+
+TEST(AsyncServerTest, LongLoadPathAnsweredWithBoundedError) {
+  // The reader's error quotes the path, and the registry's quotes it again:
+  // 130,039 bytes for this path, which the event loop's encoder aborted on.
+  const std::string path(65000, 'p');
+  std::string in_process;
+  {
+    auto svc = MakeService(2);
+    EXPECT_FALSE(svc->registry().LoadFile("long", path, &in_process));
+  }
+  EXPECT_LE(in_process.size(), 2 * kMaxEchoBytes + 64) << in_process;
+  EXPECT_EQ(in_process.rfind("cannot read " + std::string(kMaxEchoBytes, 'p') +
+                                 "...: ",
+                             0),
+            0u)
+      << in_process;
+
+  auto svc = MakeService(2);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_TRUE(client.Send(wire::EncodeLoadRequest(5, "long", path)));
+  wire::FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(client.Read(&header, &payload, &error)) << error;
+  EXPECT_EQ(header.id, 5u);
+  wire::LoadResult load;
+  ASSERT_TRUE(wire::DecodeLoadResponse(header, payload, &load, &error))
+      << error;
+  EXPECT_FALSE(load.ok);
+  EXPECT_EQ(load.dataset, "long");
+  EXPECT_EQ(load.error, in_process);
+  ExpectServed(&client, 6);
+  EXPECT_EQ(ShutdownAndWait(&client, &server), 1u);
+}
+
+TEST(AsyncServerTest, PerQueryBeyondOneFrameRefusedBeforeWork) {
+  // One more query than a response frame's per-query array holds. The
+  // refusal comes before the dataset's own checks, so the small dataset
+  // is enough to show it.
+  ServiceRequest request = Req("alpha", "mini", 1, 9);
+  request.num_queries = wire::kMaxPerQueryCount + 1;
+  const std::string in_process = ServeInProcess({request}, 2)[0].error;
+  EXPECT_EQ(in_process, "per_query responses carry at most " +
+                            std::to_string(wire::kMaxPerQueryCount) +
+                            " queries");
+
+  auto svc = MakeService(2);
+  AsyncServer server(svc.get(), AsyncServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  EXPECT_EQ(PredictError(&client, request), in_process);
+  ExpectServed(&client, 10);
+  EXPECT_EQ(ShutdownAndWait(&client, &server), 2u);
+}
+
 TEST(AsyncServerTest, MemoryBeyondDatasetServedAsDatasetSize) {
   // A budget of N = 3000 points already holds the whole dataset, so every
   // method serves M = 3001 and M = 1e9 exactly as M = N, from the same
@@ -558,7 +654,7 @@ TEST(AsyncServerTest, MemoryBeyondDatasetServedAsDatasetSize) {
     ASSERT_TRUE(reply.response.ok) << reply.response.error;
     EXPECT_EQ(reply.response.id, requests[i].id);
     EXPECT_EQ(reply.response.cache_hit, i % 3 != 0);
-    EXPECT_EQ(SerializeResult(reply.response, reply.per_query),
+    EXPECT_EQ(testing::CanonicalBytes(reply.response, reply.per_query),
               reference.at(requests[i].id));
   }
   EXPECT_EQ(ShutdownAndWait(&client, &server), requests.size());

@@ -8,7 +8,7 @@
 #include "common/stats.h"
 #include "geometry/kernels.h"
 #include "gtest/gtest.h"
-#include "service/protocol.h"
+#include "service/wire.h"
 #include "test_util.h"
 
 namespace hdidx::service {
@@ -81,8 +81,8 @@ TEST(PredictionServiceTest, CacheHitIsBitIdenticalAndCheaper) {
   EXPECT_LT(warm.served_io.page_transfers, cold.served_io.page_transfers);
 
   // Byte-identical payload, down to every per-query count.
-  EXPECT_EQ(SerializeResult(cold, /*per_query=*/true),
-            SerializeResult(warm, /*per_query=*/true));
+  EXPECT_EQ(testing::CanonicalBytes(cold, /*per_query=*/true),
+            testing::CanonicalBytes(warm, /*per_query=*/true));
   EXPECT_EQ(cold.result.per_query_accesses, warm.result.per_query_accesses);
 
   const ServiceMetrics metrics = svc->Metrics();
@@ -94,8 +94,8 @@ TEST(PredictionServiceTest, CacheHitIsBitIdenticalAndCheaper) {
 
 TEST(PredictionServiceTest, ShardPercentilesEqualPercentileOfLatencies) {
   // Metrics() copies each shard's latencies once and sorts that copy once;
-  // its p50/p90/p99 must equal common::Percentile over the same latencies
-  // (the served responses' latency_ms, in serving order), bit for bit.
+  // its p50/p90/p99 must equal the percentiles of the served responses'
+  // latency_ms, sorted here independently, bit for bit.
   auto svc = MakeService(1);
   std::vector<double> latencies;
   for (uint64_t seed = 1; seed <= 7; ++seed) {
@@ -110,9 +110,10 @@ TEST(PredictionServiceTest, ShardPercentilesEqualPercentileOfLatencies) {
   ASSERT_EQ(metrics.shards.size(), 1u);
   const ServiceMetrics::Shard& shard = metrics.shards[0];
   EXPECT_EQ(shard.requests, latencies.size());
-  EXPECT_EQ(shard.p50_ms, common::Percentile(latencies, 0.50));
-  EXPECT_EQ(shard.p90_ms, common::Percentile(latencies, 0.90));
-  EXPECT_EQ(shard.p99_ms, common::Percentile(latencies, 0.99));
+  std::sort(latencies.begin(), latencies.end());
+  EXPECT_EQ(shard.p50_ms, common::PercentileOfSorted(latencies, 0.50));
+  EXPECT_EQ(shard.p90_ms, common::PercentileOfSorted(latencies, 0.90));
+  EXPECT_EQ(shard.p99_ms, common::PercentileOfSorted(latencies, 0.99));
 }
 
 TEST(PredictionServiceTest, ResponsesInvariantAcrossShardCountsAndOrder) {
@@ -141,8 +142,8 @@ TEST(PredictionServiceTest, ResponsesInvariantAcrossShardCountsAndOrder) {
     for (const auto& response : got) {
       ASSERT_TRUE(response.ok) << response.error;
       const auto& ref = reference[response.id - 1];
-      EXPECT_EQ(SerializeResult(response, /*per_query=*/true),
-                SerializeResult(ref, /*per_query=*/true))
+      EXPECT_EQ(testing::CanonicalBytes(response, /*per_query=*/true),
+                testing::CanonicalBytes(ref, /*per_query=*/true))
           << "request id " << response.id;
     }
   };
@@ -175,8 +176,10 @@ TEST(PredictionServiceTest, TinyCacheEvictsButStaysCorrect) {
   EXPECT_FALSE(a2.cache_hit);
   EXPECT_FALSE(b2.cache_hit);
   // Eviction must not change answers: recomputation is bit-identical.
-  EXPECT_EQ(SerializeResult(a1, true), SerializeResult(a2, true));
-  EXPECT_EQ(SerializeResult(b1, true), SerializeResult(b2, true));
+  EXPECT_EQ(testing::CanonicalBytes(a1, true),
+            testing::CanonicalBytes(a2, true));
+  EXPECT_EQ(testing::CanonicalBytes(b1, true),
+            testing::CanonicalBytes(b2, true));
 
   const ServiceMetrics metrics = svc->Metrics();
   EXPECT_EQ(metrics.result_hits, 0u);
@@ -223,7 +226,7 @@ TEST(PredictionServiceKernelTest, ResponsesInvariantAcrossKernelModes) {
   const auto scalar = ServeAll(scalar_svc.get(), requests);
 
   // Every batched lane the host can run, not just the generic one: the
-  // serialized responses must match the scalar service byte for byte.
+  // responses' canonical bytes must match the scalar service's.
   for (const gk::KernelMode mode : gk::SupportedKernelModes()) {
     if (mode == gk::KernelMode::kScalar) continue;
     gk::SetKernelMode(mode);
@@ -233,13 +236,30 @@ TEST(PredictionServiceKernelTest, ResponsesInvariantAcrossKernelModes) {
     for (size_t i = 0; i < scalar.size(); ++i) {
       ASSERT_TRUE(scalar[i].ok) << scalar[i].error;
       ASSERT_TRUE(batched[i].ok) << batched[i].error;
-      EXPECT_EQ(SerializeResult(batched[i], /*per_query=*/true),
-                SerializeResult(scalar[i], /*per_query=*/true))
+      EXPECT_EQ(testing::CanonicalBytes(batched[i], /*per_query=*/true),
+                testing::CanonicalBytes(scalar[i], /*per_query=*/true))
           << "request id " << scalar[i].id << ", mode "
           << gk::KernelModeName(mode);
     }
   }
   gk::ClearKernelModeOverride();
+}
+
+TEST(PredictionServiceTest, PerQueryRefusedOnlyBeyondOneResponseFrame) {
+  auto svc = MakeService(1);
+  ServiceRequest request = Req("alpha", "mini", 1);
+  request.per_query = true;
+  request.num_queries = wire::kMaxPerQueryCount;
+  // Its answer would fit one frame, so the next check, q <= N, refuses it.
+  EXPECT_NE(Serve(svc.get(), request).error.find("num_queries must be <="),
+            std::string::npos);
+  request.num_queries += 1;
+  EXPECT_NE(Serve(svc.get(), request).error.find(
+                "per_query responses carry at most"),
+            std::string::npos);
+  request.per_query = false;
+  EXPECT_NE(Serve(svc.get(), request).error.find("num_queries must be <="),
+            std::string::npos);
 }
 
 TEST(PredictionServiceTest, ErrorsAreDeterministicResponses) {

@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "service/protocol.h"
+#include "test_util.h"
 
 namespace hdidx::service::wire {
 namespace {
@@ -222,21 +223,34 @@ TEST(WireRoundTripTest, PredictResponseCarriesEveryResultField) {
     EXPECT_EQ(reply.response.shard, 2u);
     EXPECT_EQ(reply.response.served_io.page_seeks, 11u);
     EXPECT_EQ(reply.response.served_io.page_transfers, 23u);
-    // The determinism contract, stated as bytes: the serialized `result`
-    // payload of the decoded binary response equals the serialization of
-    // the response the server encoded.
-    EXPECT_EQ(SerializeResult(reply.response, per_query),
-              SerializeResult(response, per_query));
+    // The determinism contract, stated as bytes: the canonical wire bytes
+    // of the decoded response equal those of the response the server
+    // encoded.
+    EXPECT_EQ(testing::CanonicalBytes(reply.response, per_query),
+              testing::CanonicalBytes(response, per_query));
     if (per_query) {
       EXPECT_EQ(reply.response.result.per_query_accesses,
                 response.result.per_query_accesses);
     } else {
-      // The count still round-trips (zero-filled) so size-derived fields
-      // serialize identically.
+      // The count still round-trips (zero-filled) so the canonical bytes,
+      // which carry it, are identical.
       EXPECT_EQ(reply.response.result.per_query_accesses.size(),
                 response.result.per_query_accesses.size());
     }
   }
+}
+
+TEST(WireRoundTripTest, LargestPerQueryResponseFitsOneFrame) {
+  // kMaxPerQueryCount is exact: 92 fixed payload bytes plus 8 per query
+  // fit kDefaultMaxPayload, and one more query would not.
+  ServiceResponse response;
+  response.ok = true;
+  response.result.per_query_accesses.assign(kMaxPerQueryCount, 1.0);
+  const std::string frame = EncodePredictResponse(response, true);
+  const size_t payload = frame.size() - kHeaderBytes;
+  EXPECT_EQ(payload, 92 + sizeof(double) * kMaxPerQueryCount);
+  EXPECT_LE(payload, kDefaultMaxPayload);
+  EXPECT_GT(payload + sizeof(double), kDefaultMaxPayload);
 }
 
 TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
@@ -259,8 +273,8 @@ TEST(WireRoundTripTest, ErrorShedLoadStatsShutdownResponses) {
   ASSERT_TRUE(DecodePredictResponse(header, payload, &reply, &error));
   EXPECT_FALSE(reply.response.ok);
   EXPECT_EQ(reply.response.error, "unknown dataset 'nope'");
-  EXPECT_EQ(SerializeResult(reply.response, false),
-            SerializeResult(failed, false));
+  EXPECT_EQ(testing::CanonicalBytes(reply.response, false),
+            testing::CanonicalBytes(failed, false));
 
   // Shed.
   const std::string shed = EncodeShedResponse(99, 3, 25);

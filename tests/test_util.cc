@@ -1,11 +1,14 @@
 #include "test_util.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "core/predictor.h"
 #include "gtest/gtest.h"
+#include "service/wire.h"
 
 namespace hdidx::testing {
 
@@ -17,6 +20,47 @@ data::Dataset SmallClustered(size_t n, size_t dim, uint64_t seed) {
   config.num_clusters = 8;
   config.intrinsic_dim = std::max<double>(2.0, static_cast<double>(dim) / 4.0);
   return data::GenerateClustered(config, &rng);
+}
+
+data::Dataset DatasetOf(const std::vector<float>& values, size_t dim) {
+  HDIDX_CHECK(dim > 0 && values.size() % dim == 0);
+  data::Dataset out(values.size() / dim, dim);
+  std::copy(values.begin(), values.end(), out.mutable_data().begin());
+  return out;
+}
+
+data::Dataset GenerateLine(size_t n, size_t dim, double jitter,
+                           common::Rng* rng) {
+  HDIDX_CHECK(dim > 0);
+  std::vector<double> direction(dim);
+  double norm = 0.0;
+  for (double& v : direction) {
+    v = rng->NextGaussian();
+    norm += v * v;
+  }
+  norm = std::sqrt(norm);
+  for (double& v : direction) v /= norm;
+
+  data::Dataset out(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    const double t = rng->NextDouble() - 0.5;
+    auto row = out.mutable_row(i);
+    for (size_t k = 0; k < dim; ++k) {
+      row[k] = static_cast<float>(0.5 + t * direction[k] +
+                                  jitter * rng->NextGaussian());
+    }
+  }
+  return out;
+}
+
+std::string CanonicalBytes(service::ServiceResponse response, bool per_query) {
+  response.id = 0;
+  response.shard = 0;
+  response.latency_ms = 0.0;
+  response.cache_hit = false;
+  response.workload_cache_hit = false;
+  response.served_io = io::IoStats{};
+  return service::wire::EncodePredictResponse(response, per_query);
 }
 
 void ExpectValidTree(const index::RTree& tree, const data::Dataset& data,

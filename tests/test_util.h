@@ -3,12 +3,15 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "geometry/kernels.h"
 #include "index/rtree.h"
+#include "service/prediction_service.h"
 #include "workload/query_workload.h"
 
 namespace hdidx::testing {
@@ -16,6 +19,23 @@ namespace hdidx::testing {
 /// Small clustered dataset shared by many tests: deterministic for a given
 /// seed, sized for sub-second index builds.
 data::Dataset SmallClustered(size_t n, size_t dim, uint64_t seed);
+
+/// A dataset of values.size() / dim rows copied from the row-major
+/// `values`, whose size must be a multiple of dim.
+data::Dataset DatasetOf(const std::vector<float>& values, size_t dim);
+
+/// `n` points on a line segment through the center of [0,1]^dim, in a
+/// random direction, with Gaussian jitter of deviation `jitter`. Its
+/// fractal dimensionality is ~1 whatever dim is: the fractal estimators'
+/// reference shape.
+data::Dataset GenerateLine(size_t n, size_t dim, double jitter,
+                           common::Rng* rng);
+
+/// The canonical bytes of a prediction: wire::EncodePredictResponse of
+/// `response` with its serving metadata (id, shard, latency_ms, cache_hit,
+/// workload_cache_hit, served_io) cleared. Doubles are raw IEEE-754 bits,
+/// so equal bytes mean bit-identical results, or the same error text.
+std::string CanonicalBytes(service::ServiceResponse response, bool per_query);
 
 /// Structural invariants every bulk-loaded tree must satisfy:
 ///  * every point appears in exactly one leaf range;

@@ -4,7 +4,9 @@
 // bound TCP port, then runs a session over the binary wire protocol
 // (src/service/wire.h): load, a pipelined predict batch (all request frames
 // written before any response is read), an optional warm repeat of the same
-// batch that must be served from the mini-index cache, stats, shutdown.
+// batch that must be served from the mini-index cache, stats, shutdown. The
+// shutdown is sent even when an earlier exchange failed, so the client
+// never waits on a server it did not stop.
 // Exits 0 only on a fully healthy session (all predictions ok, warm batch
 // hit the cache, clean shutdown), so CI can use it as a one-command smoke
 // test of the service.
@@ -26,6 +28,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -218,11 +221,32 @@ bool TallyPredictReplies(int fd, std::string* buffer, uint64_t count,
   return true;
 }
 
-/// The session: load, pipelined cold batch, optional warm batch, stats,
-/// shutdown. Returns false on transport failure (the tally
-/// still decides overall health).
-bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
-  std::string buffer;
+/// Sends a shutdown frame and reads up to its acknowledgment, skipping any
+/// responses still owed before it. Returns false when the connection fails
+/// first or the acknowledgment is malformed.
+bool Shutdown(int fd, std::string* buffer) {
+  wire::FrameHeader header;
+  std::string payload;
+  std::string error;
+  if (SendAll(fd, wire::EncodeShutdownRequest(3))) {
+    while (ReadFrame(fd, buffer, &header, &payload, &error)) {
+      if (header.op != wire::WireOp::kShutdown) continue;
+      uint64_t served = 0;
+      return wire::DecodeShutdownResponse(header, payload, &served, &error);
+    }
+  }
+  std::fprintf(stderr, "error: shutdown exchange failed: %s\n",
+               error.c_str());
+  return false;
+}
+
+/// The session up to shutdown: load, pipelined cold batch, optional warm
+/// batch, stats. Returns false on transport failure (the tally still
+/// decides overall health). `*buffer` keeps the bytes read past the last
+/// frame.
+bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally,
+                    std::string* buffer_out) {
+  std::string& buffer = *buffer_out;
   wire::FrameHeader header;
   std::string payload;
   std::string error;
@@ -235,6 +259,11 @@ bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
   wire::LoadResult load;
   if (header.op != wire::WireOp::kLoad ||
       !wire::DecodeLoadResponse(header, payload, &load, &error)) {
+    std::string message;
+    if (header.op == wire::WireOp::kError &&
+        wire::DecodeErrorFrame(header, payload, &message, &error)) {
+      error = message;
+    }
     std::fprintf(stderr, "error: bad load response: %s\n", error.c_str());
     return false;
   }
@@ -282,17 +311,6 @@ bool RunWireSession(int fd, const SessionSpec& spec, SessionTally* tally) {
   }
   std::printf("stats: %s\n",
               hdidx::service::SerializeMetrics(metrics).c_str());
-
-  if (!SendAll(fd, wire::EncodeShutdownRequest(3)) ||
-      !ReadFrame(fd, &buffer, &header, &payload, &error)) {
-    std::fprintf(stderr, "error: shutdown exchange failed: %s\n",
-                 error.c_str());
-    return false;
-  }
-  uint64_t served = 0;
-  tally->shutdown_ok =
-      header.op == wire::WireOp::kShutdown &&
-      wire::DecodeShutdownResponse(header, payload, &served, &error);
   return true;
 }
 
@@ -336,8 +354,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%u\n",
                  static_cast<unsigned>(port));
   }
-  const bool transport_ok = fd >= 0 && RunWireSession(fd, spec, &tally);
+  std::string buffer;
+  const bool transport_ok =
+      fd >= 0 && RunWireSession(fd, spec, &tally, &buffer);
+  // Shut down whether or not the session got through: a server that is
+  // never told to stop never exits, and waiting for it would hang.
+  tally.shutdown_ok = fd >= 0 && Shutdown(fd, &buffer);
   if (fd >= 0) close(fd);
+  if (!tally.shutdown_ok) {
+    // The connection cannot carry the shutdown: signal the server instead,
+    // and wait only for the spawned process, not for the server's stdout
+    // (a server started under `sh -c` may outlive a signalled shell).
+    kill(pid, SIGTERM);
+    std::fclose(from_child);
+    waitpid(pid, nullptr, 0);
+    std::fprintf(stderr, "error: no clean shutdown; server signalled\n");
+    return 1;
+  }
   // Drain anything else the server printed so it never blocks on a full
   // stdout pipe before exiting.
   char sink[1 << 12];

@@ -8,9 +8,14 @@ Generates a clustered 20000 x 16 dataset (an index of height >= 3 at 8 KB
 pages), then has hdidx_client spawn hdidx_serve and drive one session over
 the loopback wire protocol: load, 4 cold predicts, the same 4 again (all
 cache hits), stats, shutdown. With --repeat 0 the warm pass is skipped.
+A 65,000-byte --data path fails the load and nothing else: the session
+runs on to a clean shutdown and exits 1. A session that fails before its
+shutdown exchange (--dataset "", which the server refuses as malformed)
+stops the server and exits 1 instead of waiting on it.
 Flags the server cannot honour (a --port above 65535, a --retry-after-ms
 above 2^32 - 1, --shards or --threads above 1024) and the removed --json
-flag must exit 2 before anything is bound or spawned. Exits 0 when every case holds, 1 otherwise.
+flag must exit 2 before anything is bound or spawned. Exits 0 when every
+case holds, 1 otherwise.
 """
 
 import argparse
@@ -73,6 +78,13 @@ def main():
                "shutdown clean")
         expect("session --repeat 0", run(session + ["--repeat", "0"]), 0,
                "session: 4/4 predictions ok, 0 cache hits")
+        long_path = os.path.join(tmp, "p" * (65000 - len(tmp) - 1))
+        long_session = list(session)
+        long_session[long_session.index(data)] = long_path
+        expect("session with a 65,000-byte --data path", run(long_session),
+               1, "load FAILED, shutdown clean")
+        expect("session --dataset ''", run(session + ["--dataset", ""], 30),
+               1, "shutdown clean", "bad load response")
 
         # A server that accepts one of these flags serves until killed, so
         # these cases get a short timeout.
